@@ -15,7 +15,7 @@ import numpy as np
 
 from .cur import CurDecomposition
 from .linalg import compact_svd, multilinear_rank
-from .tensor import frobenius_norm, spectral_norm, subtensor, unfold
+from .tensor import frobenius_norm, select_fibers, spectral_norm, subtensor, unfold
 
 __all__ = [
     "CoherenceReport",
@@ -170,7 +170,7 @@ def evaluate_error_bounds(exact, noise, dec: CurDecomposition) -> BoundReport:
         u_sigma_r.append(sigma_r_u)
         u_pinv.append(_inverse_or_inf(sigma_r_u))
 
-        noise_fibers = unfold(noise, i)[:, dec.fiber_indices[i]]
+        noise_fibers = select_fibers(noise, i, dec.fiber_indices[i])
         noise_inter = noise_fibers[dec.row_indices[i], :]
         e_fiber.append(frobenius_norm(noise_fibers))
         e_inter.append(frobenius_norm(noise_inter))

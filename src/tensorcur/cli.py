@@ -120,8 +120,12 @@ def _cmd_compress(args) -> int:
     )
     snr = "exact" if result.snr_db is None else f"{result.snr_db:.2f} dB"
     print(f"method={result.method} ranks={','.join(map(str, result.ranks))} "
-          f"snr={snr} runtime_ms={result.runtime_ms:.3f} "
+          f"snr={snr} rank_ok={int(result.rank_ok)} runtime_ms={result.runtime_ms:.3f} "
           f"extract_ms={result.extract_ms:.3f} out={result.out_dir}")
+    if not result.rank_ok:
+        print("warning: rank gate failed: a sampled intersection has numerical rank "
+              "below its target rank, so the reconstruction may be inaccurate "
+              "(try another --seed or larger --row-samples)", file=sys.stderr)
     return 0
 
 

@@ -24,6 +24,7 @@ from .tensor import (
     composite_index,
     frobenius_norm,
     multi_mode_product,
+    select_fibers,
     subtensor,
     unfold,
 )
@@ -95,7 +96,8 @@ def cur_with_indices(a, row_indices, ranks, fiber_indices=None) -> CurDecomposit
 
     With ``fiber_indices=None`` the Chidori variant is built (fiber columns
     are the composite of the other modes' row indices); otherwise the Fiber
-    variant uses the given mode-i unfolding column sets.
+    variant uses the given mode-i unfolding column sets.  Either way only
+    the core and the selected fibers are read from ``a``.
     """
     a = np.asarray(a, dtype=np.float64)
     n = a.ndim
@@ -103,33 +105,20 @@ def cur_with_indices(a, row_indices, ranks, fiber_indices=None) -> CurDecomposit
         raise ValueError(f"expected {n} row index sets, got {len(row_indices)}")
     rows = tuple(as_index_array(idx, a.shape[k]) for k, idx in enumerate(row_indices))
     ranks = _check_ranks(n, a.shape, ranks)
-    core = subtensor(a, rows)
-    fibers = []
-    intersections = []
-    cols = []
     if fiber_indices is None:
         variant = "chidori"
-        for i in range(n):
-            slab_index = list(rows)
-            slab_index[i] = np.arange(a.shape[i], dtype=np.intp)
-            slab = a[np.ix_(*slab_index)]
-            c = unfold(slab, i)
-            fibers.append(c)
-            intersections.append(c[rows[i], :])
-            cols.append(composite_index(rows, i, a.shape))
+        cols = tuple(composite_index(rows, i, a.shape) for i in range(n))
     else:
         variant = "fiber"
         if len(fiber_indices) != n:
             raise ValueError(f"expected {n} fiber index sets, got {len(fiber_indices)}")
-        for i in range(n):
-            total = a.size // a.shape[i]
-            j = as_index_array(fiber_indices[i], total)
-            c = unfold(a, i)[:, j]
-            fibers.append(c)
-            intersections.append(c[rows[i], :])
-            cols.append(j)
+        cols = tuple(
+            as_index_array(j, a.size // a.shape[i]) for i, j in enumerate(fiber_indices)
+        )
+    fibers = tuple(select_fibers(a, i, j) for i, j in enumerate(cols))
+    intersections = tuple(c[r, :] for c, r in zip(fibers, rows))
     return CurDecomposition(
-        variant, core, tuple(fibers), tuple(intersections), rows, tuple(cols), ranks
+        variant, subtensor(a, rows), fibers, intersections, rows, cols, ranks
     )
 
 
@@ -140,7 +129,7 @@ def _draw_rows(a: np.ndarray, plan: SamplingPlan, rng: np.random.Generator):
     for i, t in enumerate(plan.row_counts):
         p = None
         if plan.distribution == "length":
-            p = length_distribution(unfold(a, i), axis="rows")
+            p = length_distribution(a, "rows", mode=i)
         rows.append(sample_without_replacement(a.shape[i], t, rng, p))
     return tuple(rows)
 
@@ -167,7 +156,7 @@ def fiber_cur(a, plan: SamplingPlan, ranks) -> CurDecomposition:
         total = a.size // a.shape[i]
         q = None
         if plan.distribution == "length":
-            q = length_distribution(unfold(a, i), axis="cols")
+            q = length_distribution(a, "cols", mode=i)
         cols.append(sample_without_replacement(total, s, rng, q))
     return cur_with_indices(a, rows, ranks, fiber_indices=tuple(cols))
 
@@ -228,7 +217,7 @@ def check_characterization(a, dec: CurDecomposition, tol: float = 1e-8) -> Chara
     core = multilinear_rank(dec.core, tol)
     slabs = []
     for i, rows in enumerate(dec.row_indices):
-        slabs.append(numerical_rank(unfold(a, i)[rows, :], tol))
+        slabs.append(numerical_rank(unfold(np.take(a, rows, axis=i), i), tol))
     norm = frobenius_norm(a)
     if norm == 0.0:
         rel = 0.0

@@ -11,6 +11,7 @@ sorted ascending so downstream slicing is reproducible.
 """
 
 import math
+import string
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +35,7 @@ class SamplingPlan:
     the per-mode fiber counts s_i and are required only for Fiber plans.
     ``distribution`` is ``"uniform"`` or ``"length"``; length-based plans
     weight mode-index draws by squared row norms of the mode unfolding and
-    fiber draws by squared column norms.
+    fiber draws by squared column norms (see :func:`length_distribution`).
     """
 
     row_counts: tuple[int, ...]
@@ -62,24 +63,31 @@ class SamplingPlan:
         return np.random.default_rng(self.seed)
 
 
-def length_distribution(m, axis: str = "rows") -> np.ndarray:
-    """Probability vector proportional to squared row (or column) norms.
+def length_distribution(t, axis: str = "rows", mode: int = 0) -> np.ndarray:
+    """Probability vector proportional to squared row (or column) norms of
+    the mode-``mode`` unfolding ``m`` of ``t``.
 
     ``p_j = ||m[j, :]||^2 / ||m||_F^2`` for ``axis="rows"`` and the column
-    analogue for ``axis="cols"``.
+    analogue for ``axis="cols"``; columns follow the unfolding's order (first
+    remaining index fastest).  For a matrix and ``mode=0``, ``m`` is ``t``
+    itself.  The squared norms are summed straight from ``t`` in one
+    ``einsum`` pass, so neither the unfolding nor a squared copy of ``t`` is
+    ever built.
     """
-    m = np.asarray(m, dtype=np.float64)
-    if m.ndim != 2:
-        raise ValueError("length_distribution expects a matrix")
+    t = np.asarray(t, dtype=np.float64)
+    if not 0 <= mode < t.ndim:
+        raise ValueError(f"mode {mode} out of range for a {t.ndim}-mode tensor")
+    modes = string.ascii_letters[: t.ndim]
     if axis == "rows":
-        sq = np.einsum("ij,ij->i", m, m)
+        kept = modes[mode]
     elif axis == "cols":
-        sq = np.einsum("ij,ij->j", m, m)
+        kept = modes[:mode] + modes[mode + 1 :]
     else:
         raise ValueError("axis must be 'rows' or 'cols'")
+    sq = np.einsum(f"{modes},{modes}->{kept}", t, t).ravel(order="F")
     total = sq.sum()
     if total <= 0.0:
-        raise ValueError("degenerate distribution: zero matrix")
+        raise ValueError("degenerate distribution: zero tensor")
     return sq / total
 
 

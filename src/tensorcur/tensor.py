@@ -147,12 +147,20 @@ def subtensor(t, index_sets) -> np.ndarray:
 
 
 def select_fibers(t, k: int, cols) -> np.ndarray:
-    """Columns ``cols`` of ``unfold(t, k)``; each column is a mode-k fiber."""
+    """Columns ``cols`` of ``unfold(t, k)``; each column is a mode-k fiber.
+
+    Only the selected fibers are read: each column id is converted to its
+    multi-index over the remaining modes (first remaining index fastest) and
+    gathered from a ``moveaxis`` view of ``t``, so no unfolding is built.
+    The result equals ``unfold(t, k)[:, cols]`` bit for bit, with the same
+    memory layout, for any memory layout of ``t``.
+    """
     t = _as_tensor(t)
     _check_mode(t, k)
     total = t.size // t.shape[k]
     cols = as_index_array(cols, total)
-    return unfold(t, k)[:, cols]
+    view = np.moveaxis(t, k, 0)
+    return view[(slice(None),) + np.unravel_index(cols, view.shape[1:], order="F")]
 
 
 def composite_index(index_sets, k: int, dims) -> np.ndarray:
@@ -162,7 +170,9 @@ def composite_index(index_sets, k: int, dims) -> np.ndarray:
     ``index_sets`` has one entry per mode; the entry at position ``k`` is
     ignored (``None`` is accepted).  The output is sorted ascending and
     satisfies ``select_fibers(t, k, composite_index(I, k, t.shape)) ==
-    unfold(subtensor(t with mode k full), k)``.
+    unfold(subtensor(t with mode k full), k)``.  Only the index sets are
+    used, never the tensor, so the linearization costs ``O(prod |I_j|)``
+    and :func:`select_fibers` then reads just those fibers.
     """
     dims = tuple(int(d) for d in dims)
     if not 0 <= k < len(dims):

@@ -19,3 +19,17 @@ def random_low_rank(dims, ranks, rng):
     core = rng.standard_normal(tuple(ranks))
     factors = [rng.standard_normal((d, r)) for d, r in zip(dims, ranks)]
     return multi_mode_product(core, factors)
+
+
+def tensor_with_layout(dims, layout, seed):
+    """Standard-normal tensor of shape ``dims`` stored C-ordered, F-ordered,
+    or as a strided (non-contiguous) view with one mode reversed."""
+    rng = np.random.default_rng(seed)
+    if layout == "C":
+        return rng.standard_normal(dims)
+    if layout == "F":
+        return np.asfortranarray(rng.standard_normal(dims))
+    base = rng.standard_normal(tuple(2 * d for d in dims))
+    view = base[(slice(None, None, -2),) + (slice(None, None, 2),) * (len(dims) - 1)]
+    assert not (view.flags.c_contiguous or view.flags.f_contiguous) or view.size <= 1
+    return view

@@ -45,8 +45,11 @@ def test_compress_and_convert_subcommands(tmp_path, capsys):
         "--reconstruct",
     ])
     assert code == 0
-    printed = capsys.readouterr().out
+    captured = capsys.readouterr()
+    printed = captured.out
     assert "snr=" in printed and "runtime_ms=" in printed
+    assert " rank_ok=1 " in printed
+    assert "warning" not in captured.err
     assert (cur_dir / "manifest.json").exists()
     assert read_tensor(cur_dir / "reconstruction.tnsr").shape == noisy.shape
 
@@ -66,6 +69,21 @@ def test_compress_exact_sentinel(tmp_path, capsys):
         "--ranks", "5,5,5", "--out-dir", str(tmp_path / "full"),
     ])
     assert "snr=exact" in capsys.readouterr().out
+
+
+def test_compress_reports_rank_loss(tmp_path, capsys):
+    # an exact rank-2 tensor cannot fill rank-3 intersections: the gate fails
+    _, exact, _ = generate_synthetic(12, 2, 0.0, np.random.default_rng(0))
+    src = tmp_path / "low.tnsr"
+    write_tensor(src, exact)
+    code = main([
+        "compress", "--input", str(src), "--method", "chidori",
+        "--ranks", "3,3,3", "--out-dir", str(tmp_path / "low"),
+    ])
+    assert code == 0
+    captured = capsys.readouterr()
+    assert " rank_ok=0 " in captured.out
+    assert "warning: rank gate failed" in captured.err
 
 
 def test_check_bounds_prints_report(capsys):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -237,3 +239,24 @@ class TestValidation:
     def test_duplicate_indices_rejected(self):
         with pytest.raises(ValueError):
             cur_with_indices(np.ones((3, 3, 3)), [[0, 0], [0, 1], [0, 1]], (1, 1, 1))
+
+
+class TestReadsOnlySampledEntries:
+    @pytest.mark.parametrize("method", ["chidori", "fiber"])
+    @pytest.mark.parametrize("distribution", ["uniform", "length"])
+    def test_peak_memory_far_below_the_tensor(self, method, distribution):
+        # an unfolding (or a squared copy) of the input would cost a.nbytes
+        a = np.random.default_rng(0).standard_normal((64, 64, 64))
+        ranks = (2, 2, 2)
+        t, s = fiber_sample_sizes(a.shape, ranks)
+        if method == "chidori":
+            decompose, plan = chidori_cur, SamplingPlan(t, distribution=distribution, seed=1)
+        else:
+            decompose, plan = fiber_cur, SamplingPlan(t, s, distribution=distribution, seed=1)
+        tracemalloc.start()
+        try:
+            decompose(a, plan, ranks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * a.nbytes

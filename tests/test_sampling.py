@@ -1,13 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tensorcur import (
     SamplingPlan,
+    chidori_cur,
     chidori_sample_sizes,
+    fiber_cur,
     fiber_sample_sizes,
+    generate_synthetic,
     length_distribution,
     sample_without_replacement,
+    unfold,
 )
+
+from conftest import tensor_with_layout
 
 
 class TestLengthDistribution:
@@ -38,6 +46,30 @@ class TestLengthDistribution:
     def test_bad_axis(self):
         with pytest.raises(ValueError):
             length_distribution(np.eye(2), "diag")
+
+    def test_zero_tensor_is_degenerate_in_every_mode(self):
+        for k in range(3):
+            for axis in ("rows", "cols"):
+                with pytest.raises(ValueError, match="degenerate"):
+                    length_distribution(np.zeros((2, 3, 4)), axis, mode=k)
+
+    def test_mode_out_of_range(self):
+        with pytest.raises(ValueError, match="mode"):
+            length_distribution(np.ones((2, 3, 4)), "rows", mode=3)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(st.integers(1, 6), min_size=2, max_size=4),
+        st.sampled_from(["C", "F", "strided"]),
+        st.sampled_from(["rows", "cols"]),
+        st.integers(0, 3),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_tensor_norms_match_the_unfolding(self, dims, layout, axis, mode, seed):
+        t = tensor_with_layout(tuple(dims), layout, seed)
+        k = mode % t.ndim
+        got = length_distribution(t, axis, mode=k)
+        np.testing.assert_allclose(got, length_distribution(unfold(t, k), axis), rtol=1e-12)
 
 
 class TestSampleWithoutReplacement:
@@ -95,6 +127,37 @@ class TestSampleWithoutReplacement:
             sample_without_replacement(
                 4, 3, np.random.default_rng(0), np.array([0.5, 0.5, 0.0, 0.0])
             )
+
+
+class TestLengthPlansArePinned:
+    """Length-weighted index draws for fixed seeds, recorded from the
+    implementation that built every mode unfolding to compute the norms."""
+
+    ROWS = {
+        0: [[0, 1, 2, 3], [3, 4, 6, 7], [0, 2, 6, 8]],
+        1: [[0, 2, 5, 6], [2, 3, 4, 7], [0, 2, 4, 6]],
+    }
+    FIBERS = {
+        0: [[7, 13, 23, 35, 52, 54], [2, 9, 16, 17, 30, 33], [19, 30, 31, 32, 53, 55]],
+        1: [[10, 18, 19, 23, 25, 50], [13, 15, 16, 23, 33, 59], [15, 17, 28, 32, 52, 53]],
+    }
+
+    @pytest.fixture(scope="class")
+    def tensor(self):
+        return generate_synthetic((7, 8, 9), 2, 1e-3, np.random.default_rng(5))[1]
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_chidori(self, tensor, seed):
+        plan = SamplingPlan((4, 4, 4), distribution="length", seed=seed)
+        dec = chidori_cur(tensor, plan, (2, 2, 2))
+        assert [r.tolist() for r in dec.row_indices] == self.ROWS[seed]
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_fiber(self, tensor, seed):
+        plan = SamplingPlan((4, 4, 4), (6, 6, 6), distribution="length", seed=seed)
+        dec = fiber_cur(tensor, plan, (2, 2, 2))
+        assert [r.tolist() for r in dec.row_indices] == self.ROWS[seed]
+        assert [j.tolist() for j in dec.fiber_indices] == self.FIBERS[seed]
 
 
 class TestSamplingPlan:

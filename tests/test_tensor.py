@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tensorcur import (
     composite_index,
@@ -16,7 +18,7 @@ from tensorcur import (
     unfold,
 )
 
-from conftest import random_low_rank
+from conftest import random_low_rank, tensor_with_layout
 
 
 def storage_order_cube():
@@ -228,6 +230,37 @@ class TestSubtensorAndFibers:
             subtensor(storage_order_cube(), [[0, 2], [0], [0]])
         with pytest.raises(ValueError):
             select_fibers(storage_order_cube(), 0, [4])
+
+
+@st.composite
+def fiber_selections(draw):
+    """A 3- or 4-mode tensor in some memory layout, a mode, and a column set
+    of that mode's unfolding: one column, every column, or a random subset."""
+    dims = tuple(draw(st.lists(st.integers(1, 5), min_size=3, max_size=4)))
+    layout = draw(st.sampled_from(["C", "F", "strided"]))
+    t = tensor_with_layout(dims, layout, draw(st.integers(0, 2**32 - 1)))
+    k = draw(st.integers(0, len(dims) - 1))
+    total = t.size // dims[k]
+    kind = draw(st.sampled_from(["one", "all", "subset"]))
+    if kind == "one":
+        cols = [draw(st.integers(0, total - 1))]
+    elif kind == "all":
+        cols = list(range(total))
+    else:
+        cols = sorted(draw(st.sets(st.integers(0, total - 1), min_size=1)))
+    return t, k, np.array(cols)
+
+
+class TestSelectFibersGather:
+    @settings(max_examples=150, deadline=None)
+    @given(fiber_selections())
+    def test_matches_unfolding_columns_bit_for_bit(self, case):
+        t, k, cols = case
+        got = select_fibers(t, k, cols)
+        ref = unfold(t, k)[:, cols]
+        assert got.tobytes() == ref.tobytes()
+        # same layout too, so matrix products of the fibers round identically
+        assert got.shape == ref.shape and got.strides == ref.strides
 
 
 class TestNorms:
