@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import relative_error, snr_db
+from .analysis import relative_error
 from .cur import CurDecomposition, cur_to_hosvd, cur_with_indices
 from .linalg import numerical_rank, rank_r_pinv
 from .sampling import (
@@ -371,11 +371,8 @@ def compress(
         files["reconstruction"] = "reconstruction.tnsr"
     # a reconstruction exact to machine precision (e.g. ranks == dims) has a
     # roundoff-dominated SNR; report the exact sentinel instead of a number
-    residual = frobenius_norm(x - approx)
-    if residual <= 1e-12 * frobenius_norm(x):
-        snr = None
-    else:
-        snr = snr_db(x, approx)
+    residual, norm = frobenius_norm(x - approx), frobenius_norm(x)
+    snr = None if residual <= 1e-12 * norm else 20.0 * math.log10(norm / residual)
     return CompressionResult(
         method, ranks, snr, runtime * 1e3, extract * 1e3, rank_ok, str(out_dir), files
     )

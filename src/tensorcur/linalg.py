@@ -71,16 +71,19 @@ def compact_svd(m, tol: float | None = None) -> SvdFactors:
     if min(m.shape) == 0:
         return SvdFactors(np.zeros((m.shape[0], 0)), np.zeros(0), np.zeros((m.shape[1], 0)))
     w, s, vt = np.linalg.svd(m, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        r = 0
-    else:
-        r = int(np.count_nonzero(s > tol * s[0]))
+    r = _count_above(s, tol)
     return SvdFactors(w[:, :r], s[:r], vt[:r].T)
+
+
+def _count_above(s: np.ndarray, tol: float) -> int:
+    return 0 if s.size == 0 or s[0] == 0.0 else int(np.count_nonzero(s > tol * s[0]))
 
 
 def numerical_rank(m, tol: float | None = None) -> int:
     """Number of singular values above ``tol * sigma_1``."""
-    return compact_svd(m, tol).rank
+    m = _as_matrix(m)
+    s = np.linalg.svd(m, compute_uv=False) if min(m.shape) else np.zeros(0)
+    return _count_above(s, default_rank_tol(m) if tol is None else tol)
 
 
 def pinv(m, tol: float | None = None) -> np.ndarray:
@@ -110,9 +113,7 @@ def rank_r_pinv(m, r: int) -> np.ndarray:
     if r == 0 or min(m.shape) == 0:
         return np.zeros((m.shape[1], m.shape[0]))
     w, s, vt = np.linalg.svd(m, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return np.zeros((m.shape[1], m.shape[0]))
-    k = min(int(r), int(np.count_nonzero(s > _PINV_FLOOR * s[0])))
+    k = min(int(r), _count_above(s, _PINV_FLOOR))
     if k == 0:
         return np.zeros((m.shape[1], m.shape[0]))
     return (vt[:k].T / s[:k]) @ w[:, :k].T

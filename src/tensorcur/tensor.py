@@ -193,7 +193,8 @@ def composite_index(index_sets, k: int, dims) -> np.ndarray:
 
 def frobenius_norm(t) -> float:
     """Square root of the sum of squared entries."""
-    return float(np.linalg.norm(np.asarray(t, dtype=np.float64).ravel()))
+    # order="K" reads C- and F-contiguous inputs in place instead of copying them
+    return float(np.linalg.norm(np.asarray(t, dtype=np.float64).ravel(order="K")))
 
 
 def spectral_norm(m) -> float:

@@ -1,5 +1,7 @@
 """Orthogonal Tucker-format baselines: truncated HOSVD, sequentially
-truncated HOSVD, and HOOI."""
+truncated HOSVD, and HOOI.  Factors are the leading eigenvectors of each
+unfolding's Gram matrix, or its thin SVD's when the unfolding is taller than
+wide or ``sigma_k / sigma_1 < 1e-3``."""
 
 from dataclasses import dataclass
 
@@ -9,6 +11,9 @@ from .linalg import multilinear_rank
 from .tensor import frobenius_norm, mode_product, multi_mode_product, unfold
 
 __all__ = ["HosvdDecomposition", "hosvd", "st_hosvd", "hooi"]
+
+# Gram eigh loses ~eps * sigma_1 / sigma_k; below sigma_k / sigma_1 = 1e-3 use the SVD
+_GRAM_MIN_RATIO = 1e-6
 
 
 @dataclass(frozen=True)
@@ -39,9 +44,14 @@ def _check_ranks(t: np.ndarray, ranks) -> tuple[int, ...]:
 
 
 def _leading_left_vectors(m: np.ndarray, r: int) -> np.ndarray:
-    w = np.linalg.svd(m, full_matrices=False)[0]
     # a d x p unfolding has at most min(d, p) singular vectors
-    return w[:, : min(r, w.shape[1])]
+    k = min(r, *m.shape)
+    if m.shape[0] <= m.shape[1]:
+        # a tall m keeps its thin SVD: the d x d Gram would cost O(d^2) memory
+        lam, v = np.linalg.eigh(m @ m.T)
+        if lam[-1] > 0.0 and lam[-k] >= _GRAM_MIN_RATIO * lam[-1]:
+            return v[:, -k:][:, ::-1]
+    return np.linalg.svd(m, full_matrices=False)[0][:, :k]
 
 
 def hosvd(t, ranks=None, tol: float | None = None) -> HosvdDecomposition:

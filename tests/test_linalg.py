@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tensorcur import (
     SvdFactors,
@@ -125,6 +127,33 @@ class TestRankRPinv:
     def test_negative_rank(self):
         with pytest.raises(ValueError):
             rank_r_pinv(np.eye(2), -1)
+
+
+@st.composite
+def planted_rank_matrices(draw):
+    """A matrix with ``rank`` singular values in ``[1e-3, 1]`` times a scale,
+    the rest exactly zero; zero and empty matrices included."""
+    rows, cols = draw(st.integers(0, 9)), draw(st.integers(0, 9))
+    rank = draw(st.integers(0, min(rows, cols)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    u = np.linalg.qr(rng.standard_normal((rows, rank)))[0]
+    v = np.linalg.qr(rng.standard_normal((cols, rank)))[0]
+    s = 10.0 ** rng.uniform(-3.0, 0.0, rank) * 10.0 ** draw(st.integers(-5, 5))
+    return (u * s) @ v.T, rank
+
+
+class TestNumericalRankProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(planted_rank_matrices(), st.sampled_from([None, 1e-6, 1e-12]))
+    def test_equals_compact_svd_rank_and_planted_rank(self, case, tol):
+        m, rank = case
+        assert numerical_rank(m, tol) == compact_svd(m, tol).rank == rank
+
+    @settings(max_examples=100, deadline=None)
+    @given(planted_rank_matrices(), st.sampled_from([1e-2, 0.1, 0.5]))
+    def test_equals_compact_svd_rank_when_the_cutoff_splits_the_spectrum(self, case, tol):
+        m, _ = case
+        assert numerical_rank(m, tol) == compact_svd(m, tol).rank
 
 
 class TestRankAndQr:

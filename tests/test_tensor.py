@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -277,6 +279,22 @@ class TestNorms:
         assert frobenius_norm(t) == pytest.approx(ref, rel=1e-14)
         for k in range(3):
             assert frobenius_norm(unfold(t, k)) == pytest.approx(ref, rel=1e-14)
+
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    def test_every_layout_matches_the_norm_of_a_c_copy(self, layout):
+        t = tensor_with_layout((7, 5, 6), layout, seed=57)
+        ref = np.linalg.norm(np.ascontiguousarray(t).ravel())
+        assert frobenius_norm(t) == pytest.approx(ref, rel=1e-14)
+
+    def test_fortran_ordered_input_is_not_copied(self):
+        t = tensor_with_layout((64, 64, 64), "F", seed=58)
+        tracemalloc.start()
+        try:
+            frobenius_norm(t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * t.nbytes
 
     def test_spectral_norm_is_largest_singular_value(self):
         rng = np.random.default_rng(56)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,9 +8,11 @@ from tensorcur import (
     hooi,
     hosvd,
     kronecker,
+    multi_mode_product,
     multilinear_rank,
     relative_error,
     st_hosvd,
+    tucker,
     unfold,
 )
 
@@ -136,3 +140,60 @@ class TestOrthonormality:
         t = random_low_rank((8, 8, 8), (2, 2, 2), rng)
         dec = hosvd(t, (2, 2, 2))
         assert multilinear_rank(dec.reconstruct()) == (2, 2, 2)
+
+
+def planted_spectrum(ratio, noise, dims=(14, 12, 10), r=4, seed=0):
+    """Tensor whose mode unfoldings all have the leading singular values
+    ``geomspace(1, ratio, r)``, plus Gaussian noise of norm ``noise`` times
+    the exact part's norm."""
+    rng = np.random.default_rng(seed)
+    core = np.zeros((r, r, r))
+    core[np.arange(r), np.arange(r), np.arange(r)] = np.geomspace(1.0, ratio, r)
+    factors = [np.linalg.qr(rng.standard_normal((d, r)))[0] for d in dims]
+    exact = multi_mode_product(core, factors)
+    g = rng.standard_normal(dims)
+    return exact + noise * frobenius_norm(exact) * g / frobenius_norm(g), (r, r, r)
+
+
+def svd_left_vectors(m, r):
+    return np.linalg.svd(m, full_matrices=False)[0][:, : min(r, *m.shape)]
+
+
+class TestGramAgainstSvd:
+    # factors come from eigh of the Gram matrix, which squares the condition
+    # number; the reference swaps in the thin SVD of the same unfoldings
+    @pytest.mark.parametrize("noise", [0.0, 1e-10, 1e-4])
+    @pytest.mark.parametrize("ratio", [1.0, 1e-2, 1e-3, 1e-5, 1e-8])
+    def test_error_and_subspaces_match_the_svd_reference(self, monkeypatch, ratio, noise):
+        t, ranks = planted_spectrum(ratio, noise)
+        methods = (hosvd, st_hosvd, hooi)
+        got = [method(t, ranks) for method in methods]
+        with monkeypatch.context() as patch:
+            patch.setattr(tucker, "_leading_left_vectors", svd_left_vectors)
+            ref = [method(t, ranks) for method in methods]
+        for dec, dec_ref in zip(got, ref):
+            e = relative_error(t, dec.reconstruct())
+            assert e <= relative_error(t, dec_ref.reconstruct()) + 1e-12
+            if ratio >= 1e-2:
+                for w, w_ref in zip(dec.factors, dec_ref.factors):
+                    assert np.linalg.norm(w @ w.T - w_ref @ w_ref.T, 2) <= 1e-9
+
+    def test_ill_conditioned_exact_input_falls_back_to_the_svd(self):
+        t, ranks = planted_spectrum(1e-8, 0.0)
+        dec = hosvd(t)
+        assert dec.ranks == ranks
+        assert relative_error(t, dec.reconstruct()) < 1e-12
+
+    @pytest.mark.parametrize("method", [hosvd, st_hosvd, hooi])
+    def test_long_mode_does_not_form_its_gram_matrix(self, method):
+        # the mode-0 unfolding is 4000 x 16, so its Gram matrix takes 128 MB
+        d = 4000
+        t = random_low_rank((d, 4, 4), (2, 2, 2), np.random.default_rng(0))
+        tracemalloc.start()
+        try:
+            dec = method(t, (2, 2, 2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.05 * d * d * 8
+        assert relative_error(t, dec.reconstruct()) < 1e-12
