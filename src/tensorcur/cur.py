@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import multilinear_rank, numerical_rank, pinv, rank_r_pinv, qr_factor
-from .sampling import SamplingPlan, length_distribution, sample_without_replacement
+from .sampling import SamplingPlan, mode_length_distributions, sample_without_replacement
 from .tensor import (
     as_index_array,
     composite_index,
@@ -122,24 +122,24 @@ def cur_with_indices(a, row_indices, ranks, fiber_indices=None) -> CurDecomposit
     )
 
 
-def _draw_rows(a: np.ndarray, plan: SamplingPlan, rng: np.random.Generator):
+def _draw_rows(a: np.ndarray, plan: SamplingPlan, rng: np.random.Generator, fibers=False):
+    """Row index sets, plus the per-mode fiber distributions (``None``s if uniform)."""
     if len(plan.row_counts) != a.ndim:
         raise ValueError(f"plan has {len(plan.row_counts)} row counts for a {a.ndim}-mode tensor")
-    rows = []
-    for i, t in enumerate(plan.row_counts):
-        p = None
-        if plan.distribution == "length":
-            p = length_distribution(a, "rows", mode=i)
-        rows.append(sample_without_replacement(a.shape[i], t, rng, p))
-    return tuple(rows)
+    p = q = (None,) * a.ndim
+    if plan.distribution == "length":
+        p, q = mode_length_distributions(a, fibers)
+    rows = tuple(
+        sample_without_replacement(d, t, rng, pi) for d, t, pi in zip(a.shape, plan.row_counts, p)
+    )
+    return rows, q
 
 
 def chidori_cur(a, plan: SamplingPlan, ranks) -> CurDecomposition:
     """Randomized Chidori CUR: draw per-mode index sets, take the core at
     their intersection and the fibers at their composite."""
     a = np.asarray(a, dtype=np.float64)
-    rng = plan.rng()
-    rows = _draw_rows(a, plan, rng)
+    rows, _ = _draw_rows(a, plan, plan.rng())
     return cur_with_indices(a, rows, ranks)
 
 
@@ -150,15 +150,12 @@ def fiber_cur(a, plan: SamplingPlan, ranks) -> CurDecomposition:
     if plan.fiber_counts is None:
         raise ValueError("fiber_cur requires a plan with fiber_counts")
     rng = plan.rng()
-    rows = _draw_rows(a, plan, rng)
-    cols = []
-    for i, s in enumerate(plan.fiber_counts):
-        total = a.size // a.shape[i]
-        q = None
-        if plan.distribution == "length":
-            q = length_distribution(a, "cols", mode=i)
-        cols.append(sample_without_replacement(total, s, rng, q))
-    return cur_with_indices(a, rows, ranks, fiber_indices=tuple(cols))
+    rows, q = _draw_rows(a, plan, rng, fibers=True)
+    cols = tuple(
+        sample_without_replacement(a.size // d, s, rng, qi)
+        for d, s, qi in zip(a.shape, plan.fiber_counts, q)
+    )
+    return cur_with_indices(a, rows, ranks, fiber_indices=cols)
 
 
 def projection_reconstruct(a, dec: CurDecomposition) -> np.ndarray:

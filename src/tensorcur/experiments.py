@@ -23,7 +23,7 @@ from .sampling import (
     fiber_sample_sizes,
     sample_without_replacement,
 )
-from .tensor import frobenius_norm, multi_mode_product
+from .tensor import as_index_array, frobenius_norm, multi_mode_product
 from .tensorfile import read_tensor, write_tensor
 from .tucker import hooi, hosvd, st_hosvd
 
@@ -401,8 +401,11 @@ def convert_factors(in_dir, out_dir):
     dims = tuple(int(d) for d in manifest["dims"])
     ranks = tuple(int(r) for r in manifest["ranks"])
     n = len(dims)
-    if not (len(fibers) == len(inters) == core.ndim == n):
+    row_sets, fiber_sets = manifest["row_indices"], manifest["fiber_indices"]
+    if not (len(fibers) == len(inters) == core.ndim == len(row_sets) == len(fiber_sets) == n):
         raise ValueError("inconsistent factor shapes: mode count mismatch")
+    rows = tuple(as_index_array(idx, d) for idx, d in zip(row_sets, dims))
+    cols = tuple(as_index_array(idx, math.prod(dims) // d) for idx, d in zip(fiber_sets, dims))
     for i in range(n):
         if fibers[i].ndim != 2 or inters[i].ndim != 2:
             raise ValueError("inconsistent factor shapes: factors must be matrices")
@@ -412,8 +415,8 @@ def convert_factors(in_dir, out_dir):
             raise ValueError(f"inconsistent factor shapes: column mismatch at mode {i}")
         if inters[i].shape[0] != core.shape[i]:
             raise ValueError(f"inconsistent factor shapes: core extent mismatch at mode {i}")
-    rows = tuple(np.asarray(idx, dtype=np.intp) for idx in manifest["row_indices"])
-    cols = tuple(np.asarray(idx, dtype=np.intp) for idx in manifest["fiber_indices"])
+        if rows[i].size != core.shape[i] or cols[i].size != fibers[i].shape[1]:
+            raise ValueError(f"inconsistent factor shapes: manifest index count at mode {i}")
     dec = CurDecomposition(method, core, fibers, inters, rows, cols, ranks)
     converted = cur_to_hosvd(dec)
     out_dir.mkdir(parents=True, exist_ok=True)

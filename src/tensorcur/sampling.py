@@ -6,7 +6,10 @@ Determinism contract: every draw is a pure function of a
 64-bit seed; building a decomposition from the same plan twice yields
 bit-identical results.  Uniform draws use a partial Fisher-Yates shuffle;
 weighted draws are sequential without-replacement draws, renormalizing the
-remaining probabilities after each removal.  Index sets are always returned
+remaining probabilities after each removal: one variate picks a block of
+about ``sqrt(n)`` weights from the cumulative block sums, then an entry from
+that block's cumulative sum, and the drawn entry is zeroed and its block sum
+refreshed, so a draw costs ``O(sqrt(n))``.  Index sets are always returned
 sorted ascending so downstream slicing is reproducible.
 """
 
@@ -77,14 +80,44 @@ def length_distribution(t, axis: str = "rows", mode: int = 0) -> np.ndarray:
     t = np.asarray(t, dtype=np.float64)
     if not 0 <= mode < t.ndim:
         raise ValueError(f"mode {mode} out of range for a {t.ndim}-mode tensor")
-    modes = string.ascii_letters[: t.ndim]
-    if axis == "rows":
-        kept = modes[mode]
-    elif axis == "cols":
-        kept = modes[:mode] + modes[mode + 1 :]
-    else:
+    if axis not in ("rows", "cols"):
         raise ValueError("axis must be 'rows' or 'cols'")
-    sq = np.einsum(f"{modes},{modes}->{kept}", t, t).ravel(order="F")
+    return _normalized(_squared_norms(t, mode, keep_mode=axis == "rows"))
+
+
+def mode_length_distributions(t, fibers: bool = False):
+    """Row length distributions of every mode unfolding of ``t`` and, with
+    ``fibers=True``, the column ones, as ``(rows, cols)`` lists
+    (``cols is None`` otherwise); entry ``i`` equals
+    ``length_distribution(t, axis, mode=i)`` up to rounding.
+
+    Each mode's row norms are summed from the column-norm marginal of another
+    mode, so the whole tensor is read once per mode for Fiber plans and twice
+    for Chidori plans (the last mode's marginal, then that mode's row norms).
+    """
+    t = np.asarray(t, dtype=np.float64)
+    n = t.ndim
+    kept = range(n) if fibers else range(1, n)[-1:]  # Chidori: mode n-1 only, if n > 1
+    marginals = {i: np.expand_dims(_squared_norms(t, i, keep_mode=False), i) for i in kept}
+    rows = []
+    for j in range(n):
+        i = next((i for i in marginals if i != j), None)
+        others = tuple(m for m in range(n) if m != j)
+        sq = _squared_norms(t, j, keep_mode=True) if i is None else marginals[i].sum(axis=others)
+        rows.append(_normalized(sq))
+    cols = [_normalized(m) for m in marginals.values()] if fibers else None
+    return rows, cols
+
+
+def _squared_norms(t: np.ndarray, mode: int, keep_mode: bool) -> np.ndarray:
+    # one einsum pass: squared row norms of the mode unfolding, or its column ones
+    modes = string.ascii_letters[: t.ndim]
+    kept = modes[mode] if keep_mode else modes[:mode] + modes[mode + 1 :]
+    return np.einsum(f"{modes},{modes}->{kept}", t, t)
+
+
+def _normalized(sq: np.ndarray) -> np.ndarray:
+    sq = sq.ravel(order="F")
     total = sq.sum()
     if total <= 0.0:
         raise ValueError("degenerate distribution: zero tensor")
@@ -105,23 +138,33 @@ def _uniform_without_replacement(n: int, k: int, rng: np.random.Generator) -> np
 def _weighted_without_replacement(
     probabilities: np.ndarray, k: int, rng: np.random.Generator
 ) -> np.ndarray:
-    p = np.array(probabilities, dtype=np.float64)
+    p = np.asarray(probabilities, dtype=np.float64)
     if np.any(p < 0) or not np.all(np.isfinite(p)):
         raise ValueError("probabilities must be finite and nonnegative")
     if int(np.count_nonzero(p > 0)) < k:
         raise ValueError(
             f"cannot draw {k} indices: only {np.count_nonzero(p > 0)} have positive probability"
         )
+    # two-level cumulative sums over ~sqrt(n) blocks; padding entries are 0
+    width = max(1, math.isqrt(p.size))
+    blocks = np.zeros((-(-p.size // width), width))
+    blocks.reshape(-1)[: p.size] = p
+    p = blocks.reshape(-1)
+    sums = blocks.sum(axis=1)
     out = np.empty(k, dtype=np.intp)
     for i in range(k):
-        cum = np.cumsum(p)
+        cum = sums.cumsum()
         u = rng.random() * cum[-1]
-        j = int(np.searchsorted(cum, u, side="right"))
-        j = min(j, p.size - 1)
+        b = min(int(cum.searchsorted(u, side="right")), sums.size - 1)
+        if b:
+            u -= cum[b - 1]
+        j = b * width + min(int(blocks[b].cumsum().searchsorted(u, side="right")), width - 1)
         while p[j] == 0.0:  # guard against landing on a removed index
             j -= 1
         out[i] = j
         p[j] = 0.0
+        b = j // width
+        sums[b] = blocks[b].sum()
     return out
 
 

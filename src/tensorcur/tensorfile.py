@@ -14,8 +14,9 @@ float32 payloads are widened to float64 on load; float64 round trips are
 bit-exact.
 """
 
+import math
+import os
 import struct
-from pathlib import Path
 
 import numpy as np
 
@@ -43,43 +44,39 @@ def write_tensor(path, array, dtype: str = "float64") -> None:
         code = _CODES[dtype]
     except KeyError:
         raise ValueError(f"unsupported dtype {dtype!r}") from None
-    payload = array.ravel(order="F").astype(_DTYPES[code])
+    payload = array.ravel(order="F").astype(_DTYPES[code], copy=False)
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, VERSION, code, array.ndim, b"\x00\x00"))
         fh.write(np.asarray(array.shape, dtype="<u8").tobytes())
-        fh.write(payload.tobytes())
+        fh.write(memoryview(payload))
 
 
 def read_tensor(path) -> np.ndarray:
     """Load a tensor written by :func:`write_tensor` as float64."""
-    data = Path(path).read_bytes()
-    if len(data) < _HEADER.size:
-        raise TensorFileError("file too short for a tensor header")
-    magic, version, code, ndims, _reserved = _HEADER.unpack_from(data)
-    if magic != MAGIC:
-        raise TensorFileError(f"bad magic {magic!r}")
-    if version != VERSION:
-        raise TensorFileError(f"unsupported version {version}")
-    if code not in _DTYPES:
-        raise TensorFileError(f"unknown dtype code {code}")
-    if ndims < 1:
-        raise TensorFileError("tensor must have at least one mode")
-    offset = _HEADER.size
-    dims_end = offset + 8 * ndims
-    if len(data) < dims_end:
-        raise TensorFileError("file truncated in the extents block")
-    dims = np.frombuffer(data, dtype="<u8", count=ndims, offset=offset)
-    if np.any(dims == 0):
-        raise TensorFileError("zero extent in tensor header")
-    shape = tuple(int(d) for d in dims)
-    count = 1
-    for d in shape:
-        count *= d
-    expected = dims_end + count * _DTYPES[code].itemsize
-    if len(data) != expected:
-        raise TensorFileError(
-            f"payload length mismatch: file has {len(data) - dims_end} bytes, "
-            f"expected {expected - dims_end}"
-        )
-    payload = np.frombuffer(data, dtype=_DTYPES[code], count=count, offset=dims_end)
-    return payload.astype(np.float64).reshape(shape, order="F")
+    with open(path, "rb") as fh:
+        head = fh.read(_HEADER.size)
+        if len(head) < _HEADER.size:
+            raise TensorFileError("file too short for a tensor header")
+        magic, version, code, ndims, _reserved = _HEADER.unpack(head)
+        if magic != MAGIC:
+            raise TensorFileError(f"bad magic {magic!r}")
+        if version != VERSION:
+            raise TensorFileError(f"unsupported version {version}")
+        if code not in _DTYPES:
+            raise TensorFileError(f"unknown dtype code {code}")
+        if ndims < 1:
+            raise TensorFileError("tensor must have at least one mode")
+        extents = fh.read(8 * ndims)
+        if len(extents) < 8 * ndims:
+            raise TensorFileError("file truncated in the extents block")
+        dims = np.frombuffer(extents, dtype="<u8")
+        if np.any(dims == 0):
+            raise TensorFileError("zero extent in tensor header")
+        shape = tuple(int(d) for d in dims)
+        count = math.prod(shape)
+        want = count * _DTYPES[code].itemsize
+        got = os.fstat(fh.fileno()).st_size - fh.tell()
+        if got != want:
+            raise TensorFileError(f"payload length mismatch: file has {got} bytes, expected {want}")
+        payload = np.fromfile(fh, dtype=_DTYPES[code], count=count)
+    return payload.astype(np.float64, copy=False).reshape(shape, order="F")

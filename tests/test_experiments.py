@@ -225,6 +225,29 @@ class TestConvert:
         with pytest.raises(ValueError, match="inconsistent"):
             convert_factors(out, tmp_path / "nope2")
 
+    @pytest.mark.parametrize(
+        "mutate,message",
+        [
+            (lambda m: m["row_indices"].__setitem__(1, [0, 9]), "out of range"),
+            (lambda m: m["row_indices"].__setitem__(0, [3, 1]), "increasing"),
+            (lambda m: m["row_indices"].__setitem__(2, [0]), "index count"),
+            (lambda m: m["fiber_indices"].__setitem__(0, [0, 81]), "out of range"),
+            (lambda m: m["fiber_indices"].__setitem__(1, [5, 5]), "increasing"),
+            (lambda m: m["fiber_indices"].__setitem__(2, [0, 1, 2]), "index count"),
+            (lambda m: m["row_indices"].pop(), "mode count"),
+        ],
+    )
+    def test_bad_manifest_indices_rejected(self, tmp_path, mutate, message):
+        path, _ = make_tensor_file(tmp_path, (9, 9, 9), (2, 2, 2), 0.0, 9)
+        out = tmp_path / "cur"
+        compress(path, "fiber", (2, 2, 2), seed=1, out_dir=out)
+        manifest_path = out / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        mutate(manifest)
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match=message):
+            convert_factors(out, tmp_path / "nope")
+
     def test_missing_manifest_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="manifest"):
             convert_factors(tmp_path, tmp_path / "out")

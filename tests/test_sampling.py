@@ -14,8 +14,36 @@ from tensorcur import (
     sample_without_replacement,
     unfold,
 )
+from tensorcur.sampling import mode_length_distributions
 
 from conftest import tensor_with_layout
+
+
+def sequential_cumsum_draw(probabilities, k, rng):
+    """Reference weighted draw: one full cumulative sum per draw, ``O(k n)``."""
+    p = np.array(probabilities, dtype=np.float64)
+    out = np.empty(k, dtype=np.intp)
+    for i in range(k):
+        cum = np.cumsum(p)
+        u = rng.random() * cum[-1]
+        j = int(np.searchsorted(cum, u, side="right"))
+        j = min(j, p.size - 1)
+        while p[j] == 0.0:
+            j -= 1
+        out[i] = j
+        p[j] = 0.0
+    return out
+
+
+def skewed_weights(n, zero_frac, seed):
+    """Heavy-tailed nonnegative weights with exact zeros and at least one
+    positive entry."""
+    rng = np.random.default_rng(seed)
+    p = np.exp(4.0 * rng.standard_normal(n))
+    p[rng.random(n) < zero_frac] = 0.0
+    if not p.any():
+        p[rng.integers(n)] = 1.0
+    return p
 
 
 class TestLengthDistribution:
@@ -70,6 +98,56 @@ class TestLengthDistribution:
         k = mode % t.ndim
         got = length_distribution(t, axis, mode=k)
         np.testing.assert_allclose(got, length_distribution(unfold(t, k), axis), rtol=1e-12)
+
+
+class TestModeLengthDistributions:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(st.integers(1, 6), min_size=1, max_size=4),
+        st.sampled_from(["C", "F", "strided"]),
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_unfoldings(self, dims, layout, fibers, seed):
+        t = tensor_with_layout(tuple(dims), layout, seed)
+        rows, cols = mode_length_distributions(t, fibers)
+        assert len(rows) == t.ndim
+        for k, p in enumerate(rows):
+            np.testing.assert_allclose(p, length_distribution(unfold(t, k), "rows"), rtol=1e-12)
+        if not fibers:
+            assert cols is None
+            return
+        assert len(cols) == t.ndim
+        for k, q in enumerate(cols):
+            np.testing.assert_allclose(q, length_distribution(unfold(t, k), "cols"), rtol=1e-12)
+
+    @pytest.mark.parametrize("dims", [(4,), (3, 4), (2, 3, 4), (2, 2, 3, 2)])
+    @pytest.mark.parametrize("fibers", [False, True])
+    def test_zero_tensor_is_degenerate(self, dims, fibers):
+        with pytest.raises(ValueError, match="degenerate"):
+            mode_length_distributions(np.zeros(dims), fibers)
+
+    @pytest.mark.parametrize(
+        "distribution,variant,passes",
+        [("length", "fiber", 3), ("length", "chidori", 2), ("uniform", "fiber", 0),
+         ("uniform", "chidori", 0)],
+    )
+    def test_full_tensor_passes(self, monkeypatch, distribution, variant, passes):
+        t = generate_synthetic((7, 8, 9), 2, 1e-3, np.random.default_rng(6))[1]
+        full = []
+        einsum = np.einsum
+
+        def counting(subscripts, *operands, **kwargs):
+            if any(np.size(op) == t.size for op in operands):
+                full.append(subscripts)
+            return einsum(subscripts, *operands, **kwargs)
+
+        monkeypatch.setattr(np, "einsum", counting)
+        if variant == "fiber":
+            fiber_cur(t, SamplingPlan((3, 3, 3), (5, 5, 5), distribution), (2, 2, 2))
+        else:
+            chidori_cur(t, SamplingPlan((3, 3, 3), distribution=distribution), (2, 2, 2))
+        assert len(full) == passes, full
 
 
 class TestSampleWithoutReplacement:
@@ -127,6 +205,40 @@ class TestSampleWithoutReplacement:
             sample_without_replacement(
                 4, 3, np.random.default_rng(0), np.array([0.5, 0.5, 0.0, 0.0])
             )
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(1, 3000),
+        st.sampled_from([0.0, 0.3, 0.9]),
+        st.integers(0, 2**32 - 1),
+        st.data(),
+    )
+    def test_weighted_draws_match_the_sequential_cumsum(self, n, zero_frac, seed, data):
+        p = skewed_weights(n, zero_frac, seed)
+        k = data.draw(st.integers(1, int(np.count_nonzero(p))), label="k")
+        got = sample_without_replacement(n, k, np.random.default_rng(seed), p)
+        want = np.sort(sequential_cumsum_draw(p, k, np.random.default_rng(seed)))
+        assert got.tolist() == want.tolist()
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(1, 3000),
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
+        st.data(),
+    )
+    def test_sampling_invariants(self, n, weighted, seed, data):
+        p = skewed_weights(n, 0.3, seed) if weighted else None
+        population = int(np.count_nonzero(p)) if weighted else n
+        k = data.draw(st.integers(1, population), label="k")
+        a = sample_without_replacement(n, k, np.random.default_rng(seed), p)
+        b = sample_without_replacement(n, k, np.random.default_rng(seed), p)
+        assert a.size == k
+        assert np.all(np.diff(a) > 0)  # sorted and distinct
+        assert 0 <= a[0] and a[-1] < n
+        assert np.array_equal(a, b)
+        if weighted:
+            assert np.all(p[a] > 0)
 
 
 class TestLengthPlansArePinned:

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -99,3 +100,29 @@ def test_truncated_header_rejected(tmp_path):
 def test_unknown_write_dtype():
     with pytest.raises(ValueError):
         write_tensor("/dev/null", np.ones(2), dtype="float16")
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_read_allocates_only_the_output(tmp_path):
+    t = np.random.default_rng(2).standard_normal((64, 64, 64))
+    path = tmp_path / "big.tnsr"
+    write_tensor(path, t)
+    peak = _traced_peak(lambda: read_tensor(path))
+    assert peak < 1.2 * t.nbytes
+    assert np.array_equal(read_tensor(path), t)
+
+
+def test_write_of_fortran_ordered_input_is_not_copied(tmp_path):
+    t = np.asfortranarray(np.random.default_rng(3).standard_normal((64, 64, 64)))
+    path = tmp_path / "big.tnsr"
+    peak = _traced_peak(lambda: write_tensor(path, t))
+    assert peak < 0.1 * t.nbytes
+    assert np.array_equal(read_tensor(path), t)
