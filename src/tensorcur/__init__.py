@@ -9,10 +9,8 @@ diagnostics, perturbation-bound evaluators, and a benchmark/compression CLI.
 from .analysis import (
     BoundReport,
     CoherenceReport,
-    chidori_error_bound,
     coherence,
     evaluate_error_bounds,
-    general_error_bound,
     relative_error,
     snr_db,
     tensor_coherence,
@@ -56,7 +54,6 @@ from .tensor import (
     composite_index,
     fold,
     frobenius_norm,
-    kronecker,
     mode_product,
     multi_mode_product,
     outer,
@@ -83,7 +80,6 @@ __all__ = [
     "TensorFileError",
     "check_characterization",
     "chidori_cur",
-    "chidori_error_bound",
     "chidori_sample_sizes",
     "coherence",
     "compact_svd",
@@ -97,11 +93,9 @@ __all__ = [
     "fiber_sample_sizes",
     "fold",
     "frobenius_norm",
-    "general_error_bound",
     "generate_synthetic",
     "hooi",
     "hosvd",
-    "kronecker",
     "length_distribution",
     "mode_product",
     "multi_mode_product",

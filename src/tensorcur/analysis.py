@@ -23,8 +23,6 @@ __all__ = [
     "coherence",
     "tensor_coherence",
     "evaluate_error_bounds",
-    "general_error_bound",
-    "chidori_error_bound",
     "relative_error",
     "snr_db",
 ]
@@ -210,19 +208,6 @@ def evaluate_error_bounds(exact, noise, dec: CurDecomposition) -> BoundReport:
         fiber_noise_norms=tuple(e_fiber),
         intersection_noise_norms=tuple(e_inter),
     )
-
-
-def general_error_bound(exact, noise, dec: CurDecomposition) -> float:
-    """RHS of the approximation-error bound valid for both CUR variants."""
-    return evaluate_error_bounds(exact, noise, dec).general_bound
-
-
-def chidori_error_bound(exact, noise, dec: CurDecomposition) -> float:
-    """RHS of the specialized bound for composite (Chidori) fiber indices."""
-    report = evaluate_error_bounds(exact, noise, dec)
-    if report.chidori_bound is None:
-        raise ValueError("the specialized bound requires a chidori decomposition")
-    return report.chidori_bound
 
 
 def relative_error(a, approx) -> float:

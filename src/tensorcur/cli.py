@@ -7,17 +7,18 @@ import sys
 import numpy as np
 
 from .analysis import evaluate_error_bounds
-from .cur import chidori_cur, fiber_cur
+from .cur import cur_with_indices, draw_indices
 from .experiments import (
     METHODS,
     ExperimentConfig,
     compress,
     convert_factors,
+    cur_sample_sizes,
     generate_synthetic,
     run_sweep,
     write_csv,
 )
-from .sampling import SamplingPlan, chidori_sample_sizes, fiber_sample_sizes
+from .sampling import SamplingPlan
 
 
 def _int_list(text: str) -> list[int]:
@@ -126,6 +127,7 @@ def _cmd_compress(args) -> int:
         print("warning: rank gate failed: a sampled intersection has numerical rank "
               "below its target rank, so the reconstruction may be inaccurate "
               "(try another --seed or larger --row-samples)", file=sys.stderr)
+        return 1
     return 0
 
 
@@ -141,14 +143,9 @@ def _cmd_check_bounds(args) -> int:
     rng = np.random.default_rng(args.seed)
     exact, noisy, noise = generate_synthetic(dims, args.rank, args.sigma, rng)
     ranks = (args.rank,) * exact.ndim
-    if args.method == "chidori":
-        sizes = chidori_sample_sizes(exact.shape, ranks)
-        plan = SamplingPlan(sizes, seed=args.seed)
-        dec = chidori_cur(noisy, plan, ranks)
-    else:
-        t_sizes, s_sizes = fiber_sample_sizes(exact.shape, ranks)
-        plan = SamplingPlan(t_sizes, fiber_counts=s_sizes, seed=args.seed)
-        dec = fiber_cur(noisy, plan, ranks)
+    sizes = cur_sample_sizes(args.method, exact.shape, ranks)
+    rows, cols = draw_indices(noisy, SamplingPlan(*sizes, seed=args.seed))
+    dec = cur_with_indices(noisy, rows, ranks, cols)
     report = evaluate_error_bounds(exact, noise, dec)
     print(f"variant: {dec.variant}")
     print(f"measured_error:        {report.measured_error:.6e}")

@@ -13,14 +13,22 @@ and it reproduces ``A`` exactly precisely when every ``U_i`` has rank equal
 to the mode-i rank of ``A``.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .linalg import multilinear_rank, numerical_rank, pinv, rank_r_pinv, qr_factor
+from .linalg import (
+    _count_above,
+    _rank_r_pinv_and_spectrum,
+    multilinear_rank,
+    numerical_rank,
+    pinv,
+    qr_factor,
+)
 from .sampling import SamplingPlan, mode_length_distributions, sample_without_replacement
 from .tensor import (
     as_index_array,
+    check_ranks,
     composite_index,
     frobenius_norm,
     multi_mode_product,
@@ -36,10 +44,15 @@ __all__ = [
     "chidori_cur",
     "fiber_cur",
     "cur_with_indices",
+    "draw_indices",
     "projection_reconstruct",
     "check_characterization",
     "cur_to_hosvd",
 ]
+
+# relative singular-value gate deciding whether a sampled intersection matrix
+# carries the full target rank
+_RANK_GATE_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -69,26 +82,24 @@ class CurDecomposition:
 
     def mode_maps(self) -> list[np.ndarray]:
         """The per-mode reconstruction operators ``C_i @ rank_r_pinv(U_i, r_i)``."""
-        return [
-            c @ rank_r_pinv(u, r)
-            for c, u, r in zip(self.fibers, self.intersections, self.ranks)
-        ]
+        return self.gated_mode_maps()[0]
+
+    def gated_mode_maps(self) -> tuple[list[np.ndarray], bool]:
+        """The mode maps and the rank gate, from one SVD per intersection.
+
+        The gate holds when every ``U_i`` has at least ``r_i`` singular values
+        above ``1e-6 * sigma_1(U_i)``, i.e. the sample kept the target rank.
+        """
+        maps, rank_ok = [], True
+        for c, u, r in zip(self.fibers, self.intersections, self.ranks):
+            p, s = _rank_r_pinv_and_spectrum(u, r)
+            maps.append(c @ p)
+            rank_ok = rank_ok and _count_above(s, _RANK_GATE_TOL) >= r
+        return maps, rank_ok
 
     def reconstruct(self) -> np.ndarray:
         """Apply the mode maps to the core; output has the source dims."""
         return multi_mode_product(self.core, self.mode_maps())
-
-
-def _check_ranks(ndim: int, dims, ranks) -> tuple[int, ...]:
-    ranks = tuple(int(r) for r in ranks)
-    if len(ranks) != ndim:
-        raise ValueError(f"expected {ndim} ranks, got {len(ranks)}")
-    if any(r < 1 for r in ranks):
-        raise ValueError("ranks must be positive")
-    for k, (r, d) in enumerate(zip(ranks, dims)):
-        if r > d:
-            raise ValueError(f"rank {r} exceeds extent {d} at mode {k}")
-    return ranks
 
 
 def cur_with_indices(a, row_indices, ranks, fiber_indices=None) -> CurDecomposition:
@@ -97,14 +108,15 @@ def cur_with_indices(a, row_indices, ranks, fiber_indices=None) -> CurDecomposit
     With ``fiber_indices=None`` the Chidori variant is built (fiber columns
     are the composite of the other modes' row indices); otherwise the Fiber
     variant uses the given mode-i unfolding column sets.  Either way only
-    the core and the selected fibers are read from ``a``.
+    the core and the selected fibers are read from ``a``, and only they are
+    checked for non-finite values.
     """
     a = np.asarray(a, dtype=np.float64)
     n = a.ndim
     if len(row_indices) != n:
         raise ValueError(f"expected {n} row index sets, got {len(row_indices)}")
     rows = tuple(as_index_array(idx, a.shape[k]) for k, idx in enumerate(row_indices))
-    ranks = _check_ranks(n, a.shape, ranks)
+    ranks = check_ranks(ranks, a.shape)
     if fiber_indices is None:
         variant = "chidori"
         cols = tuple(composite_index(rows, i, a.shape) for i in range(n))
@@ -115,31 +127,41 @@ def cur_with_indices(a, row_indices, ranks, fiber_indices=None) -> CurDecomposit
         cols = tuple(
             as_index_array(j, a.size // a.shape[i]) for i, j in enumerate(fiber_indices)
         )
+    core = subtensor(a, rows)
     fibers = tuple(select_fibers(a, i, j) for i, j in enumerate(cols))
+    if not (np.isfinite(core).all() and all(np.isfinite(c).all() for c in fibers)):
+        raise ValueError("the sampled core or fibers hold non-finite values")
     intersections = tuple(c[r, :] for c, r in zip(fibers, rows))
-    return CurDecomposition(
-        variant, subtensor(a, rows), fibers, intersections, rows, cols, ranks
-    )
+    return CurDecomposition(variant, core, fibers, intersections, rows, cols, ranks)
 
 
-def _draw_rows(a: np.ndarray, plan: SamplingPlan, rng: np.random.Generator, fibers=False):
-    """Row index sets, plus the per-mode fiber distributions (``None``s if uniform)."""
+def draw_indices(a: np.ndarray, plan: SamplingPlan):
+    """Draw ``plan``'s per-mode row index sets and, if it has ``fiber_counts``,
+    its per-mode fiber column sets (else ``None``), all from ``plan.rng()``."""
     if len(plan.row_counts) != a.ndim:
         raise ValueError(f"plan has {len(plan.row_counts)} row counts for a {a.ndim}-mode tensor")
+    fibers = plan.fiber_counts is not None
     p = q = (None,) * a.ndim
     if plan.distribution == "length":
         p, q = mode_length_distributions(a, fibers)
+    rng = plan.rng()
     rows = tuple(
         sample_without_replacement(d, t, rng, pi) for d, t, pi in zip(a.shape, plan.row_counts, p)
     )
-    return rows, q
+    if not fibers:
+        return rows, None
+    cols = tuple(
+        sample_without_replacement(a.size // d, s, rng, qi)
+        for d, s, qi in zip(a.shape, plan.fiber_counts, q)
+    )
+    return rows, cols
 
 
 def chidori_cur(a, plan: SamplingPlan, ranks) -> CurDecomposition:
     """Randomized Chidori CUR: draw per-mode index sets, take the core at
     their intersection and the fibers at their composite."""
     a = np.asarray(a, dtype=np.float64)
-    rows, _ = _draw_rows(a, plan, plan.rng())
+    rows, _ = draw_indices(a, replace(plan, fiber_counts=None))
     return cur_with_indices(a, rows, ranks)
 
 
@@ -149,12 +171,7 @@ def fiber_cur(a, plan: SamplingPlan, ranks) -> CurDecomposition:
     a = np.asarray(a, dtype=np.float64)
     if plan.fiber_counts is None:
         raise ValueError("fiber_cur requires a plan with fiber_counts")
-    rng = plan.rng()
-    rows, q = _draw_rows(a, plan, rng, fibers=True)
-    cols = tuple(
-        sample_without_replacement(a.size // d, s, rng, qi)
-        for d, s, qi in zip(a.shape, plan.fiber_counts, q)
-    )
+    rows, cols = draw_indices(a, plan)
     return cur_with_indices(a, rows, ranks, fiber_indices=cols)
 
 

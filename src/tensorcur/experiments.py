@@ -16,14 +16,9 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import relative_error
-from .cur import CurDecomposition, cur_to_hosvd, cur_with_indices
-from .linalg import numerical_rank, rank_r_pinv
-from .sampling import (
-    chidori_sample_sizes,
-    fiber_sample_sizes,
-    sample_without_replacement,
-)
-from .tensor import as_index_array, frobenius_norm, multi_mode_product
+from .cur import CurDecomposition, cur_to_hosvd, cur_with_indices, draw_indices
+from .sampling import SamplingPlan, chidori_sample_sizes, fiber_sample_sizes
+from .tensor import as_index_array, check_ranks, frobenius_norm, multi_mode_product
 from .tensorfile import read_tensor, write_tensor
 from .tucker import hooi, hosvd, st_hosvd
 
@@ -45,10 +40,6 @@ CUR_METHODS = ("fiber", "chidori")
 
 CSV_HEADER = "method,d,r,sigma,trial,seed,rel_err,runtime_ms,rank_ok,resamples,extract_ms"
 
-# relative singular-value gate deciding whether a sampled intersection matrix
-# carries the full target rank; failures trigger a resample
-_RANK_GATE_TOL = 1e-6
-
 _MANIFEST_NAME = "manifest.json"
 
 
@@ -68,16 +59,7 @@ def generate_synthetic(dims, ranks, sigma, rng: np.random.Generator):
         dims = (int(dims),) * 3
     else:
         dims = tuple(int(d) for d in dims)
-    if np.isscalar(ranks):
-        ranks = (int(ranks),) * len(dims)
-    else:
-        ranks = tuple(int(r) for r in ranks)
-    if len(ranks) != len(dims):
-        raise ValueError("dims and ranks must have the same length")
-    if any(r < 1 for r in ranks):
-        raise ValueError("ranks must be positive")
-    if any(r > d for r, d in zip(ranks, dims)):
-        raise ValueError(f"ranks {ranks} exceed dims {dims}")
+    ranks = check_ranks((ranks,) * len(dims) if np.isscalar(ranks) else ranks, dims)
     if sigma < 0:
         raise ValueError("noise level must be nonnegative")
     core = rng.standard_normal(ranks)
@@ -111,8 +93,7 @@ class ExperimentConfig:
         self.sigmas = [float(s) for s in self.sigmas]
         if not self.dims or any(d < 1 for d in self.dims):
             raise ValueError("dims must be a nonempty list of positive sizes")
-        if self.rank < 1 or self.rank > min(self.dims):
-            raise ValueError("rank must be positive and no larger than every dim")
+        check_ranks((self.rank,), (min(self.dims),))
         if any(s < 0 for s in self.sigmas):
             raise ValueError("noise levels must be nonnegative")
         if self.trials < 1:
@@ -126,7 +107,9 @@ class ExperimentConfig:
             raise ValueError("max_resamples must be nonnegative")
 
 
-def _cur_sizes(method: str, dims, ranks, row_samples, fiber_samples):
+def cur_sample_sizes(method: str, dims, ranks, row_samples=None, fiber_samples=None):
+    """Per-mode ``(row_counts, fiber_counts)`` of a CUR method's plans:
+    log-scaled defaults unless overridden, ``fiber_counts=None`` for Chidori."""
     if row_samples is not None:
         t = (int(row_samples),) * len(dims)
         for size, d in zip(t, dims):
@@ -147,47 +130,26 @@ def _cur_sizes(method: str, dims, ranks, row_samples, fiber_samples):
     return t, s
 
 
-def _timed_cur(noisy, ranks, t_sizes, s_sizes, seed_source, max_resamples):
-    """Sample/extract/invert with per-stage timers, resampling on rank failure.
+def _gated_cur(x, ranks, sizes, seeds):
+    """Draw, extract and gate one CUR per seed until the rank gate passes.
 
-    Returns ``(dec, approx, runtime_s, extract_s, rank_ok, resamples)``.
-    Stage times accumulate across attempts; reconstruction is not timed.
+    Returns ``(dec, mode_maps, runtime_s, extract_s, rank_ok, resamples)``;
+    the times cover drawing, extraction and the gated mode maps, summed over
+    attempts.
     """
-    n = noisy.ndim
-    sample_s = extract_s = pinv_s = 0.0
-    dec = None
-    pinvs = None
-    rank_ok = False
-    attempts = 0
-    for attempt in range(max_resamples + 1):
-        attempts = attempt
-        rng = np.random.default_rng(next(seed_source))
+    runtime = extract = 0.0
+    for resamples, seed in enumerate(seeds):
         t0 = time.perf_counter()
-        rows = tuple(
-            sample_without_replacement(noisy.shape[i], t_sizes[i], rng) for i in range(n)
-        )
-        cols = None
-        if s_sizes is not None:
-            cols = tuple(
-                sample_without_replacement(noisy.size // noisy.shape[i], s_sizes[i], rng)
-                for i in range(n)
-            )
+        rows, cols = draw_indices(x, SamplingPlan(*sizes, seed=seed))
         t1 = time.perf_counter()
-        dec = cur_with_indices(noisy, rows, ranks, fiber_indices=cols)
+        dec = cur_with_indices(x, rows, ranks, cols)
         t2 = time.perf_counter()
-        pinvs = [rank_r_pinv(u, r) for u, r in zip(dec.intersections, ranks)]
-        t3 = time.perf_counter()
-        sample_s += t1 - t0
-        extract_s += t2 - t1
-        pinv_s += t3 - t2
-        rank_ok = all(
-            numerical_rank(u, _RANK_GATE_TOL) >= r
-            for u, r in zip(dec.intersections, ranks)
-        )
+        maps, rank_ok = dec.gated_mode_maps()
+        runtime += time.perf_counter() - t0
+        extract += t2 - t1
         if rank_ok:
             break
-    approx = multi_mode_product(dec.core, [c @ p for c, p in zip(dec.fibers, pinvs)])
-    return dec, approx, sample_s + extract_s + pinv_s, extract_s, rank_ok, attempts
+    return dec, maps, runtime, extract, rank_ok, resamples
 
 
 def _timed_tucker(method, noisy, ranks):
@@ -207,8 +169,9 @@ def run_sweep(cfg: ExperimentConfig) -> list[dict]:
 
     Within a trial every method sees the same noisy tensor; errors are
     measured against the exact tensor.  Timings cover the decomposition only
-    (sampling, extraction, and pseudoinverse work for the CUR methods),
-    never data generation, reconstruction, or error evaluation.
+    (sampling, extraction, and the pseudoinverses with their rank gate for
+    the CUR methods), never data generation, reconstruction, or error
+    evaluation.
     """
     rows = []
     for d in cfg.dims:
@@ -218,16 +181,17 @@ def run_sweep(cfg: ExperimentConfig) -> list[dict]:
                 seed = cfg.seed + trial
                 rng = np.random.default_rng(seed)
                 exact, noisy, _ = generate_synthetic(d, cfg.rank, sigma, rng)
-                seed_source = iter(lambda: int(rng.integers(2**63)), None)
                 for method in cfg.methods:
                     if method in CUR_METHODS:
-                        t_sizes, s_sizes = _cur_sizes(
+                        sizes = cur_sample_sizes(
                             method, noisy.shape, ranks, cfg.row_samples, cfg.fiber_samples
                         )
-                        _, approx, runtime, extract, rank_ok, resamples = _timed_cur(
-                            noisy, ranks, t_sizes, s_sizes,
-                            seed_source, cfg.max_resamples,
+                        # drawn lazily: a resample takes the next seed from the trial rng
+                        seeds = (int(rng.integers(2**63)) for _ in range(cfg.max_resamples + 1))
+                        dec, maps, runtime, extract, rank_ok, resamples = _gated_cur(
+                            noisy, ranks, sizes, seeds
                         )
+                        approx = multi_mode_product(dec.core, maps)
                     else:
                         _, approx, runtime, extract, rank_ok, resamples = _timed_tucker(
                             method, noisy, ranks
@@ -252,24 +216,9 @@ def run_sweep(cfg: ExperimentConfig) -> list[dict]:
 
 def rows_to_csv(rows) -> str:
     """Serialize sweep rows with the fixed column order and formats."""
-    lines = [CSV_HEADER]
-    for row in rows:
-        lines.append(
-            "{method},{d},{r},{sigma:g},{trial},{seed},{rel_err:.12e},"
-            "{runtime_ms:.3f},{rank_ok:d},{resamples},{extract_ms:.3f}".format(
-                method=row["method"],
-                d=row["d"],
-                r=row["r"],
-                sigma=row["sigma"],
-                trial=row["trial"],
-                seed=row["seed"],
-                rel_err=row["rel_err"],
-                runtime_ms=row["runtime_ms"],
-                rank_ok=int(row["rank_ok"]),
-                resamples=row["resamples"],
-                extract_ms=row["extract_ms"],
-            )
-        )
+    fmt = ("{method},{d},{r},{sigma:g},{trial},{seed},{rel_err:.12e},"
+           "{runtime_ms:.3f},{rank_ok:d},{resamples},{extract_ms:.3f}")
+    lines = [CSV_HEADER] + [fmt.format(**{**row, "rank_ok": int(row["rank_ok"])}) for row in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -342,25 +291,23 @@ def compress(
 
     The SNR compares the loaded tensor against the method's reconstruction;
     an exact reconstruction is reported as ``snr_db=None`` (the "exact"
-    sentinel).  Timing covers the decomposition only, not I/O.
+    sentinel).  Timing covers the decomposition only, not I/O.  An input
+    with a non-finite value is rejected before it is decomposed.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
     x = read_tensor(input_path)
-    ranks = tuple(int(r) for r in ranks)
-    if len(ranks) != x.ndim:
-        raise ValueError(f"expected {x.ndim} ranks, got {len(ranks)}")
-    for k, (r, d) in enumerate(zip(ranks, x.shape)):
-        if not 1 <= r <= d:
-            raise ValueError(f"rank {r} out of range for extent {d} at mode {k}")
+    ranks = check_ranks(ranks, x.shape)
+    norm = frobenius_norm(x)
+    if not math.isfinite(norm):
+        raise ValueError(f"{input_path} holds non-finite values")
     out_dir = Path(out_dir) if out_dir is not None else Path(str(input_path) + ".factors")
     out_dir.mkdir(parents=True, exist_ok=True)
 
     if method in CUR_METHODS:
-        t_sizes, s_sizes = _cur_sizes(method, x.shape, ranks, row_samples, fiber_samples)
-        dec, approx, runtime, extract, rank_ok, _ = _timed_cur(
-            x, ranks, t_sizes, s_sizes, iter([int(seed)]), max_resamples=0
-        )
+        sizes = cur_sample_sizes(method, x.shape, ranks, row_samples, fiber_samples)
+        dec, maps, runtime, extract, rank_ok, _ = _gated_cur(x, ranks, sizes, [int(seed)])
+        approx = multi_mode_product(dec.core, maps)
         files = _write_cur_factors(out_dir, dec, seed)
     else:
         dec, approx, runtime, extract, rank_ok, _ = _timed_tucker(method, x, ranks)
@@ -371,7 +318,7 @@ def compress(
         files["reconstruction"] = "reconstruction.tnsr"
     # a reconstruction exact to machine precision (e.g. ranks == dims) has a
     # roundoff-dominated SNR; report the exact sentinel instead of a number
-    residual, norm = frobenius_norm(x - approx), frobenius_norm(x)
+    residual = frobenius_norm(x - approx)
     snr = None if residual <= 1e-12 * norm else 20.0 * math.log10(norm / residual)
     return CompressionResult(
         method, ranks, snr, runtime * 1e3, extract * 1e3, rank_ok, str(out_dir), files

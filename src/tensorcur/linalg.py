@@ -107,16 +107,22 @@ def rank_r_pinv(m, r: int) -> np.ndarray:
     reduced, which avoids dividing by numerically-zero values when the
     requested rank exceeds the numerical rank.
     """
+    return _rank_r_pinv_and_spectrum(m, r)[0]
+
+
+def _rank_r_pinv_and_spectrum(m, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`rank_r_pinv` plus the singular values of ``m`` from the same SVD
+    (empty when ``r == 0``, which needs no SVD)."""
     m = _as_matrix(m)
     if r < 0:
         raise ValueError("rank must be nonnegative")
     if r == 0 or min(m.shape) == 0:
-        return np.zeros((m.shape[1], m.shape[0]))
+        return np.zeros((m.shape[1], m.shape[0])), np.zeros(0)
     w, s, vt = np.linalg.svd(m, full_matrices=False)
     k = min(int(r), _count_above(s, _PINV_FLOOR))
     if k == 0:
-        return np.zeros((m.shape[1], m.shape[0]))
-    return (vt[:k].T / s[:k]) @ w[:, :k].T
+        return np.zeros((m.shape[1], m.shape[0])), s
+    return (vt[:k].T / s[:k]) @ w[:, :k].T, s
 
 
 def qr_factor(m) -> tuple[np.ndarray, np.ndarray]:

@@ -23,7 +23,6 @@ __all__ = [
     "fold",
     "mode_product",
     "multi_mode_product",
-    "kronecker",
     "outer",
     "subtensor",
     "select_fibers",
@@ -56,6 +55,17 @@ def as_index_array(indices, extent: int) -> np.ndarray:
     if np.any(np.diff(idx) <= 0):
         raise ValueError("index set must be strictly increasing")
     return idx
+
+
+def check_ranks(ranks, dims) -> tuple[int, ...]:
+    """Validate one target rank per mode, each between 1 and the mode's extent."""
+    ranks = tuple(int(r) for r in ranks)
+    if len(ranks) != len(dims):
+        raise ValueError(f"expected {len(dims)} ranks, got {len(ranks)}")
+    for k, (r, d) in enumerate(zip(ranks, dims)):
+        if not 1 <= r <= d:
+            raise ValueError(f"rank {r} out of range for extent {d} at mode {k}")
+    return ranks
 
 
 def unfold(t, k: int) -> np.ndarray:
@@ -117,15 +127,6 @@ def multi_mode_product(t, matrices) -> np.ndarray:
         if a is not None:
             out = mode_product(out, a, k)
     return out
-
-
-def kronecker(a, b) -> np.ndarray:
-    """Kronecker product with the block layout ``[a_ij * b]``."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError("kronecker expects matrices")
-    return np.kron(a, b)
 
 
 def outer(vectors) -> np.ndarray:

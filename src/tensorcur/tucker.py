@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import multilinear_rank
-from .tensor import frobenius_norm, mode_product, multi_mode_product, unfold
+from .tensor import check_ranks, frobenius_norm, mode_product, multi_mode_product, unfold
 
 __all__ = ["HosvdDecomposition", "hosvd", "st_hosvd", "hooi"]
 
@@ -29,18 +29,6 @@ class HosvdDecomposition:
     @property
     def ranks(self) -> tuple[int, ...]:
         return self.core.shape
-
-
-def _check_ranks(t: np.ndarray, ranks) -> tuple[int, ...]:
-    ranks = tuple(int(r) for r in ranks)
-    if len(ranks) != t.ndim:
-        raise ValueError(f"expected {t.ndim} ranks, got {len(ranks)}")
-    for k, (r, d) in enumerate(zip(ranks, t.shape)):
-        if r < 1:
-            raise ValueError("ranks must be positive")
-        if r > d:
-            raise ValueError(f"rank {r} exceeds extent {d} at mode {k}")
-    return ranks
 
 
 def _leading_left_vectors(m: np.ndarray, r: int) -> np.ndarray:
@@ -66,7 +54,7 @@ def hosvd(t, ranks=None, tol: float | None = None) -> HosvdDecomposition:
     if ranks is None:
         ranks = multilinear_rank(t, tol)
         ranks = tuple(max(1, r) for r in ranks)
-    ranks = _check_ranks(t, ranks)
+    ranks = check_ranks(ranks, t.shape)
     factors = tuple(_leading_left_vectors(unfold(t, k), r) for k, r in enumerate(ranks))
     core = multi_mode_product(t, [w.T for w in factors])
     return HosvdDecomposition(core, factors)
@@ -79,7 +67,7 @@ def st_hosvd(t, ranks) -> HosvdDecomposition:
     later SVDs act on progressively smaller tensors.
     """
     t = np.asarray(t, dtype=np.float64)
-    ranks = _check_ranks(t, ranks)
+    ranks = check_ranks(ranks, t.shape)
     factors = []
     current = t
     for k, r in enumerate(ranks):
@@ -98,7 +86,7 @@ def hooi(t, ranks, max_iters: int = 50, tol: float = 1e-8) -> HosvdDecomposition
     ``max_iters`` sweeps.  The fit is nonincreasing across sweeps.
     """
     t = np.asarray(t, dtype=np.float64)
-    ranks = _check_ranks(t, ranks)
+    ranks = check_ranks(ranks, t.shape)
     if max_iters < 0:
         raise ValueError("max_iters must be nonnegative")
     factors = list(st_hosvd(t, ranks).factors)

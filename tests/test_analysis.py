@@ -4,14 +4,12 @@ import pytest
 from tensorcur import (
     SamplingPlan,
     chidori_cur,
-    chidori_error_bound,
     coherence,
     composite_index,
     cur_with_indices,
     evaluate_error_bounds,
     fiber_cur,
     frobenius_norm,
-    general_error_bound,
     generate_synthetic,
     numerical_rank,
     relative_error,
@@ -151,9 +149,6 @@ class TestErrorBounds:
         dec = fiber_cur(exact, plan, (2, 2, 2))
         report = evaluate_error_bounds(exact, np.zeros_like(exact), dec)
         assert report.chidori_bound is None
-        assert general_error_bound(exact, np.zeros_like(exact), dec) == report.general_bound
-        with pytest.raises(ValueError):
-            chidori_error_bound(exact, np.zeros_like(exact), dec)
 
     def test_premise_flags_off_when_noise_swamps_intersections(self):
         rng = np.random.default_rng(7)

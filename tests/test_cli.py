@@ -80,7 +80,7 @@ def test_compress_reports_rank_loss(tmp_path, capsys):
         "compress", "--input", str(src), "--method", "chidori",
         "--ranks", "3,3,3", "--out-dir", str(tmp_path / "low"),
     ])
-    assert code == 0
+    assert code == 1
     captured = capsys.readouterr()
     assert " rank_ok=0 " in captured.out
     assert "warning: rank gate failed" in captured.err

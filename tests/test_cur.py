@@ -2,22 +2,27 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from tensorcur import (
     SamplingPlan,
     check_characterization,
     chidori_cur,
+    composite_index,
     cur_to_hosvd,
     cur_with_indices,
     fiber_cur,
     fiber_sample_sizes,
     frobenius_norm,
+    multi_mode_product,
     multilinear_rank,
     numerical_rank,
     projection_reconstruct,
     relative_error,
     unfold,
 )
+from tensorcur.cur import draw_indices
 
 from conftest import random_low_rank
 
@@ -260,3 +265,66 @@ class TestReadsOnlySampledEntries:
         finally:
             tracemalloc.stop()
         assert peak < 0.25 * a.nbytes
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("variant", ["chidori", "fiber"])
+    def test_nan_in_a_sampled_fiber_outside_the_core_rows_is_rejected(self, variant):
+        a = random_low_rank((20, 20, 20), (2, 2, 2), np.random.default_rng(0))
+        fibers = (30, 30, 30) if variant == "fiber" else None
+        plan = SamplingPlan((6, 6, 6), fibers, seed=3)
+        rows, cols = draw_indices(a, plan)
+        # a mode-0 fiber that the decomposition reads, at a row outside I_0
+        j = composite_index(rows, 0, a.shape)[0] if cols is None else cols[0][0]
+        a[np.setdiff1d(np.arange(20), rows[0])[0], j % 20, j // 20] = np.nan
+        decompose = chidori_cur if variant == "chidori" else fiber_cur
+        with pytest.raises(ValueError, match="non-finite"):
+            decompose(a, plan, (2, 2, 2))
+
+    @pytest.mark.parametrize("variant", ["chidori", "fiber"])
+    def test_nan_in_an_unsampled_entry_is_never_read(self, variant):
+        a = random_low_rank((20, 20, 20), (2, 2, 2), np.random.default_rng(1))
+        fibers = (30, 30, 30) if variant == "fiber" else None
+        plan = SamplingPlan((6, 6, 6), fibers, seed=4)
+        decompose = chidori_cur if variant == "chidori" else fiber_cur
+        clean = decompose(a, plan, (2, 2, 2))
+        read = np.zeros(a.shape, dtype=bool)
+        read[np.ix_(*clean.row_indices)] = True
+        for i, cols in enumerate(clean.fiber_indices):
+            others = np.unravel_index(cols, [d for k, d in enumerate(a.shape) if k != i], order="F")
+            np.moveaxis(read, i, 0)[(slice(None),) + others] = True
+        a[np.unravel_index(np.flatnonzero(~read)[0], a.shape)] = np.nan
+        dec = decompose(a, plan, (2, 2, 2))
+        assert np.array_equal(dec.reconstruct(), clean.reconstruct())
+
+
+@st.composite
+def exact_rank_cases(draw):
+    """Exact multilinear rank 3- and 4-mode tensors with random sample sizes."""
+    n = draw(st.sampled_from([3, 4]))
+    dims = tuple(draw(st.integers(2, 9 if n == 3 else 6)) for _ in range(n))
+    ranks = tuple(draw(st.integers(1, min(d, 3))) for d in dims)
+    # a core of these ranks has them as its unfolding ranks only if r_i^2 <= prod(r)
+    assume(all(r * r <= int(np.prod(ranks)) for r in ranks))
+    rows = tuple(draw(st.integers(1, d)) for d in dims)
+    fibers = None
+    if draw(st.booleans()):
+        fibers = tuple(draw(st.integers(1, int(np.prod(dims)) // d)) for d in dims)
+    return dims, ranks, SamplingPlan(rows, fibers, seed=draw(st.integers(0, 2**32 - 1)))
+
+
+class TestRankGate:
+    @settings(max_examples=80, deadline=None)
+    @given(exact_rank_cases())
+    def test_gate_matches_numerical_rank_and_certifies_exactness(self, case):
+        dims, ranks, plan = case
+        a = random_low_rank(dims, ranks, np.random.default_rng(plan.seed))
+        rows, cols = draw_indices(a, plan)
+        dec = cur_with_indices(a, rows, ranks, cols)
+        maps, rank_ok = dec.gated_mode_maps()
+        assert rank_ok == all(
+            numerical_rank(u, 1e-6) >= r for u, r in zip(dec.intersections, ranks)
+        )
+        assert all(np.array_equal(m, p) for m, p in zip(maps, dec.mode_maps()))
+        if rank_ok:
+            assert relative_error(a, multi_mode_product(dec.core, maps)) <= 1e-8

@@ -17,6 +17,61 @@ from tensorcur import (
 )
 from tensorcur.experiments import CSV_HEADER, rows_to_csv
 
+# non-timing columns (all but runtime_ms and extract_ms) of a sweep whose
+# fiber rows all exhaust their 10 resamples, which shifts the chidori seeds
+# after them; recorded from the sweep's earlier, separate CUR code
+FORCED_RESAMPLE_SWEEP = """\
+method,d,r,sigma,trial,seed,rel_err,rank_ok,resamples
+fiber,15,3,0,0,11,3.143660411485e+00,0,10
+chidori,15,3,0,0,11,6.300338051079e-13,1,0
+hosvd,15,3,0,0,11,9.039026045857e-16,1,0
+fiber,15,3,0,1,12,8.219305912826e-01,0,10
+chidori,15,3,0,1,12,1.191169406600e-15,1,0
+hosvd,15,3,0,1,12,1.156454677373e-15,1,0
+fiber,15,3,0,2,13,1.699546544899e+00,0,10
+chidori,15,3,0,2,13,1.100133351931e-15,1,0
+hosvd,15,3,0,2,13,9.164911609767e-16,1,0
+fiber,15,3,0,3,14,1.379093707349e+00,0,10
+chidori,15,3,0,3,14,1.499308317945e-15,1,0
+hosvd,15,3,0,3,14,9.739444035112e-16,1,0
+fiber,15,3,0.001,0,11,3.143328712322e+00,0,10
+chidori,15,3,0.001,0,11,1.594024849219e+00,1,0
+hosvd,15,3,0.001,0,11,4.998265969367e-05,1,0
+fiber,15,3,0.001,1,12,8.225084152633e-01,0,10
+chidori,15,3,0.001,1,12,1.191320672450e-03,1,0
+hosvd,15,3,0.001,1,12,6.501166940147e-05,1,0
+fiber,15,3,0.001,2,13,1.700420365047e+00,0,10
+chidori,15,3,0.001,2,13,5.742940644190e-04,1,0
+hosvd,15,3,0.001,2,13,3.904217526624e-05,1,0
+fiber,15,3,0.001,3,14,1.382002786073e+00,0,10
+chidori,15,3,0.001,3,14,3.192613544068e-03,1,0
+hosvd,15,3,0.001,3,14,3.983716012523e-05,1,0
+fiber,25,3,0,0,11,8.732292197007e-01,0,10
+chidori,25,3,0,0,11,1.493524241961e-15,1,0
+hosvd,25,3,0,0,11,1.633896438356e-15,1,0
+fiber,25,3,0,1,12,1.488780810953e+00,0,10
+chidori,25,3,0,1,12,1.959087781122e-15,1,0
+hosvd,25,3,0,1,12,1.443447679590e-15,1,0
+fiber,25,3,0,2,13,9.421482343889e+00,0,10
+chidori,25,3,0,2,13,1.625947913154e-15,1,0
+hosvd,25,3,0,2,13,1.293309479686e-15,1,0
+fiber,25,3,0,3,14,1.653688026056e+00,0,10
+chidori,25,3,0,3,14,1.753816870959e-15,1,0
+hosvd,25,3,0,3,14,8.149490448103e-16,1,0
+fiber,25,3,0.001,0,11,8.716085869561e-01,0,10
+chidori,25,3,0.001,0,11,4.025875979197e-03,1,0
+hosvd,25,3,0.001,0,11,3.852099688642e-05,1,0
+fiber,25,3,0.001,1,12,1.489624453665e+00,0,10
+chidori,25,3,0.001,1,12,9.555460743969e-04,1,0
+hosvd,25,3,0.001,1,12,3.368036065283e-05,1,0
+fiber,25,3,0.001,2,13,9.437858667521e+00,0,10
+chidori,25,3,0.001,2,13,2.416160134828e-03,1,0
+hosvd,25,3,0.001,2,13,1.640158787791e-05,1,0
+fiber,25,3,0.001,3,14,1.652457022987e+00,0,10
+chidori,25,3,0.001,3,14,1.865754663770e-02,1,0
+hosvd,25,3,0.001,3,14,2.176624349388e-05,1,0
+"""
+
 
 class TestGenerateSynthetic:
     def test_zero_noise_is_bitwise_identical(self):
@@ -106,6 +161,15 @@ class TestRunSweep:
         rows = run_sweep(cfg)
         assert rows[0]["rel_err"] < 1e-9
 
+    def test_forced_resamples_are_pinned(self):
+        cfg = ExperimentConfig(
+            dims=[15, 25], rank=3, sigmas=[0, 1e-3], trials=4, seed=11,
+            methods=["fiber", "chidori", "hosvd"], row_samples=3, fiber_samples=2,
+        )
+        lines = rows_to_csv(run_sweep(cfg)).splitlines()
+        got = [",".join(f[:7] + f[8:10]) for f in (line.split(",") for line in lines)]
+        assert got == FORCED_RESAMPLE_SWEEP.splitlines()
+
     def test_csv_serialization(self, tmp_path):
         cfg = ExperimentConfig(
             dims=[12], rank=2, sigmas=[1e-4], trials=1, seed=1, methods=["chidori"]
@@ -166,6 +230,16 @@ class TestCompress:
         with pytest.raises(ValueError):
             compress(path, "hosvd", (6, 2, 2), out_dir=tmp_path / "x")
 
+    @pytest.mark.parametrize("method", ["chidori", "hosvd"])
+    def test_non_finite_input_rejected(self, tmp_path, method):
+        _, x, _ = generate_synthetic(20, 2, 0.0, np.random.default_rng(0))
+        x[3, 4, 5] = np.nan
+        path = tmp_path / "nan.tnsr"
+        write_tensor(path, x)
+        with pytest.raises(ValueError, match="non-finite"):
+            compress(path, method, (2, 2, 2), out_dir=tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_method_rejected(self, tmp_path):
         path, _ = make_tensor_file(tmp_path, (5, 5, 5), (2, 2, 2), 0.0, 4)
         with pytest.raises(ValueError):
@@ -177,6 +251,45 @@ class TestCompress:
         result = compress(path, "fiber", (60, 60, 7), seed=9, out_dir=tmp_path / "hyper")
         assert result.snr_db is not None
         assert result.runtime_ms > 0.0
+
+
+class TestOneSvdPerIntersection:
+    """The rank gate reads the singular values of the SVD that builds each
+    pseudoinverse, so a CUR attempt makes one SVD per mode."""
+
+    @pytest.fixture
+    def svd_calls(self, monkeypatch):
+        calls = []
+        svd = np.linalg.svd
+
+        def counting(*args, **kwargs):
+            calls.append(np.shape(args[0]))
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        return calls
+
+    @pytest.mark.parametrize("method", ["chidori", "fiber"])
+    def test_sweep_attempt(self, svd_calls, method):
+        [row] = run_sweep(ExperimentConfig([20], 2, [0.0], 1, 3, methods=[method]))
+        assert row["rank_ok"] and row["resamples"] == 0
+        assert len(svd_calls) == 3
+
+    def test_every_resample(self, svd_calls):
+        cfg = ExperimentConfig(
+            [15], 3, [0.0], 1, 11, methods=["fiber"], row_samples=3, fiber_samples=2
+        )
+        [row] = run_sweep(cfg)
+        assert row["resamples"] == 10
+        assert len(svd_calls) == 3 * 11
+
+    @pytest.mark.parametrize("method", ["chidori", "fiber"])
+    @pytest.mark.parametrize("dims,ranks", [((12, 10, 8), (2, 2, 2)), ((8, 7, 6, 5), (2, 2, 2, 2))])
+    def test_compress(self, tmp_path, svd_calls, method, dims, ranks):
+        path, _ = make_tensor_file(tmp_path, dims, ranks, 0.0, 0)
+        result = compress(path, method, ranks, seed=1, out_dir=tmp_path / "out")
+        assert result.rank_ok
+        assert len(svd_calls) == len(dims)
 
 
 class TestConvert:

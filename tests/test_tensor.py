@@ -9,7 +9,6 @@ from tensorcur import (
     composite_index,
     fold,
     frobenius_norm,
-    kronecker,
     mode_product,
     multi_mode_product,
     numerical_rank,
@@ -19,6 +18,8 @@ from tensorcur import (
     subtensor,
     unfold,
 )
+
+from tensorcur.tensor import check_ranks
 
 from conftest import random_low_rank, tensor_with_layout
 
@@ -132,24 +133,6 @@ class TestMultiModeProduct:
 
 
 class TestKronecker:
-    def test_identity_block_diagonal(self):
-        b = np.array([[1.0, 2.0], [3.0, 4.0]])
-        k = kronecker(np.eye(2), b)
-        assert np.array_equal(k[:2, :2], b)
-        assert np.array_equal(k[2:, 2:], b)
-        assert np.all(k[:2, 2:] == 0) and np.all(k[2:, :2] == 0)
-
-    def test_scalar_factor(self):
-        b = np.array([[1.0, -1.0], [0.5, 2.0]])
-        assert np.array_equal(kronecker(np.array([[2.0]]), b), 2.0 * b)
-
-    def test_mixed_product_identity(self):
-        rng = np.random.default_rng(8)
-        a, b, c, d = (rng.standard_normal((2, 2)) for _ in range(4))
-        lhs = kronecker(a, b) @ kronecker(c, d)
-        rhs = kronecker(a @ c, b @ d)
-        assert np.max(np.abs(lhs - rhs)) < 1e-12
-
     def test_unfolding_of_other_mode_product_is_kronecker_structured(self):
         # under the first-fastest column convention the matching factor order
         # is reversed over the remaining modes
@@ -164,8 +147,21 @@ class TestKronecker:
                 blocks.append(a_j if m == j else np.eye(t.shape[m]))
             structured = blocks[0]
             for blk in blocks[1:]:
-                structured = kronecker(structured, blk)
+                structured = np.kron(structured, blk)
             assert np.max(np.abs(unfold(y, k) - unfold(t, k) @ structured.T)) < 1e-12
+
+
+class TestCheckRanks:
+    def test_returns_int_tuple(self):
+        assert check_ranks(np.array([2, 3]), (2, 5)) == (2, 3)
+
+    @pytest.mark.parametrize(
+        "ranks,message",
+        [((2,), "expected 2 ranks"), ((0, 1), "out of range"), ((2, 6), "extent 5 at mode 1")],
+    )
+    def test_rejects(self, ranks, message):
+        with pytest.raises(ValueError, match=message):
+            check_ranks(ranks, (2, 5))
 
 
 class TestOuter:

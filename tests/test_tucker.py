@@ -7,7 +7,6 @@ from tensorcur import (
     frobenius_norm,
     hooi,
     hosvd,
-    kronecker,
     multi_mode_product,
     multilinear_rank,
     relative_error,
@@ -62,7 +61,7 @@ class TestHosvd:
             others = [dec.factors[m] for m in reversed(range(3)) if m != k]
             structured = others[0]
             for blk in others[1:]:
-                structured = kronecker(structured, blk)
+                structured = np.kron(structured, blk)
             lhs = unfold(t, k)
             rhs = dec.factors[k] @ unfold(dec.core, k) @ structured.T
             assert np.max(np.abs(lhs - rhs)) < 1e-10 * max(1.0, np.abs(lhs).max())
