@@ -127,7 +127,8 @@ def cur_with_indices(a, row_indices, ranks, fiber_indices=None) -> CurDecomposit
         cols = tuple(
             as_index_array(j, a.size // a.shape[i]) for i, j in enumerate(fiber_indices)
         )
-    core = subtensor(a, rows)
+    # F is the package's storage order; an F core gives F reconstructions
+    core = np.asfortranarray(subtensor(a, rows))
     fibers = tuple(select_fibers(a, i, j) for i, j in enumerate(cols))
     if not (np.isfinite(core).all() and all(np.isfinite(c).all() for c in fibers)):
         raise ValueError("the sampled core or fibers hold non-finite values")

@@ -277,6 +277,22 @@ def _write_tucker_factors(out_dir: Path, core, factors, method: str, dims) -> di
     return files
 
 
+# bytes of last-mode slabs differenced at a time for the compress residual
+_RESIDUAL_CHUNK_BYTES = 1 << 22
+
+
+def _residual_norm(x: np.ndarray, approx: np.ndarray) -> float:
+    """``frobenius_norm(x - approx)``, summed over chunks of last-mode slabs
+    (contiguous in F order) so that no full-size difference is held."""
+    step = max(1, _RESIDUAL_CHUNK_BYTES // x[..., 0].nbytes)
+    total = 0.0
+    for start in range(0, x.shape[-1], step):
+        diff = (x[..., start : start + step] - approx[..., start : start + step]).ravel(order="K")
+        total += float(diff @ diff)
+        del diff  # one chunk difference at a time
+    return math.sqrt(total)
+
+
 def compress(
     input_path,
     method: str,
@@ -318,7 +334,7 @@ def compress(
         files["reconstruction"] = "reconstruction.tnsr"
     # a reconstruction exact to machine precision (e.g. ranks == dims) has a
     # roundoff-dominated SNR; report the exact sentinel instead of a number
-    residual = frobenius_norm(x - approx)
+    residual = _residual_norm(x, approx)
     snr = None if residual <= 1e-12 * norm else 20.0 * math.log10(norm / residual)
     return CompressionResult(
         method, ranks, snr, runtime * 1e3, extract * 1e3, rank_ok, str(out_dir), files

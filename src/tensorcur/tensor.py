@@ -1,4 +1,5 @@
-"""Dense tensor algebra: unfolding, folding, mode products, and subtensor extraction.
+"""Dense tensor algebra: unfolding, folding, mode products, Gram matrices, and
+subtensor extraction.
 
 Conventions used throughout the package:
 
@@ -12,8 +13,14 @@ Conventions used throughout the package:
   with stride ``s_m = prod_{l < m, l != k} d_l`` (remaining indices,
   first varying fastest).  ``composite_index`` linearizes per-mode index
   sets with exactly this column convention.
+* ``unfold`` and ``fold`` are reference operations: they copy.  The hot path
+  never builds an unfolding.  :func:`mode_product` and :func:`gram` view a
+  C-contiguous tensor as ``(prod(d_<k), d_k, prod(d_>k))`` (an F-contiguous
+  one through its transpose, whose modes are reversed) and multiply on
+  that view; only other layouts are copied, once per call.
 """
 
+import math
 from functools import reduce
 
 import numpy as np
@@ -23,6 +30,7 @@ __all__ = [
     "fold",
     "mode_product",
     "multi_mode_product",
+    "gram",
     "outer",
     "subtensor",
     "select_fibers",
@@ -42,6 +50,22 @@ def _as_tensor(t) -> np.ndarray:
 def _check_mode(t: np.ndarray, k: int) -> None:
     if not 0 <= k < t.ndim:
         raise ValueError(f"mode {k} out of range for a {t.ndim}-mode tensor")
+
+
+def _c_contiguous(t: np.ndarray, k: int) -> tuple[np.ndarray, int, bool]:
+    """``(c, j, flipped)``: a C-contiguous tensor ``c`` whose mode ``j`` is
+    ``t``'s mode ``k``.  An F-contiguous ``t`` is read as ``c = t.T``
+    (``flipped``); any other layout is copied once."""
+    if t.flags.c_contiguous:
+        return t, k, False
+    if t.flags.f_contiguous:
+        return t.T, t.ndim - 1 - k, True
+    return np.ascontiguousarray(t), k, False
+
+
+def _slab_view(c: np.ndarray, j: int) -> np.ndarray:
+    """The ``(prod(d_<j), d_j, prod(d_>j))`` view of a C-contiguous tensor."""
+    return c.reshape(math.prod(c.shape[:j]), c.shape[j], math.prod(c.shape[j + 1 :]))
 
 
 def as_index_array(indices, extent: int) -> np.ndarray:
@@ -95,7 +119,9 @@ def mode_product(t, a, k: int) -> np.ndarray:
     """Multiply tensor ``t`` along mode ``k`` by matrix ``a``.
 
     The result satisfies ``unfold(result, k) == a @ unfold(t, k)``; mode k's
-    extent is replaced by ``a.shape[0]``.
+    extent is replaced by ``a.shape[0]``.  It is computed on a view of ``t``
+    and keeps its memory order: a C-contiguous input gives a C-contiguous
+    result, an F-contiguous one an F-contiguous result.
     """
     t = _as_tensor(t)
     a = np.asarray(a, dtype=np.float64)
@@ -106,9 +132,15 @@ def mode_product(t, a, k: int) -> np.ndarray:
         raise ValueError(
             f"matrix has {a.shape[1]} columns but mode {k} has extent {t.shape[k]}"
         )
-    dims = list(t.shape)
-    dims[k] = a.shape[0]
-    return fold(a @ unfold(t, k), k, dims)
+    c, j, flipped = _c_contiguous(t, k)
+    v = _slab_view(c, j)
+    if v.shape[2] == 1:
+        out = v[:, :, 0] @ a.T
+    else:
+        # one GEMM per leading index, a single one when mode k leads
+        out = a @ v
+    out = out.reshape(c.shape[:j] + (a.shape[0],) + c.shape[j + 1 :])
+    return out.T if flipped else out
 
 
 def multi_mode_product(t, matrices) -> np.ndarray:
@@ -127,6 +159,36 @@ def multi_mode_product(t, matrices) -> np.ndarray:
         if a is not None:
             out = mode_product(out, a, k)
     return out
+
+
+# bytes of tensor slabs copied per chunk when a middle mode's Gram is summed
+_GRAM_CHUNK_BYTES = 1 << 22
+
+
+def gram(t, k: int) -> np.ndarray:
+    """The Gram matrix ``unfold(t, k) @ unfold(t, k).T`` of the mode-k unfolding.
+
+    The Gram does not depend on the column order, so no unfolding is built.
+    For the first and last mode of the C-contiguous view it is one product
+    on a reshape.  A middle mode sums the slab products ``X_p @ X_p.T`` over
+    chunks of slabs, each chunk at most an eighth of the tensor and 4 MB.
+    """
+    t = _as_tensor(t)
+    _check_mode(t, k)
+    c, j, _ = _c_contiguous(t, k)
+    v = _slab_view(c, j)
+    p, d, s = v.shape
+    if p == 1:
+        return v[0] @ v[0].T
+    if s == 1:
+        return v[:, :, 0].T @ v[:, :, 0]
+    step = max(1, min(-(-p // 8), _GRAM_CHUNK_BYTES // v[0].nbytes))
+    g = np.zeros((d, d))
+    for start in range(0, p, step):
+        x = v[start : start + step].transpose(1, 0, 2).reshape(d, -1)
+        g += x @ x.T
+        del x  # one chunk copy at a time
+    return g
 
 
 def outer(vectors) -> np.ndarray:

@@ -1,14 +1,23 @@
 """Orthogonal Tucker-format baselines: truncated HOSVD, sequentially
 truncated HOSVD, and HOOI.  Factors are the leading eigenvectors of each
-unfolding's Gram matrix, or its thin SVD's when the unfolding is taller than
-wide or ``sigma_k / sigma_1 < 1e-3``."""
+unfolding's Gram matrix, formed from a view of the tensor by
+:func:`~tensorcur.tensor.gram`, or its thin SVD's when the unfolding is
+taller than wide or ``sigma_k / sigma_1 < 1e-3``.  A tensor with a
+non-finite entry is rejected with a ``ValueError``."""
 
 from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import multilinear_rank
-from .tensor import check_ranks, frobenius_norm, mode_product, multi_mode_product, unfold
+from .tensor import (
+    check_ranks,
+    frobenius_norm,
+    gram,
+    mode_product,
+    multi_mode_product,
+    unfold,
+)
 
 __all__ = ["HosvdDecomposition", "hosvd", "st_hosvd", "hooi"]
 
@@ -31,15 +40,32 @@ class HosvdDecomposition:
         return self.core.shape
 
 
-def _leading_left_vectors(m: np.ndarray, r: int) -> np.ndarray:
+def _reject_non_finite(t: np.ndarray) -> None:
+    if not np.isfinite(t).all():
+        raise ValueError("the tensor holds non-finite values")
+
+
+def _leading_left_vectors(t: np.ndarray, k: int, r: int) -> np.ndarray:
+    """The leading ``r`` left singular vectors of ``unfold(t, k)``."""
+    d = t.shape[k]
+    p = t.size // d
     # a d x p unfolding has at most min(d, p) singular vectors
-    k = min(r, *m.shape)
-    if m.shape[0] <= m.shape[1]:
-        # a tall m keeps its thin SVD: the d x d Gram would cost O(d^2) memory
-        lam, v = np.linalg.eigh(m @ m.T)
-        if lam[-1] > 0.0 and lam[-k] >= _GRAM_MIN_RATIO * lam[-1]:
-            return v[:, -k:][:, ::-1]
-    return np.linalg.svd(m, full_matrices=False)[0][:, :k]
+    q = min(r, d, p)
+    if d <= p:
+        # a tall unfolding keeps its thin SVD: the d x d Gram would cost O(d^2) memory
+        g = gram(t, k)
+        # every entry's square lands on the diagonal, so a non-finite entry
+        # shows there; finite entries whose squares overflow go to the SVD
+        if np.isfinite(np.diagonal(g)).all():
+            lam, v = np.linalg.eigh(g)
+            if lam[-1] > 0.0 and lam[-q] >= _GRAM_MIN_RATIO * lam[-1]:
+                return v[:, -q:][:, ::-1]
+        else:
+            _reject_non_finite(t)
+    m = unfold(t, k)
+    # an infinite entry can stall the SVD, so its operand is checked first
+    _reject_non_finite(m)
+    return np.linalg.svd(m, full_matrices=False)[0][:, :q]
 
 
 def hosvd(t, ranks=None, tol: float | None = None) -> HosvdDecomposition:
@@ -55,7 +81,7 @@ def hosvd(t, ranks=None, tol: float | None = None) -> HosvdDecomposition:
         ranks = multilinear_rank(t, tol)
         ranks = tuple(max(1, r) for r in ranks)
     ranks = check_ranks(ranks, t.shape)
-    factors = tuple(_leading_left_vectors(unfold(t, k), r) for k, r in enumerate(ranks))
+    factors = tuple(_leading_left_vectors(t, k, r) for k, r in enumerate(ranks))
     core = multi_mode_product(t, [w.T for w in factors])
     return HosvdDecomposition(core, factors)
 
@@ -71,7 +97,7 @@ def st_hosvd(t, ranks) -> HosvdDecomposition:
     factors = []
     current = t
     for k, r in enumerate(ranks):
-        w = _leading_left_vectors(unfold(current, k), r)
+        w = _leading_left_vectors(current, k, r)
         factors.append(w)
         current = mode_product(current, w.T, k)
     return HosvdDecomposition(current, tuple(factors))
@@ -98,7 +124,7 @@ def hooi(t, ranks, max_iters: int = 50, tol: float = 1e-8) -> HosvdDecomposition
             for j, w in enumerate(factors):
                 if j != k:
                     partial = mode_product(partial, w.T, j)
-            factors[k] = _leading_left_vectors(unfold(partial, k), r)
+            factors[k] = _leading_left_vectors(partial, k, r)
         core = multi_mode_product(t, [w.T for w in factors])
         current = frobenius_norm(core)
         if abs(current - previous) <= tol * max(current, np.finfo(np.float64).tiny):

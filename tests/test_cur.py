@@ -204,6 +204,17 @@ class TestDeterminismAndReconstruction:
             backward = mode_product(backward, maps[k], k)
         assert np.max(np.abs(forward - backward)) <= 1e-12 * max(1.0, np.abs(forward).max())
 
+    @pytest.mark.parametrize("layout", ["C", "F"])
+    def test_reconstruction_is_in_the_storage_order(self, layout):
+        # files are read and written F-ordered; an F reconstruction needs no
+        # reordering copy when it is written or compared with its input
+        t = random_low_rank((12, 11, 10), (2, 2, 2), np.random.default_rng(16))
+        t = np.asfortranarray(t) if layout == "F" else np.ascontiguousarray(t)
+        for dec in (chidori_cur(t, SamplingPlan((5, 5, 5), seed=3), (2, 2, 2)),
+                    fiber_cur(t, SamplingPlan((5, 5, 5), (8, 8, 8), seed=3), (2, 2, 2))):
+            assert dec.core.flags.f_contiguous
+            assert dec.reconstruct().flags.f_contiguous
+
 
 class TestConversion:
     def test_exact_instance_round_trip(self):

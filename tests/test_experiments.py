@@ -24,52 +24,52 @@ FORCED_RESAMPLE_SWEEP = """\
 method,d,r,sigma,trial,seed,rel_err,rank_ok,resamples
 fiber,15,3,0,0,11,3.143660411485e+00,0,10
 chidori,15,3,0,0,11,6.300338051079e-13,1,0
-hosvd,15,3,0,0,11,9.039026045857e-16,1,0
+hosvd,15,3,0,0,11,1.073321986506e-15,1,0
 fiber,15,3,0,1,12,8.219305912826e-01,0,10
 chidori,15,3,0,1,12,1.191169406600e-15,1,0
-hosvd,15,3,0,1,12,1.156454677373e-15,1,0
+hosvd,15,3,0,1,12,9.442975599622e-16,1,0
 fiber,15,3,0,2,13,1.699546544899e+00,0,10
 chidori,15,3,0,2,13,1.100133351931e-15,1,0
-hosvd,15,3,0,2,13,9.164911609767e-16,1,0
+hosvd,15,3,0,2,13,1.154531042182e-15,1,0
 fiber,15,3,0,3,14,1.379093707349e+00,0,10
 chidori,15,3,0,3,14,1.499308317945e-15,1,0
-hosvd,15,3,0,3,14,9.739444035112e-16,1,0
+hosvd,15,3,0,3,14,1.228350757027e-15,1,0
 fiber,15,3,0.001,0,11,3.143328712322e+00,0,10
 chidori,15,3,0.001,0,11,1.594024849219e+00,1,0
-hosvd,15,3,0.001,0,11,4.998265969367e-05,1,0
+hosvd,15,3,0.001,0,11,4.998265969356e-05,1,0
 fiber,15,3,0.001,1,12,8.225084152633e-01,0,10
 chidori,15,3,0.001,1,12,1.191320672450e-03,1,0
-hosvd,15,3,0.001,1,12,6.501166940147e-05,1,0
+hosvd,15,3,0.001,1,12,6.501166940142e-05,1,0
 fiber,15,3,0.001,2,13,1.700420365047e+00,0,10
 chidori,15,3,0.001,2,13,5.742940644190e-04,1,0
-hosvd,15,3,0.001,2,13,3.904217526624e-05,1,0
+hosvd,15,3,0.001,2,13,3.904217526621e-05,1,0
 fiber,15,3,0.001,3,14,1.382002786073e+00,0,10
 chidori,15,3,0.001,3,14,3.192613544068e-03,1,0
-hosvd,15,3,0.001,3,14,3.983716012523e-05,1,0
+hosvd,15,3,0.001,3,14,3.983716012528e-05,1,0
 fiber,25,3,0,0,11,8.732292197007e-01,0,10
 chidori,25,3,0,0,11,1.493524241961e-15,1,0
-hosvd,25,3,0,0,11,1.633896438356e-15,1,0
+hosvd,25,3,0,0,11,9.995337685905e-16,1,0
 fiber,25,3,0,1,12,1.488780810953e+00,0,10
 chidori,25,3,0,1,12,1.959087781122e-15,1,0
-hosvd,25,3,0,1,12,1.443447679590e-15,1,0
+hosvd,25,3,0,1,12,1.047740687511e-15,1,0
 fiber,25,3,0,2,13,9.421482343889e+00,0,10
 chidori,25,3,0,2,13,1.625947913154e-15,1,0
-hosvd,25,3,0,2,13,1.293309479686e-15,1,0
+hosvd,25,3,0,2,13,1.162241805282e-15,1,0
 fiber,25,3,0,3,14,1.653688026056e+00,0,10
 chidori,25,3,0,3,14,1.753816870959e-15,1,0
-hosvd,25,3,0,3,14,8.149490448103e-16,1,0
+hosvd,25,3,0,3,14,9.931381981083e-16,1,0
 fiber,25,3,0.001,0,11,8.716085869561e-01,0,10
 chidori,25,3,0.001,0,11,4.025875979197e-03,1,0
-hosvd,25,3,0.001,0,11,3.852099688642e-05,1,0
+hosvd,25,3,0.001,0,11,3.852099688639e-05,1,0
 fiber,25,3,0.001,1,12,1.489624453665e+00,0,10
 chidori,25,3,0.001,1,12,9.555460743969e-04,1,0
-hosvd,25,3,0.001,1,12,3.368036065283e-05,1,0
+hosvd,25,3,0.001,1,12,3.368036065261e-05,1,0
 fiber,25,3,0.001,2,13,9.437858667521e+00,0,10
 chidori,25,3,0.001,2,13,2.416160134828e-03,1,0
-hosvd,25,3,0.001,2,13,1.640158787791e-05,1,0
+hosvd,25,3,0.001,2,13,1.640158787790e-05,1,0
 fiber,25,3,0.001,3,14,1.652457022987e+00,0,10
 chidori,25,3,0.001,3,14,1.865754663770e-02,1,0
-hosvd,25,3,0.001,3,14,2.176624349388e-05,1,0
+hosvd,25,3,0.001,3,14,2.176624349390e-05,1,0
 """
 
 

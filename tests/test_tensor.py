@@ -19,7 +19,7 @@ from tensorcur import (
     unfold,
 )
 
-from tensorcur.tensor import check_ranks
+from tensorcur.tensor import check_ranks, gram
 
 from conftest import random_low_rank, tensor_with_layout
 
@@ -259,6 +259,73 @@ class TestSelectFibersGather:
         assert got.tobytes() == ref.tobytes()
         # same layout too, so matrix products of the fibers round identically
         assert got.shape == ref.shape and got.strides == ref.strides
+
+
+@st.composite
+def layout_cases(draw):
+    """A 1- to 4-mode tensor stored C-ordered, F-ordered or strided, a mode,
+    and a seed for the matrices applied to it."""
+    dims = tuple(draw(st.lists(st.integers(1, 5), min_size=1, max_size=4)))
+    layout = draw(st.sampled_from(["C", "F", "strided"]))
+    t = tensor_with_layout(dims, layout, draw(st.integers(0, 2**32 - 1)))
+    return t, draw(st.integers(0, len(dims) - 1)), draw(st.integers(0, 2**32 - 1))
+
+
+def assert_close(got, ref, scale):
+    # entrywise rounding of a product is bounded by the product of magnitudes
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref), initial=0.0) <= 1e-12 * scale
+
+
+class TestViewKernels:
+    @settings(max_examples=200, deadline=None)
+    @given(layout_cases(), st.integers(1, 4))
+    def test_mode_product_matches_the_unfolding_reference(self, case, rows):
+        t, k, seed = case
+        a = np.random.default_rng(seed).standard_normal((rows, t.shape[k]))
+        got = mode_product(t, a, k)
+        dims = t.shape[:k] + (rows,) + t.shape[k + 1 :]
+        ref = fold(a @ unfold(t, k), k, dims)
+        assert_close(got, ref, (np.abs(a) @ np.abs(unfold(t, k))).max())
+        if t.flags.c_contiguous:
+            assert got.flags.c_contiguous
+        elif t.flags.f_contiguous:
+            assert got.flags.f_contiguous
+
+    @settings(max_examples=100, deadline=None)
+    @given(layout_cases(), st.data())
+    def test_multi_mode_product_does_not_depend_on_the_mode_order(self, case, data):
+        t, _, seed = case
+        rng = np.random.default_rng(seed)
+        modes = data.draw(st.permutations(range(t.ndim)))
+        mats = [rng.standard_normal((int(rng.integers(1, 5)), d)) for d in t.shape]
+        shuffled = t
+        for k in modes:
+            shuffled = mode_product(shuffled, mats[k], k)
+        scale = multi_mode_product(np.abs(t), [np.abs(a) for a in mats]).max()
+        assert_close(shuffled, multi_mode_product(t, mats), scale)
+
+    @settings(max_examples=100, deadline=None)
+    @given(layout_cases())
+    def test_fold_inverts_unfold_bit_for_bit(self, case):
+        t, k, _ = case
+        back = fold(unfold(t, k), k, t.shape)
+        assert back.shape == t.shape
+        assert np.ascontiguousarray(back).tobytes() == np.ascontiguousarray(t).tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(layout_cases())
+    def test_gram_matches_the_unfolding_product(self, case):
+        t, k, _ = case
+        m = unfold(t, k)
+        ref = m @ m.T
+        assert_close(gram(t, k), ref, np.diagonal(ref).max())
+
+    def test_gram_of_a_long_leading_mode_sums_chunks_of_slabs(self):
+        t = tensor_with_layout((3000, 4, 3), "C", seed=59)
+        m = unfold(t, 1)
+        ref = m @ m.T
+        assert_close(gram(t, 1), ref, np.diagonal(ref).max())
 
 
 class TestNorms:

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tensorcur import TensorFileError, read_tensor, write_tensor
 
@@ -95,6 +97,47 @@ def test_truncated_header_rejected(tmp_path):
     path.write_bytes(b"TNSR\x01")
     with pytest.raises(TensorFileError):
         read_tensor(path)
+
+
+@st.composite
+def valid_files(draw):
+    """The bytes of a valid TNSR file of a 1- to 3-mode tensor, and its
+    header-plus-extents length."""
+    dims = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)))
+    t = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal(dims)
+    head = struct.pack("<4sIBB2s", b"TNSR", 1, 1, len(dims), b"\x00\x00")
+    head += np.asarray(dims, dtype="<u8").tobytes()
+    return head + t.ravel(order="F").tobytes(), len(head)
+
+
+def _rejects(tmp_path, data):
+    path = tmp_path / "bad.tnsr"
+    path.write_bytes(data)
+    with pytest.raises(TensorFileError):
+        read_tensor(path)
+
+
+@settings(max_examples=50, deadline=None)
+@given(valid_files(), st.data())
+def test_truncated_files_are_rejected(tmp_path_factory, case, data):
+    full, head = case
+    tmp_path = tmp_path_factory.mktemp("cut")
+    # every cut inside the header and extents, and one inside the payload
+    cuts = list(range(head + 1)) + [data.draw(st.integers(head, len(full) - 1))]
+    for cut in cuts:
+        _rejects(tmp_path, full[:cut])
+
+
+@settings(max_examples=100, deadline=None)
+@given(valid_files(), st.sampled_from(range(10)), st.integers(0, 255))
+def test_corrupted_header_bytes_are_rejected(tmp_path_factory, case, offset, value):
+    # offsets 0-3 magic, 4-7 version, 8 dtype code, 9 mode count
+    full, _ = case
+    data = bytearray(full)
+    if data[offset] == value:
+        value ^= 0xFF
+    data[offset] = value
+    _rejects(tmp_path_factory.mktemp("flip"), bytes(data))
 
 
 def test_unknown_write_dtype():

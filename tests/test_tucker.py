@@ -15,7 +15,9 @@ from tensorcur import (
     unfold,
 )
 
-from conftest import random_low_rank
+from tensorcur.tensor import mode_product
+
+from conftest import random_low_rank, tensor_with_layout
 
 
 def noisy_instance(seed, dims=(12, 10, 11), ranks=(3, 2, 3), sigma=1e-2):
@@ -154,7 +156,8 @@ def planted_spectrum(ratio, noise, dims=(14, 12, 10), r=4, seed=0):
     return exact + noise * frobenius_norm(exact) * g / frobenius_norm(g), (r, r, r)
 
 
-def svd_left_vectors(m, r):
+def svd_left_vectors(t, k, r):
+    m = unfold(t, k)
     return np.linalg.svd(m, full_matrices=False)[0][:, : min(r, *m.shape)]
 
 
@@ -196,3 +199,44 @@ class TestGramAgainstSvd:
             tracemalloc.stop()
         assert peak < 0.05 * d * d * 8
         assert relative_error(t, dec.reconstruct()) < 1e-12
+
+
+class TestNonFiniteInput:
+    # (6, 5, 4) and (4, 3, 5, 2) take the Gram path at every mode; the long
+    # mode 0 of (40, 3, 3) and (30, 2, 2, 3) takes the thin SVD
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("dims", [(6, 5, 4), (4, 3, 5, 2), (40, 3, 3), (30, 2, 2, 3)])
+    @pytest.mark.parametrize("method", [hosvd, st_hosvd, hooi])
+    def test_rejected_with_a_clear_error(self, method, dims, value):
+        t = np.random.default_rng(14).standard_normal(dims)
+        t[(1,) * len(dims)] = value
+        with pytest.raises(ValueError, match="non-finite"):
+            method(t, (2,) * len(dims))
+
+    def test_finite_entries_whose_squares_overflow_are_accepted(self):
+        t = 1e200 * random_low_rank((6, 5, 4), (1, 1, 1), np.random.default_rng(15))
+        dec = hosvd(t, (1, 1, 1))
+        assert relative_error(t / 1e200, dec.reconstruct() / 1e200) < 1e-12
+
+
+class TestMemory:
+    @pytest.mark.parametrize("layout", ["C", "F"])
+    @pytest.mark.parametrize("op", ["hosvd", "st_hosvd", "hooi", "mode_product"])
+    def test_peak_is_a_fraction_of_the_tensor(self, op, layout):
+        # no unfolding is copied: the Grams and products read views of t
+        t = tensor_with_layout((64, 64, 64), layout, seed=16)
+        w = np.linalg.qr(np.random.default_rng(17).standard_normal((64, 5)))[0]
+        run = {
+            "hosvd": lambda: hosvd(t, (5, 5, 5)),
+            "st_hosvd": lambda: st_hosvd(t, (5, 5, 5)),
+            "hooi": lambda: hooi(t, (5, 5, 5), max_iters=3),
+            "mode_product": lambda: max(mode_product(t, w.T, k).size for k in range(3)),
+        }[op]
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * t.nbytes
