@@ -176,8 +176,15 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    """Run one subcommand.  Exit 0 on success, 1 when ``compress``'s rank
+    gate fails, and 2 on bad input (a missing or malformed file, manifest or
+    value), reported as one ``tensorcur: error:`` line like argparse's."""
     args = build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except (ValueError, OSError) as exc:
+        print(f"tensorcur: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

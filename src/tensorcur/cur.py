@@ -10,7 +10,9 @@ fiber columns independently.  The approximation is
     R x_0 (C_0 @ rank_r_pinv(U_0, r_0)) x_1 ... x_{n-1} (C_{n-1} @ ...)
 
 and it reproduces ``A`` exactly precisely when every ``U_i`` has rank equal
-to the mode-i rank of ``A``.
+to the mode-i rank of ``A``.  The pseudoinverses are kept factored, with
+``k_i <= r_i`` columns, from the Gram matrix of ``U_i`` and a Rayleigh-Ritz
+step or its thin SVD (:func:`~tensorcur.linalg.rank_r_pinv_factors`).
 """
 
 from dataclasses import dataclass, replace
@@ -19,11 +21,11 @@ import numpy as np
 
 from .linalg import (
     _count_above,
-    _rank_r_pinv_and_spectrum,
     multilinear_rank,
     numerical_rank,
     pinv,
     qr_factor,
+    rank_r_pinv_factors,
 )
 from .sampling import SamplingPlan, mode_length_distributions, sample_without_replacement
 from .tensor import (
@@ -85,15 +87,19 @@ class CurDecomposition:
         return self.gated_mode_maps()[0]
 
     def gated_mode_maps(self) -> tuple[list[np.ndarray], bool]:
-        """The mode maps and the rank gate, from one SVD per intersection.
+        """The mode maps and the rank gate, from one factored pseudoinverse
+        per intersection.
 
-        The gate holds when every ``U_i`` has at least ``r_i`` singular values
-        above ``1e-6 * sigma_1(U_i)``, i.e. the sample kept the target rank.
+        Each map is ``(C_i @ left_i) @ right_i.T`` with ``rank_r_pinv(U_i,
+        r_i) == left_i @ right_i.T``, so its products are ``k_i <= r_i``
+        wide rather than ``|I_i|`` wide.  The gate holds when every ``U_i``
+        has at least ``r_i`` singular values above ``1e-6 * sigma_1(U_i)``,
+        i.e. the sample kept the target rank.
         """
         maps, rank_ok = [], True
         for c, u, r in zip(self.fibers, self.intersections, self.ranks):
-            p, s = _rank_r_pinv_and_spectrum(u, r)
-            maps.append(c @ p)
+            left, right, s = rank_r_pinv_factors(u, r)
+            maps.append((c @ left) @ right.T)
             rank_ok = rank_ok and _count_above(s, _RANK_GATE_TOL) >= r
         return maps, rank_ok
 
@@ -244,17 +250,22 @@ def check_characterization(a, dec: CurDecomposition, tol: float = 1e-8) -> Chara
 def cur_to_hosvd(dec: CurDecomposition) -> HosvdDecomposition:
     """Convert a CUR decomposition to an orthonormal Tucker form.
 
-    QR-factor each mode map, push the triangular factors into the core, and
-    take the compact HOSVD of the resulting small tensor.  The output
-    reconstruction equals the CUR reconstruction; its factors are products of
-    orthonormal matrices and thus orthonormal.
+    With each mode map factored as ``(C_i @ left_i) @ right_i.T``, QR-factor
+    ``C_i @ left_i``, push ``R_i @ right_i.T`` into the core, and take the
+    compact HOSVD of the resulting ``k_0 x ... x k_{n-1}`` tensor (``k_i <=
+    r_i``).  The output reconstruction equals the CUR reconstruction; its
+    factors are products of orthonormal matrices and thus orthonormal.
     """
     qs = []
     rs = []
-    for mat in dec.mode_maps():
-        q, r = qr_factor(mat)
+    for c, u, r in zip(dec.fibers, dec.intersections, dec.ranks):
+        left, right, _ = rank_r_pinv_factors(u, r)
+        if left.shape[1] == 0:
+            # nothing inverted: keep the zero map as one zero column
+            left, right = np.zeros((left.shape[0], 1)), np.zeros((right.shape[0], 1))
+        q, rr = qr_factor(c @ left)
         qs.append(q)
-        rs.append(r)
+        rs.append(rr @ right.T)
     small = multi_mode_product(dec.core, rs)
     inner = hosvd(small)
     factors = tuple(q @ v for q, v in zip(qs, inner.factors))

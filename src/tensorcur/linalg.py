@@ -16,6 +16,7 @@ __all__ = [
     "compact_svd",
     "pinv",
     "rank_r_pinv",
+    "rank_r_pinv_factors",
     "numerical_rank",
     "qr_factor",
     "multilinear_rank",
@@ -24,6 +25,10 @@ __all__ = [
 # floor (relative to sigma_1) below which a requested singular value is treated
 # as zero when building a rank-limited pseudoinverse
 _PINV_FLOOR = 1e-14
+
+# eigh of m @ m.T errs by ~eps * lambda_1, eps * (sigma_1 / sigma_k)^2 relative
+# in direction k; below sigma_k / sigma_1 = 1e-3 the thin SVD of m is used
+_GRAM_MIN_RATIO = 1e-6
 
 
 @dataclass(frozen=True)
@@ -107,22 +112,63 @@ def rank_r_pinv(m, r: int) -> np.ndarray:
     reduced, which avoids dividing by numerically-zero values when the
     requested rank exceeds the numerical rank.
     """
-    return _rank_r_pinv_and_spectrum(m, r)[0]
+    left, right, _ = rank_r_pinv_factors(m, r)
+    return left @ right.T
 
 
-def _rank_r_pinv_and_spectrum(m, r: int) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`rank_r_pinv` plus the singular values of ``m`` from the same SVD
-    (empty when ``r == 0``, which needs no SVD)."""
+def rank_r_pinv_factors(m, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`rank_r_pinv` as ``left @ right.T``, each factor with ``k <= r``
+    columns, plus the singular values ``s`` of ``m`` (empty when ``r == 0``).
+
+    A wide ``m`` (rows <= cols) takes no SVD of ``m``.  With ``q = min(r,
+    rows)``, ``eigh`` of the Gram ``m @ m.T`` gives the leading left
+    directions ``W_q``, tilted towards the trailing ones by up to ``eps *
+    kappa^2`` (``kappa = sigma_1 / sigma_q``); each pass through ``m``
+    shrinks the tilt by ``rho = sigma_{q+1} / sigma_q``.  One subspace
+    iteration, ``Y = qr(m.T @ qr(m @ qr(m.T @ W_q)))`` (just ``qr(m.T @
+    W_q)`` when ``q == rows``), and a Rayleigh-Ritz step, the thin SVD ``m @
+    Y = W' S' Z'.T``, give ``left = Y Z' / S'`` and ``right = W'`` within
+    ``eps * kappa^2 * rho^3`` of the SVD's result; ``s`` is ``S'`` followed
+    by the square roots of the other Gram eigenvalues.  A tall ``m``, a Gram
+    whose diagonal overflows, and ``sigma_q / sigma_1 < 1e-3`` take the thin
+    SVD of ``m``.  Gram-path values sit far above the ``1e-14`` floor and a
+    ``1e-6`` rank gate, so both paths invert the same rank and pass the same
+    gates.
+    """
     m = _as_matrix(m)
     if r < 0:
         raise ValueError("rank must be nonnegative")
-    if r == 0 or min(m.shape) == 0:
-        return np.zeros((m.shape[1], m.shape[0])), np.zeros(0)
-    w, s, vt = np.linalg.svd(m, full_matrices=False)
+    rows, cols = m.shape
+    if r == 0 or min(rows, cols) == 0:
+        return np.zeros((cols, 0)), np.zeros((rows, 0)), np.zeros(0)
+    q = min(int(r), rows)
+    eig = _gram_eigh(m @ m.T, q) if rows <= cols else None
+    if eig is not None:
+        lam, v = eig
+        y = np.linalg.qr(m.T @ v[:, -q:][:, ::-1])[0]
+        if q < rows:  # at q == rows, y spans the whole row space already
+            y = np.linalg.qr(m.T @ np.linalg.qr(m @ y)[0])[0]
+        w, s, zt = np.linalg.svd(m @ y, full_matrices=False)
+        left, right = y @ zt.T, w
+        s = np.concatenate([s, np.sqrt(np.maximum(lam[-q - 1::-1], 0.0))])
+    else:
+        w, s, vt = np.linalg.svd(m, full_matrices=False)
+        left, right = vt.T, w
     k = min(int(r), _count_above(s, _PINV_FLOOR))
-    if k == 0:
-        return np.zeros((m.shape[1], m.shape[0])), s
-    return (vt[:k].T / s[:k]) @ w[:, :k].T, s
+    return left[:, :k] / s[:k], right[:, :k], s
+
+
+def _gram_eigh(g: np.ndarray, q: int):
+    """``eigh`` of the Gram matrix ``g = m @ m.T``, or ``None`` when the leading
+    ``q`` directions must come from the thin SVD of ``m``: ``g`` is zero, has
+    a non-finite diagonal (a non-finite ``m``, or squares that overflow), or
+    has ``lambda_q < 1e-6 * lambda_1``."""
+    if not np.isfinite(np.diagonal(g)).all():
+        return None
+    lam, v = np.linalg.eigh(g)
+    if lam[-1] > 0.0 and lam[-q] >= _GRAM_MIN_RATIO * lam[-1]:
+        return lam, v
+    return None
 
 
 def qr_factor(m) -> tuple[np.ndarray, np.ndarray]:

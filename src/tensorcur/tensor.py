@@ -222,7 +222,8 @@ def select_fibers(t, k: int, cols) -> np.ndarray:
     _check_mode(t, k)
     total = t.size // t.shape[k]
     cols = as_index_array(cols, total)
-    view = np.moveaxis(t, k, 0)
+    # a 1-mode tensor is its own single fiber
+    view = np.moveaxis(t, k, 0) if t.ndim > 1 else t[:, None]
     return view[(slice(None),) + np.unravel_index(cols, view.shape[1:], order="F")]
 
 

@@ -52,31 +52,37 @@ def write_tensor(path, array, dtype: str = "float64") -> None:
 
 
 def read_tensor(path) -> np.ndarray:
-    """Load a tensor written by :func:`write_tensor` as float64."""
-    with open(path, "rb") as fh:
-        head = fh.read(_HEADER.size)
-        if len(head) < _HEADER.size:
-            raise TensorFileError("file too short for a tensor header")
-        magic, version, code, ndims, _reserved = _HEADER.unpack(head)
-        if magic != MAGIC:
-            raise TensorFileError(f"bad magic {magic!r}")
-        if version != VERSION:
-            raise TensorFileError(f"unsupported version {version}")
-        if code not in _DTYPES:
-            raise TensorFileError(f"unknown dtype code {code}")
-        if ndims < 1:
-            raise TensorFileError("tensor must have at least one mode")
-        extents = fh.read(8 * ndims)
-        if len(extents) < 8 * ndims:
-            raise TensorFileError("file truncated in the extents block")
-        dims = np.frombuffer(extents, dtype="<u8")
-        if np.any(dims == 0):
-            raise TensorFileError("zero extent in tensor header")
-        shape = tuple(int(d) for d in dims)
-        count = math.prod(shape)
-        want = count * _DTYPES[code].itemsize
-        got = os.fstat(fh.fileno()).st_size - fh.tell()
-        if got != want:
-            raise TensorFileError(f"payload length mismatch: file has {got} bytes, expected {want}")
-        payload = np.fromfile(fh, dtype=_DTYPES[code], count=count)
+    """Load a tensor written by :func:`write_tensor` as float64; a malformed
+    file raises :class:`TensorFileError` naming the file."""
+    try:
+        with open(path, "rb") as fh:
+            head = fh.read(_HEADER.size)
+            if len(head) < _HEADER.size:
+                raise TensorFileError("file too short for a tensor header")
+            magic, version, code, ndims, _reserved = _HEADER.unpack(head)
+            if magic != MAGIC:
+                raise TensorFileError(f"bad magic {magic!r}")
+            if version != VERSION:
+                raise TensorFileError(f"unsupported version {version}")
+            if code not in _DTYPES:
+                raise TensorFileError(f"unknown dtype code {code}")
+            if ndims < 1:
+                raise TensorFileError("tensor must have at least one mode")
+            extents = fh.read(8 * ndims)
+            if len(extents) < 8 * ndims:
+                raise TensorFileError("file truncated in the extents block")
+            dims = np.frombuffer(extents, dtype="<u8")
+            if np.any(dims == 0):
+                raise TensorFileError("zero extent in tensor header")
+            shape = tuple(int(d) for d in dims)
+            count = math.prod(shape)
+            want = count * _DTYPES[code].itemsize
+            got = os.fstat(fh.fileno()).st_size - fh.tell()
+            if got != want:
+                raise TensorFileError(
+                    f"payload length mismatch: file has {got} bytes, expected {want}"
+                )
+            payload = np.fromfile(fh, dtype=_DTYPES[code], count=count)
+    except TensorFileError as exc:
+        raise TensorFileError(f"{os.fspath(path)}: {exc}") from None
     return payload.astype(np.float64, copy=False).reshape(shape, order="F")

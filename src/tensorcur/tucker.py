@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import multilinear_rank
+from .linalg import _gram_eigh, multilinear_rank
 from .tensor import (
     check_ranks,
     frobenius_norm,
@@ -20,9 +20,6 @@ from .tensor import (
 )
 
 __all__ = ["HosvdDecomposition", "hosvd", "st_hosvd", "hooi"]
-
-# Gram eigh loses ~eps * sigma_1 / sigma_k; below sigma_k / sigma_1 = 1e-3 use the SVD
-_GRAM_MIN_RATIO = 1e-6
 
 
 @dataclass(frozen=True)
@@ -51,17 +48,10 @@ def _leading_left_vectors(t: np.ndarray, k: int, r: int) -> np.ndarray:
     p = t.size // d
     # a d x p unfolding has at most min(d, p) singular vectors
     q = min(r, d, p)
-    if d <= p:
-        # a tall unfolding keeps its thin SVD: the d x d Gram would cost O(d^2) memory
-        g = gram(t, k)
-        # every entry's square lands on the diagonal, so a non-finite entry
-        # shows there; finite entries whose squares overflow go to the SVD
-        if np.isfinite(np.diagonal(g)).all():
-            lam, v = np.linalg.eigh(g)
-            if lam[-1] > 0.0 and lam[-q] >= _GRAM_MIN_RATIO * lam[-1]:
-                return v[:, -q:][:, ::-1]
-        else:
-            _reject_non_finite(t)
+    # a tall unfolding keeps its thin SVD: the d x d Gram would cost O(d^2) memory
+    eig = _gram_eigh(gram(t, k), q) if d <= p else None
+    if eig is not None:
+        return eig[1][:, -q:][:, ::-1]
     m = unfold(t, k)
     # an infinite entry can stall the SVD, so its operand is checked first
     _reject_non_finite(m)

@@ -113,3 +113,47 @@ def test_check_bounds_fiber_variant(capsys):
 def test_unknown_subcommand_exits():
     with pytest.raises(SystemExit):
         main(["frobnicate"])
+
+
+def assert_input_error(code, capsys, message):
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("tensorcur: error: ") and message in line
+
+
+def test_convert_without_a_manifest_is_an_input_error(tmp_path, capsys):
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    code = main(["convert", "--in-dir", str(empty), "--out-dir", str(tmp_path / "out")])
+    assert_input_error(code, capsys, "no manifest.json")
+
+
+def test_convert_of_tucker_factors_is_an_input_error(tmp_path, capsys):
+    _, noisy, _ = generate_synthetic(8, 2, 0.0, np.random.default_rng(2))
+    src = tmp_path / "t.tnsr"
+    write_tensor(src, noisy)
+    tucker_dir = tmp_path / "tucker"
+    main(["compress", "--input", str(src), "--method", "hosvd", "--ranks", "2,2,2",
+          "--out-dir", str(tucker_dir)])
+    capsys.readouterr()
+    code = main(["convert", "--in-dir", str(tucker_dir), "--out-dir", str(tmp_path / "out")])
+    assert_input_error(code, capsys, "conversion requires CUR factors")
+
+
+def test_compress_of_a_truncated_file_is_an_input_error(tmp_path, capsys):
+    _, noisy, _ = generate_synthetic(8, 2, 0.0, np.random.default_rng(3))
+    src = tmp_path / "cut.tnsr"
+    write_tensor(src, noisy)
+    src.write_bytes(src.read_bytes()[:-8])
+    code = main(["compress", "--input", str(src), "--method", "chidori", "--ranks", "2,2,2",
+                 "--out-dir", str(tmp_path / "out")])
+    assert_input_error(code, capsys, str(src))
+    assert not (tmp_path / "out").exists()
+
+
+def test_compress_of_a_missing_file_is_an_input_error(tmp_path, capsys):
+    src = tmp_path / "absent.tnsr"
+    code = main(["compress", "--input", str(src), "--method", "chidori", "--ranks", "2,2,2"])
+    assert_input_error(code, capsys, "absent.tnsr")

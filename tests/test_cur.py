@@ -230,6 +230,31 @@ class TestConversion:
         assert converted.core.shape == (1, 1, 1)
         assert abs(converted.core).max() == pytest.approx(frobenius_norm(t), rel=1e-9)
 
+    def test_targets_above_the_rank_give_the_numerical_multilinear_rank(self):
+        t = random_low_rank((12, 11, 10), (2, 2, 2), np.random.default_rng(19))
+        dec = chidori_cur(t, SamplingPlan((8, 8, 8), seed=4), (4, 4, 4))
+        converted = cur_to_hosvd(dec)
+        assert converted.ranks == (2, 2, 2)
+        assert relative_error(t, converted.reconstruct()) < 1e-9
+
+    def test_rank_defective_core_fixture_keeps_its_core_rank(self, slices_3x3x2):
+        dec = cur_with_indices(slices_3x3x2, [[0, 1]] * 3, (2, 2, 2))
+        converted = cur_to_hosvd(dec)
+        assert converted.ranks == (1, 2, 2)
+        cur_rec = dec.reconstruct()
+        parity = frobenius_norm(cur_rec - converted.reconstruct())
+        assert parity <= 1e-12 * frobenius_norm(cur_rec)
+
+    def test_zero_sample_converts_to_a_zero_core(self):
+        # every intersection is zero, so no direction is inverted
+        t = np.zeros((6, 5, 4))
+        t[0, 0, 0] = 1.0
+        dec = cur_with_indices(t, [[1, 2]] * 3, (1, 1, 1))
+        converted = cur_to_hosvd(dec)
+        assert converted.ranks == (1, 1, 1) and not converted.core.any()
+        for w in converted.factors:
+            assert np.linalg.norm(w.T @ w - np.eye(1)) < 1e-12
+
     def test_factors_orthonormal_and_parity_under_noise(self):
         rng = np.random.default_rng(18)
         exact = random_low_rank((12, 12, 12), (2, 2, 2), rng)

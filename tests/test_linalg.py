@@ -13,6 +13,7 @@ from tensorcur import (
     rank_r_pinv,
     unfold,
 )
+from tensorcur.linalg import rank_r_pinv_factors
 
 
 def rank_deficient(rows, cols, rank, rng):
@@ -127,6 +128,93 @@ class TestRankRPinv:
     def test_negative_rank(self):
         with pytest.raises(ValueError):
             rank_r_pinv(np.eye(2), -1)
+
+
+def planted_singular_values(shape, ratio, noise, r=4, seed=0):
+    """``(m, pinv_r)``: ``m`` has the singular values ``geomspace(1, ratio, r)``
+    and a tail of ``noise * geomspace(1, 0.5, .)``, and ``pinv_r`` is the
+    pseudoinverse of its best rank-``r`` part, from the planted factors."""
+    rng = np.random.default_rng(seed)
+    rows, cols = shape
+    n = min(shape)
+    u = np.linalg.qr(rng.standard_normal((rows, n)))[0]
+    v = np.linalg.qr(rng.standard_normal((cols, n)))[0]
+    s = np.concatenate([np.geomspace(1.0, ratio, r), noise * np.geomspace(1.0, 0.5, n - r)])
+    top = np.argsort(-s, kind="stable")[:r]
+    return (u * s) @ v.T, (v[:, top] / s[top]) @ u[:, top].T
+
+
+def svd_pinv_factors(m, r):
+    """The reference kernel: factors of ``rank_r_pinv`` from the thin SVD of ``m``."""
+    w, s, vt = np.linalg.svd(m, full_matrices=False)
+    k = min(r, int(np.count_nonzero(s > 1e-14 * s[0])))
+    return vt[:k].T / s[:k], w[:, :k], s
+
+
+def gate_count(s):
+    return int(np.count_nonzero(s > 1e-6 * s[0]))
+
+
+class TestFactoredPinvAgainstSvd:
+    # a wide matrix takes its pseudoinverse from eigh of its Gram matrix, which
+    # squares the condition number; the reference is the thin SVD of the same
+    # matrix, and both are measured against the planted pinv_r
+    @pytest.mark.parametrize("noise", [0.0, 1e-10, 1e-4])
+    @pytest.mark.parametrize("ratio", [1.0, 1e-1, 1e-2, 1.1e-3, 1e-3, 1e-5, 1e-8])
+    @pytest.mark.parametrize("shape", [(12, 40), (16, 16), (40, 12)])
+    def test_error_rank_and_gate_match_the_svd_reference(self, shape, ratio, noise):
+        for seed in range(3):
+            m, pinv_r = planted_singular_values(shape, ratio, noise, seed=seed)
+            left, right, s = rank_r_pinv_factors(m, 4)
+            left_ref, right_ref, s_ref = svd_pinv_factors(m, 4)
+            got, ref = left @ right.T, left_ref @ right_ref.T
+            assert np.array_equal(rank_r_pinv(m, 4), got)
+            scale = np.linalg.norm(pinv_r)
+            err = np.linalg.norm(got - pinv_r) / scale
+            assert err <= np.linalg.norm(ref - pinv_r) / scale + 1e-12
+            assert left.shape[1] == right.shape[1] == left_ref.shape[1]
+            assert s.shape == s_ref.shape
+            assert gate_count(s) == gate_count(s_ref)
+
+    @pytest.mark.parametrize("noise", [0.0, 1e-4])
+    def test_near_the_gram_limit_the_gram_path_is_taken(self, monkeypatch, noise):
+        # sigma_4 / sigma_1 = 1.1e-3 passes the Gram gate; without the
+        # Rayleigh-Ritz step the error here is ~1e-10, and with it alone ~1e-11
+        # at the 1e-4 noise floor, against ~1e-13 for the SVD
+        m, _ = planted_singular_values((12, 40), 1.1e-3, noise)
+        operands = []
+        svd = np.linalg.svd
+
+        def recording(a, *args, **kwargs):
+            operands.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recording)
+        rank_r_pinv_factors(m, 4)
+        assert operands == [(12, 4)]
+
+    def test_a_request_beyond_the_row_count_inverts_every_row(self):
+        m = np.random.default_rng(3).standard_normal((3, 10))
+        left, right, s = rank_r_pinv_factors(m, 5)
+        assert left.shape == (10, 3) and right.shape == (3, 3) and s.shape == (3,)
+        assert np.linalg.norm(left @ right.T - np.linalg.pinv(m)) <= 1e-12 * np.linalg.norm(
+            np.linalg.pinv(m)
+        )
+
+    def test_squares_that_overflow_take_the_svd(self):
+        m = 1e200 * np.random.default_rng(4).standard_normal((5, 8))
+        with np.errstate(over="ignore"):
+            got = rank_r_pinv_factors(m, 3)
+        ref = svd_pinv_factors(m, 3)
+        for x, y in zip(got, ref):
+            assert np.all(np.isfinite(x)) and np.array_equal(x, y)
+
+    def test_zero_and_rank_zero(self):
+        left, right, s = rank_r_pinv_factors(np.zeros((3, 5)), 2)
+        assert left.shape == (5, 0) and right.shape == (3, 0)
+        assert np.array_equal(s, np.zeros(3))
+        left, right, s = rank_r_pinv_factors(np.ones((3, 5)), 0)
+        assert left.shape == (5, 0) and right.shape == (3, 0) and s.size == 0
 
 
 @st.composite

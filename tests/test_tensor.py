@@ -262,6 +262,29 @@ class TestSelectFibersGather:
 
 
 @st.composite
+def composite_cases(draw):
+    """A 1- to 4-mode tensor in some memory layout, a mode, and one nonempty
+    ascending index set per mode."""
+    dims = tuple(draw(st.lists(st.integers(1, 5), min_size=1, max_size=4)))
+    layout = draw(st.sampled_from(["C", "F", "strided"]))
+    t = tensor_with_layout(dims, layout, draw(st.integers(0, 2**32 - 1)))
+    sets = [sorted(draw(st.sets(st.integers(0, d - 1), min_size=1))) for d in dims]
+    return t, draw(st.integers(0, len(dims) - 1)), sets
+
+
+class TestCompositeIndexProperty:
+    @settings(max_examples=200, deadline=None)
+    @given(composite_cases())
+    def test_gathers_the_slab_unfolding_bit_for_bit(self, case):
+        t, k, sets = case
+        cols = composite_index(sets, k, t.shape)
+        slab_sets = [np.arange(d) if m == k else sets[m] for m, d in enumerate(t.shape)]
+        got = select_fibers(t, k, cols)
+        ref = unfold(subtensor(t, slab_sets), k)
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+
+@st.composite
 def layout_cases(draw):
     """A 1- to 4-mode tensor stored C-ordered, F-ordered or strided, a mode,
     and a seed for the matrices applied to it."""
