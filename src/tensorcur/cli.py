@@ -108,6 +108,11 @@ def _cmd_synthetic(args) -> int:
     return 0
 
 
+# below this SNR a reconstruction leaves more than 10^(-1/10) ~ 79% of the
+# input's energy in the residual
+_MIN_SNR_DB = 1.0
+
+
 def _cmd_compress(args) -> int:
     result = compress(
         args.input,
@@ -123,12 +128,19 @@ def _cmd_compress(args) -> int:
     print(f"method={result.method} ranks={','.join(map(str, result.ranks))} "
           f"snr={snr} rank_ok={int(result.rank_ok)} runtime_ms={result.runtime_ms:.3f} "
           f"extract_ms={result.extract_ms:.3f} out={result.out_dir}")
+    failed = False
     if not result.rank_ok:
         print("warning: rank gate failed: a sampled intersection has numerical rank "
               "below its target rank, so the reconstruction may be inaccurate "
               "(try another --seed or larger --row-samples)", file=sys.stderr)
-        return 1
-    return 0
+        failed = True
+    if result.snr_db is not None and result.snr_db < _MIN_SNR_DB:
+        print(f"warning: the reconstruction carries no signal: its SNR is below "
+              f"{_MIN_SNR_DB:g} dB, so it removes less than about 21% of the input's "
+              "energy (try other --ranks, another --seed or larger sample sizes)",
+              file=sys.stderr)
+        failed = True
+    return 1 if failed else 0
 
 
 def _cmd_convert(args) -> int:
@@ -177,8 +189,9 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     """Run one subcommand.  Exit 0 on success, 1 when ``compress``'s rank
-    gate fails, and 2 on bad input (a missing or malformed file, manifest or
-    value), reported as one ``tensorcur: error:`` line like argparse's."""
+    gate fails or its reconstruction's SNR is below 1 dB, and 2 on bad input
+    (a missing or malformed file, manifest or value), reported as one
+    ``tensorcur: error:`` line like argparse's."""
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)

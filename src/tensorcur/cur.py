@@ -86,22 +86,37 @@ class CurDecomposition:
         """The per-mode reconstruction operators ``C_i @ rank_r_pinv(U_i, r_i)``."""
         return self.gated_mode_maps()[0]
 
-    def gated_mode_maps(self) -> tuple[list[np.ndarray], bool]:
-        """The mode maps and the rank gate, from one factored pseudoinverse
-        per intersection.
-
-        Each map is ``(C_i @ left_i) @ right_i.T`` with ``rank_r_pinv(U_i,
-        r_i) == left_i @ right_i.T``, so its products are ``k_i <= r_i``
-        wide rather than ``|I_i|`` wide.  The gate holds when every ``U_i``
-        has at least ``r_i`` singular values above ``1e-6 * sigma_1(U_i)``,
-        i.e. the sample kept the target rank.
-        """
-        maps, rank_ok = [], True
+    def _factored_maps(self):
+        """Per mode, ``(C_i @ left_i, right_i, gate_i)`` from one factored
+        pseudoinverse ``rank_r_pinv(U_i, r_i) == left_i @ right_i.T``, both
+        factors ``k_i <= r_i`` wide.  ``gate_i`` holds when ``U_i`` has at
+        least ``r_i`` singular values above ``1e-6 * sigma_1(U_i)``, i.e.
+        the sample kept the target rank."""
         for c, u, r in zip(self.fibers, self.intersections, self.ranks):
             left, right, s = rank_r_pinv_factors(u, r)
-            maps.append((c @ left) @ right.T)
-            rank_ok = rank_ok and _count_above(s, _RANK_GATE_TOL) >= r
+            yield c @ left, right, _count_above(s, _RANK_GATE_TOL) >= r
+
+    def gated_mode_maps(self) -> tuple[list[np.ndarray], bool]:
+        """The mode maps ``(C_i @ left_i) @ right_i.T`` and the rank gate
+        (every mode's), from one factored pseudoinverse per intersection."""
+        maps, rank_ok = [], True
+        for cl, right, ok in self._factored_maps():
+            maps.append(cl @ right.T)
+            rank_ok = rank_ok and ok
         return maps, rank_ok
+
+    def gated_tucker_form(self) -> tuple[tuple[np.ndarray, list[np.ndarray]], bool]:
+        """The reconstruction as a Tucker form ``(small, factors)`` and the
+        rank gate, from one factored pseudoinverse per intersection.
+
+        ``small = core x_0 right_0.T ... x_{n-1} right_{n-1}.T`` is ``k_0 x
+        ... x k_{n-1}`` and ``factors[i] = C_i @ left_i``, so ``small x_0
+        factors[0] ... x_{n-1} factors[n-1]`` equals :meth:`reconstruct` up
+        to rounding without a full-size intermediate.
+        """
+        parts = list(self._factored_maps())
+        small = multi_mode_product(self.core, [right.T for _, right, _ in parts])
+        return (small, [cl for cl, _, _ in parts]), all(ok for _, _, ok in parts)
 
     def reconstruct(self) -> np.ndarray:
         """Apply the mode maps to the core; output has the source dims."""
@@ -258,12 +273,11 @@ def cur_to_hosvd(dec: CurDecomposition) -> HosvdDecomposition:
     """
     qs = []
     rs = []
-    for c, u, r in zip(dec.fibers, dec.intersections, dec.ranks):
-        left, right, _ = rank_r_pinv_factors(u, r)
-        if left.shape[1] == 0:
+    for cl, right, _ in dec._factored_maps():
+        if cl.shape[1] == 0:
             # nothing inverted: keep the zero map as one zero column
-            left, right = np.zeros((left.shape[0], 1)), np.zeros((right.shape[0], 1))
-        q, rr = qr_factor(c @ left)
+            cl, right = np.zeros((cl.shape[0], 1)), np.zeros((right.shape[0], 1))
+        q, rr = qr_factor(cl)
         qs.append(q)
         rs.append(rr @ right.T)
     small = multi_mode_product(dec.core, rs)

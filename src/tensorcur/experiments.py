@@ -10,6 +10,7 @@ identical error columns; only the timing columns vary between runs.
 import json
 import math
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -19,7 +20,7 @@ from .analysis import relative_error
 from .cur import CurDecomposition, cur_to_hosvd, cur_with_indices, draw_indices
 from .sampling import SamplingPlan, chidori_sample_sizes, fiber_sample_sizes
 from .tensor import as_index_array, check_ranks, frobenius_norm, multi_mode_product
-from .tensorfile import read_tensor, write_tensor
+from .tensorfile import SlabWriter, read_tensor, write_tensor
 from .tucker import hooi, hosvd, st_hosvd
 
 __all__ = [
@@ -130,12 +131,13 @@ def cur_sample_sizes(method: str, dims, ranks, row_samples=None, fiber_samples=N
     return t, s
 
 
-def _gated_cur(x, ranks, sizes, seeds):
+def _gated_cur(x, ranks, sizes, seeds, gated=CurDecomposition.gated_mode_maps):
     """Draw, extract and gate one CUR per seed until the rank gate passes.
 
-    Returns ``(dec, mode_maps, runtime_s, extract_s, rank_ok, resamples)``;
-    the times cover drawing, extraction and the gated mode maps, summed over
-    attempts.
+    ``gated`` maps a decomposition to ``(form, rank_ok)``: its mode maps by
+    default, or its Tucker form.  Returns ``(dec, form, runtime_s,
+    extract_s, rank_ok, resamples)``; the times cover drawing, extraction
+    and ``gated``, summed over attempts.
     """
     runtime = extract = 0.0
     for resamples, seed in enumerate(seeds):
@@ -144,12 +146,12 @@ def _gated_cur(x, ranks, sizes, seeds):
         t1 = time.perf_counter()
         dec = cur_with_indices(x, rows, ranks, cols)
         t2 = time.perf_counter()
-        maps, rank_ok = dec.gated_mode_maps()
+        form, rank_ok = gated(dec)
         runtime += time.perf_counter() - t0
         extract += t2 - t1
         if rank_ok:
             break
-    return dec, maps, runtime, extract, rank_ok, resamples
+    return dec, form, runtime, extract, rank_ok, resamples
 
 
 def _timed_tucker(method, noisy, ranks):
@@ -160,8 +162,7 @@ def _timed_tucker(method, noisy, ranks):
         dec = st_hosvd(noisy, ranks)
     else:
         dec = hooi(noisy, ranks)
-    runtime = time.perf_counter() - t0
-    return dec, dec.reconstruct(), runtime, 0.0, True, 0
+    return dec, time.perf_counter() - t0
 
 
 def run_sweep(cfg: ExperimentConfig) -> list[dict]:
@@ -193,9 +194,8 @@ def run_sweep(cfg: ExperimentConfig) -> list[dict]:
                         )
                         approx = multi_mode_product(dec.core, maps)
                     else:
-                        _, approx, runtime, extract, rank_ok, resamples = _timed_tucker(
-                            method, noisy, ranks
-                        )
+                        dec, runtime = _timed_tucker(method, noisy, ranks)
+                        approx, extract, rank_ok, resamples = dec.reconstruct(), 0.0, True, 0
                     rows.append(
                         {
                             "method": method,
@@ -277,19 +277,35 @@ def _write_tucker_factors(out_dir: Path, core, factors, method: str, dims) -> di
     return files
 
 
-# bytes of last-mode slabs differenced at a time for the compress residual
-_RESIDUAL_CHUNK_BYTES = 1 << 22
+# bytes of last-mode slabs reconstructed, written and differenced at a time
+_STREAM_CHUNK_BYTES = 1 << 22
 
 
-def _residual_norm(x: np.ndarray, approx: np.ndarray) -> float:
-    """``frobenius_norm(x - approx)``, summed over chunks of last-mode slabs
-    (contiguous in F order) so that no full-size difference is held."""
-    step = max(1, _RESIDUAL_CHUNK_BYTES // x[..., 0].nbytes)
+def _stream_reconstruction(x: np.ndarray, core, factors, path=None) -> float:
+    """``frobenius_norm(x - core x_0 F_0 ... x_{n-1} F_{n-1})``, summed over
+    chunks of last-mode slabs (contiguous in F order); each chunk of the
+    reconstruction is written to ``path`` when given.
+
+    The head ``core x_0 F_0 ... x_{n-2} F_{n-2}`` is formed once, as a
+    ``prod(d_<n-1) x k_{n-1}`` matrix ``H``.  Slab ``l`` is ``H @ F_{n-1}[l]``,
+    one matrix-vector product per slab in every chunk, so its bytes do not
+    depend on the chunk size; no full-size reconstruction is held.
+    """
+    head = multi_mode_product(core, list(factors[:-1]) + [None])
+    h = head.reshape(math.prod(x.shape[:-1]), head.shape[-1], order="F")
+    last = factors[-1]
+    step = max(1, _STREAM_CHUNK_BYTES // x[..., 0].nbytes)
     total = 0.0
-    for start in range(0, x.shape[-1], step):
-        diff = (x[..., start : start + step] - approx[..., start : start + step]).ravel(order="K")
-        total += float(diff @ diff)
-        del diff  # one chunk difference at a time
+    with SlabWriter(path, x.shape) if path is not None else nullcontext() as out:
+        for start in range(0, x.shape[-1], step):
+            # (m, prod(d_<n-1), 1): slab by slab, each slab first index fastest
+            slabs = np.matmul(h, last[start : start + step, :, None])
+            chunk = slabs[:, :, 0].T.reshape(x.shape[:-1] + (-1,), order="F")
+            if out is not None:
+                out.write(chunk)
+            diff = np.subtract(chunk, x[..., start : start + step], out=chunk).ravel(order="K")
+            total += float(diff @ diff)
+            del slabs, chunk, diff  # one chunk at a time
     return math.sqrt(total)
 
 
@@ -307,8 +323,13 @@ def compress(
 
     The SNR compares the loaded tensor against the method's reconstruction;
     an exact reconstruction is reported as ``snr_db=None`` (the "exact"
-    sentinel).  Timing covers the decomposition only, not I/O.  An input
-    with a non-finite value is rejected before it is decomposed.
+    sentinel).  The reconstruction is never held whole: it is formed from
+    the Tucker form (for CUR, ``core x_i right_i.T`` with factors ``C_i @
+    left_i``) one chunk of last-mode slabs at a time, written when
+    ``write_reconstruction`` is set and differenced against the input for
+    the SNR in the same pass.  Timing covers the decomposition only, not
+    I/O.  An input with a non-finite value is rejected before it is
+    decomposed.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
@@ -322,23 +343,34 @@ def compress(
 
     if method in CUR_METHODS:
         sizes = cur_sample_sizes(method, x.shape, ranks, row_samples, fiber_samples)
-        dec, maps, runtime, extract, rank_ok, _ = _gated_cur(x, ranks, sizes, [int(seed)])
-        approx = multi_mode_product(dec.core, maps)
+        dec, (core, factors), runtime, extract, rank_ok, _ = _gated_cur(
+            x, ranks, sizes, [int(seed)], CurDecomposition.gated_tucker_form
+        )
         files = _write_cur_factors(out_dir, dec, seed)
     else:
-        dec, approx, runtime, extract, rank_ok, _ = _timed_tucker(method, x, ranks)
+        dec, runtime = _timed_tucker(method, x, ranks)
+        core, factors, extract, rank_ok = dec.core, dec.factors, 0.0, True
         files = _write_tucker_factors(out_dir, dec.core, dec.factors, method, x.shape)
 
+    rec_path = None
     if write_reconstruction:
-        write_tensor(out_dir / "reconstruction.tnsr", approx)
-        files["reconstruction"] = "reconstruction.tnsr"
+        rec_path = out_dir / "reconstruction.tnsr"
+        files["reconstruction"] = rec_path.name
+    residual = _stream_reconstruction(x, core, factors, rec_path)
     # a reconstruction exact to machine precision (e.g. ranks == dims) has a
     # roundoff-dominated SNR; report the exact sentinel instead of a number
-    residual = _residual_norm(x, approx)
     snr = None if residual <= 1e-12 * norm else 20.0 * math.log10(norm / residual)
     return CompressionResult(
         method, ranks, snr, runtime * 1e3, extract * 1e3, rank_ok, str(out_dir), files
     )
+
+
+def _require_keys(obj, keys, where: str) -> None:
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where} is not a JSON object")
+    for key in keys:
+        if key not in obj:
+            raise ValueError(f"{where} lacks the key {key!r}")
 
 
 def convert_factors(in_dir, out_dir):
@@ -354,10 +386,14 @@ def convert_factors(in_dir, out_dir):
     if not manifest_path.exists():
         raise ValueError(f"no {_MANIFEST_NAME} in {in_dir}")
     manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    method = manifest.get("method")
+    _require_keys(manifest, ("method",), _MANIFEST_NAME)
+    method = manifest["method"]
     if method not in CUR_METHODS:
         raise ValueError(f"conversion requires CUR factors, found method {method!r}")
+    _require_keys(manifest, ("files", "dims", "ranks", "row_indices", "fiber_indices"),
+                  _MANIFEST_NAME)
     files = manifest["files"]
+    _require_keys(files, ("core", "fibers", "intersections"), f"{_MANIFEST_NAME} 'files'")
     core = read_tensor(in_dir / files["core"])
     fibers = tuple(read_tensor(in_dir / f) for f in files["fibers"])
     inters = tuple(read_tensor(in_dir / f) for f in files["intersections"])

@@ -20,7 +20,7 @@ import struct
 
 import numpy as np
 
-__all__ = ["TensorFileError", "read_tensor", "write_tensor"]
+__all__ = ["TensorFileError", "SlabWriter", "read_tensor", "write_tensor"]
 
 MAGIC = b"TNSR"
 VERSION = 1
@@ -36,19 +36,60 @@ class TensorFileError(ValueError):
 def write_tensor(path, array, dtype: str = "float64") -> None:
     """Write ``array`` to ``path``; ``dtype`` selects the payload precision."""
     array = np.asarray(array, dtype=np.float64)
-    if array.ndim < 1 or array.ndim > 255:
-        raise ValueError("tensor must have between 1 and 255 modes")
-    if any(d < 1 for d in array.shape):
-        raise ValueError("every extent must be positive")
-    try:
-        code = _CODES[dtype]
-    except KeyError:
-        raise ValueError(f"unsupported dtype {dtype!r}") from None
-    payload = array.ravel(order="F").astype(_DTYPES[code], copy=False)
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(MAGIC, VERSION, code, array.ndim, b"\x00\x00"))
-        fh.write(np.asarray(array.shape, dtype="<u8").tobytes())
-        fh.write(memoryview(payload))
+    with SlabWriter(path, array.shape, dtype) as out:
+        out.write(array)
+
+
+class SlabWriter:
+    """Write a tensor of a given shape to ``path`` in chunks of last-mode slabs.
+
+    Each :meth:`write` takes ``shape[:-1] + (m,)`` values, the next ``m``
+    slabs; the payload is first index fastest, so the slabs follow one
+    another in the file.  Closing after fewer or more than ``shape[-1]``
+    slabs raises ``ValueError``.  The file is the one :func:`write_tensor`
+    writes for the assembled tensor, byte for byte.
+    """
+
+    def __init__(self, path, shape, dtype: str = "float64"):
+        shape = tuple(int(d) for d in shape)
+        if len(shape) < 1 or len(shape) > 255:
+            raise ValueError("tensor must have between 1 and 255 modes")
+        if any(d < 1 for d in shape):
+            raise ValueError("every extent must be positive")
+        try:
+            code = _CODES[dtype]
+        except KeyError:
+            raise ValueError(f"unsupported dtype {dtype!r}") from None
+        self.shape = shape
+        self._dtype = _DTYPES[code]
+        self._slabs = 0
+        self._fh = open(path, "wb")
+        self._fh.write(_HEADER.pack(MAGIC, VERSION, code, len(shape), b"\x00\x00"))
+        self._fh.write(np.asarray(shape, dtype="<u8").tobytes())
+
+    def write(self, chunk) -> None:
+        chunk = np.asarray(chunk, dtype=np.float64)
+        if chunk.ndim != len(self.shape) or chunk.shape[:-1] != self.shape[:-1]:
+            raise ValueError(f"chunk of shape {chunk.shape} does not hold slabs of {self.shape}")
+        if self._slabs + chunk.shape[-1] > self.shape[-1]:
+            raise ValueError(f"more than {self.shape[-1]} slabs written")
+        payload = chunk.ravel(order="F").astype(self._dtype, copy=False)
+        self._fh.write(memoryview(payload))
+        self._slabs += chunk.shape[-1]
+
+    def close(self) -> None:
+        self._fh.close()
+        if self._slabs != self.shape[-1]:
+            raise ValueError(f"{self._slabs} of {self.shape[-1]} slabs written")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        if exc_type is None:
+            self.close()
+        else:
+            self._fh.close()
 
 
 def read_tensor(path) -> np.ndarray:

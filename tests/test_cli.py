@@ -3,9 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from tensorcur import generate_synthetic, read_tensor, write_tensor
+from tensorcur import SamplingPlan, generate_synthetic, outer, read_tensor, write_tensor
 from tensorcur.cli import main
-from tensorcur.experiments import CSV_HEADER
+from tensorcur.cur import draw_indices
+from tensorcur.experiments import CSV_HEADER, cur_sample_sizes
 
 
 def test_synthetic_subcommand_writes_csv(tmp_path, capsys):
@@ -86,6 +87,31 @@ def test_compress_reports_rank_loss(tmp_path, capsys):
     assert "warning: rank gate failed" in captured.err
 
 
+def test_compress_reports_a_reconstruction_without_signal(tmp_path, capsys):
+    # a rank-1 spike on rows outside the drawn index sets: the sample sees only
+    # 1e-6 noise, keeps its rank, and reconstructs none of the spike
+    dims, ranks, seed = (16, 16, 16), (1, 1, 1), 4
+    rows, _ = draw_indices(np.empty(dims), SamplingPlan(cur_sample_sizes("chidori", dims, ranks)[0],
+                                                        seed=seed))
+    spike = []
+    for d, idx in zip(dims, rows):
+        v = np.ones(d)
+        v[idx] = 0.0
+        spike.append(v)
+    x = 1e-6 * np.random.default_rng(5).standard_normal(dims) + outer(spike)
+    src = tmp_path / "spike.tnsr"
+    write_tensor(src, x)
+    code = main([
+        "compress", "--input", str(src), "--method", "chidori", "--ranks", "1,1,1",
+        "--seed", str(seed), "--out-dir", str(tmp_path / "out"),
+    ])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert " rank_ok=1 " in captured.out
+    assert "rank gate" not in captured.err
+    assert "warning: the reconstruction carries no signal" in captured.err
+
+
 def test_check_bounds_prints_report(capsys):
     code = main([
         "check-bounds", "--dims", "20", "--rank", "2", "--sigma", "1e-6",
@@ -140,6 +166,14 @@ def test_convert_of_tucker_factors_is_an_input_error(tmp_path, capsys):
     capsys.readouterr()
     code = main(["convert", "--in-dir", str(tucker_dir), "--out-dir", str(tmp_path / "out")])
     assert_input_error(code, capsys, "conversion requires CUR factors")
+
+
+def test_convert_of_a_manifest_without_files_is_an_input_error(tmp_path, capsys):
+    cur_dir = tmp_path / "cur"
+    cur_dir.mkdir()
+    (cur_dir / "manifest.json").write_text(json.dumps({"method": "chidori"}))
+    code = main(["convert", "--in-dir", str(cur_dir), "--out-dir", str(tmp_path / "out")])
+    assert_input_error(code, capsys, "manifest.json lacks the key 'files'")
 
 
 def test_compress_of_a_truncated_file_is_an_input_error(tmp_path, capsys):

@@ -1,21 +1,29 @@
+import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from tensorcur import (
     ExperimentConfig,
+    SamplingPlan,
     compress,
     convert_factors,
+    cur_with_indices,
     frobenius_norm,
     generate_synthetic,
+    hosvd,
     multilinear_rank,
     read_tensor,
     run_sweep,
+    st_hosvd,
     write_csv,
     write_tensor,
 )
-from tensorcur.experiments import CSV_HEADER, rows_to_csv
+from tensorcur import experiments
+from tensorcur.cur import draw_indices
+from tensorcur.experiments import CSV_HEADER, cur_sample_sizes, rows_to_csv
 
 # non-timing columns (all but runtime_ms and extract_ms) of a sweep whose
 # fiber rows all exhaust their 10 resamples, which shifts the chidori seeds
@@ -253,6 +261,116 @@ class TestCompress:
         assert result.runtime_ms > 0.0
 
 
+def reference_reconstruction(x, method, ranks, seed):
+    """``multi_mode_product(core, maps)`` of the decomposition ``compress`` makes."""
+    if method in ("chidori", "fiber"):
+        sizes = cur_sample_sizes(method, x.shape, ranks)
+        rows, cols = draw_indices(x, SamplingPlan(*sizes, seed=seed))
+        return cur_with_indices(x, rows, ranks, cols).reconstruct()
+    return {"hosvd": hosvd, "st-hosvd": st_hosvd}[method](x, ranks).reconstruct()
+
+
+class TestStreamedReconstruction:
+    """``compress`` writes and differences the reconstruction chunk by chunk
+    of last-mode slabs, from the Tucker form, without building it whole."""
+
+    SHAPES = [
+        ((40,), (1,)),
+        ((30, 25), (2, 2)),
+        ((16, 14, 12), (2, 2, 2)),
+        ((9, 8, 7, 6), (2, 2, 2, 2)),
+        ((24, 22, 1), (2, 2, 1)),
+    ]
+
+    @pytest.mark.parametrize("method", ["chidori", "fiber", "hosvd", "st-hosvd"])
+    @pytest.mark.parametrize("dims,ranks", SHAPES)
+    def test_chunking_and_reference(self, tmp_path, monkeypatch, method, dims, ranks):
+        path, x = make_tensor_file(tmp_path, dims, ranks, 1e-3, 13)
+        written = []
+        for chunk_bytes in (1, x.nbytes):  # one slab per chunk, then the whole tensor
+            monkeypatch.setattr(experiments, "_STREAM_CHUNK_BYTES", chunk_bytes)
+            out = tmp_path / f"out{chunk_bytes}"
+            result = compress(path, method, ranks, seed=6, out_dir=out, write_reconstruction=True)
+            written.append((out / "reconstruction.tnsr").read_bytes())
+        assert written[0] == written[1]
+        approx = read_tensor(out / "reconstruction.tnsr")
+        ref = reference_reconstruction(x, method, ranks, 6)
+        assert frobenius_norm(approx - ref) <= 1e-12 * frobenius_norm(ref)
+        residual, norm = frobenius_norm(x - ref), frobenius_norm(x)
+        if residual <= 1e-9 * norm:  # a vector is its own rank-1 reconstruction
+            assert result.snr_db is None
+        else:
+            assert result.snr_db == pytest.approx(20 * np.log10(norm / residual), rel=1e-9)
+
+    @pytest.mark.parametrize("method,row_samples", [("hosvd", None), ("chidori", 5)])
+    def test_exact_sentinel(self, tmp_path, method, row_samples):
+        path, x = make_tensor_file(tmp_path, (5, 5, 5), (2, 2, 2), 1e-3, 14)
+        out = tmp_path / "out"
+        result = compress(path, method, (5, 5, 5), out_dir=out, write_reconstruction=True,
+                          row_samples=row_samples)
+        assert result.snr_db is None
+        assert frobenius_norm(read_tensor(out / "reconstruction.tnsr") - x) <= 1e-12 * frobenius_norm(x)
+
+    def test_zero_intersections_stream_zeros(self, tmp_path):
+        dims, ranks, seed = (12, 10, 8), (2, 2, 2), 3
+        x = np.random.default_rng(15).standard_normal(dims)
+        rows, _ = draw_indices(x, SamplingPlan(cur_sample_sizes("chidori", dims, ranks)[0], seed=seed))
+        x[np.ix_(*rows)] = 0.0  # every intersection is a zero matrix: k_i = 0
+        path = tmp_path / "x.tnsr"
+        write_tensor(path, x)
+        out = tmp_path / "out"
+        result = compress(path, "chidori", ranks, seed=seed, out_dir=out, write_reconstruction=True)
+        assert not result.rank_ok
+        assert not read_tensor(out / "reconstruction.tnsr").any()
+        assert result.snr_db == pytest.approx(0.0, abs=1e-12)
+
+    # sha256 over the names and bytes of the factor files and the manifest,
+    # recorded from the code that built the reconstruction whole
+    FACTOR_DIGESTS = {
+        "chidori": "2dfb3f2b65005fc717e6c09859664097189a5838860c6a4a8afdb2574cccb9d8",
+        "fiber": "f6dbf72630058e75f794ed340c0efd8421b5e807b19d123dbbe0d8ab93185828",
+    }
+
+    @pytest.mark.parametrize("method", ["chidori", "fiber"])
+    def test_cur_factor_files_are_pinned(self, tmp_path, method):
+        path = tmp_path / "x.tnsr"
+        write_tensor(path, np.random.default_rng(21).standard_normal((12, 10, 8)))
+        out = tmp_path / method
+        compress(path, method, (2, 2, 2), seed=4, out_dir=out, write_reconstruction=True)
+        h = hashlib.sha256()
+        for f in sorted(out.iterdir()):
+            if f.name != "reconstruction.tnsr":
+                h.update(f.name.encode())
+                h.update(f.read_bytes())
+        assert h.hexdigest() == self.FACTOR_DIGESTS[method]
+
+    def test_tucker_factor_files(self, tmp_path):
+        path, _ = make_tensor_file(tmp_path, (12, 10, 8), (2, 3, 2), 1e-3, 16)
+        out = tmp_path / "out"
+        compress(path, "st-hosvd", (2, 3, 2), out_dir=out, write_reconstruction=True)
+        dec = st_hosvd(read_tensor(path), (2, 3, 2))
+        ref = tmp_path / "ref.tnsr"
+        for name, array in [("core", dec.core)] + [
+            (f"factor_{i}", w) for i, w in enumerate(dec.factors)
+        ]:
+            write_tensor(ref, array)
+            assert (out / f"{name}.tnsr").read_bytes() == ref.read_bytes()
+
+    def test_peak_memory_is_the_input_plus_one_chunk(self, tmp_path, monkeypatch):
+        path, x = make_tensor_file(tmp_path, (128, 128, 32), (4, 4, 4), 1e-3, 17)
+        nbytes = x.nbytes
+        del x
+        monkeypatch.setattr(experiments, "_STREAM_CHUNK_BYTES", 1 << 16)
+        tracemalloc.start()
+        try:
+            compress(path, "hosvd", (4, 4, 4), out_dir=tmp_path / "out", write_reconstruction=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the whole reconstruction next to the input peaked at 2.2x
+        assert peak < 1.5 * nbytes
+
+
 class TestOneSvdPerIntersection:
     """The rank gate reads the singular values of the SVD that builds each
     pseudoinverse, so a CUR attempt makes one SVD per mode."""
@@ -383,6 +501,23 @@ class TestConvert:
         manifest_path.write_text(json.dumps(manifest))
         with pytest.raises(ValueError, match=message):
             convert_factors(out, tmp_path / "nope")
+
+    @pytest.mark.parametrize(
+        "key", ["files", "dims", "ranks", "row_indices", "fiber_indices",
+                "files.core", "files.fibers", "files.intersections"],
+    )
+    def test_missing_manifest_key_rejected(self, tmp_path, key):
+        path, _ = make_tensor_file(tmp_path, (9, 9, 9), (2, 2, 2), 0.0, 9)
+        out = tmp_path / "cur"
+        compress(path, "chidori", (2, 2, 2), seed=1, out_dir=out)
+        manifest_path = out / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        *outer, name = key.split(".")
+        del (manifest[outer[0]] if outer else manifest)[name]
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match=f"lacks the key '{name}'"):
+            convert_factors(out, tmp_path / "nope")
+        assert not (tmp_path / "nope").exists()
 
     def test_missing_manifest_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="manifest"):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tensorcur import TensorFileError, read_tensor, write_tensor
+from tensorcur.tensorfile import SlabWriter
 
 
 def test_round_trip_bit_exact_random_shapes(tmp_path):
@@ -169,3 +170,48 @@ def test_write_of_fortran_ordered_input_is_not_copied(tmp_path):
     peak = _traced_peak(lambda: write_tensor(path, t))
     assert peak < 0.1 * t.nbytes
     assert np.array_equal(read_tensor(path), t)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.integers(1, 5), min_size=1, max_size=4),
+    st.sampled_from(["C", "F"]),
+    st.sampled_from(["float64", "float32"]),
+    st.data(),
+)
+def test_slab_writer_matches_write_tensor(tmp_path_factory, dims, order, dtype, data):
+    tmp_path = tmp_path_factory.mktemp("slabs")
+    t = np.random.default_rng(len(dims)).standard_normal(dims)
+    t = np.asfortranarray(t) if order == "F" else np.ascontiguousarray(t)
+    whole, slabs = tmp_path / "whole.tnsr", tmp_path / "slabs.tnsr"
+    write_tensor(whole, t, dtype=dtype)
+    with SlabWriter(slabs, t.shape, dtype) as out:
+        start = 0
+        while start < t.shape[-1]:
+            stop = data.draw(st.integers(start + 1, t.shape[-1]))
+            out.write(t[..., start:stop])
+            start = stop
+    assert slabs.read_bytes() == whole.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "chunks,message",
+    [
+        ([np.ones((2, 3, 2)), np.ones((2, 3, 2))], "more than 3 slabs"),
+        ([np.ones((2, 3, 2))], "2 of 3 slabs"),
+        ([np.ones((3, 3, 1))], "does not hold slabs"),
+        ([np.ones((2, 3))], "does not hold slabs"),
+    ],
+)
+def test_slab_writer_rejects_a_wrong_slab_count_or_shape(tmp_path, chunks, message):
+    with pytest.raises(ValueError, match=message):
+        with SlabWriter(tmp_path / "t.tnsr", (2, 3, 3)) as out:
+            for chunk in chunks:
+                out.write(chunk)
+
+
+@pytest.mark.parametrize("shape", [(), (2, 0, 3)])
+def test_slab_writer_rejects_shapes_write_tensor_rejects(tmp_path, shape):
+    for write in (lambda p: write_tensor(p, np.ones(shape)), lambda p: SlabWriter(p, shape)):
+        with pytest.raises(ValueError, match="mode|extent"):
+            write(tmp_path / "t.tnsr")
