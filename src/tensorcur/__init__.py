@@ -40,7 +40,6 @@ from .linalg import (
     multilinear_rank,
     numerical_rank,
     pinv,
-    qr_factor,
     rank_r_pinv,
 )
 from .sampling import (
@@ -56,7 +55,6 @@ from .tensor import (
     frobenius_norm,
     mode_product,
     multi_mode_product,
-    outer,
     select_fibers,
     spectral_norm,
     subtensor,
@@ -101,10 +99,8 @@ __all__ = [
     "multi_mode_product",
     "multilinear_rank",
     "numerical_rank",
-    "outer",
     "pinv",
     "projection_reconstruct",
-    "qr_factor",
     "rank_r_pinv",
     "read_tensor",
     "relative_error",

@@ -12,10 +12,13 @@ fiber columns independently.  The approximation is
 and it reproduces ``A`` exactly precisely when every ``U_i`` has rank equal
 to the mode-i rank of ``A``.  The pseudoinverses are kept factored, with
 ``k_i <= r_i`` columns, from the Gram matrix of ``U_i`` and a Rayleigh-Ritz
-step or its thin SVD (:func:`~tensorcur.linalg.rank_r_pinv_factors`).
+step or its thin SVD (:func:`~tensorcur.linalg.rank_r_pinv_factors`).  A
+decomposition factors each intersection once, on first use, and its rank
+gate, mode maps, Tucker form and reconstruction all read those factors.
 """
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -24,7 +27,6 @@ from .linalg import (
     multilinear_rank,
     numerical_rank,
     pinv,
-    qr_factor,
     rank_r_pinv_factors,
 )
 from .sampling import SamplingPlan, mode_length_distributions, sample_without_replacement
@@ -82,41 +84,42 @@ class CurDecomposition:
     def dims(self) -> tuple[int, ...]:
         return tuple(c.shape[0] for c in self.fibers)
 
-    def mode_maps(self) -> list[np.ndarray]:
-        """The per-mode reconstruction operators ``C_i @ rank_r_pinv(U_i, r_i)``."""
-        return self.gated_mode_maps()[0]
-
-    def _factored_maps(self):
-        """Per mode, ``(C_i @ left_i, right_i, gate_i)`` from one factored
+    @cached_property
+    def _pinv_factors(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+        """Per mode, ``(C_i @ left_i, right_i, s_i)`` from one factored
         pseudoinverse ``rank_r_pinv(U_i, r_i) == left_i @ right_i.T``, both
-        factors ``k_i <= r_i`` wide.  ``gate_i`` holds when ``U_i`` has at
-        least ``r_i`` singular values above ``1e-6 * sigma_1(U_i)``, i.e.
-        the sample kept the target rank."""
+        factors ``k_i <= r_i`` wide, and the singular values ``s_i`` of
+        ``U_i``; computed on first use and kept."""
+        out = []
         for c, u, r in zip(self.fibers, self.intersections, self.ranks):
             left, right, s = rank_r_pinv_factors(u, r)
-            yield c @ left, right, _count_above(s, _RANK_GATE_TOL) >= r
+            out.append((c @ left, right, s))
+        return tuple(out)
 
-    def gated_mode_maps(self) -> tuple[list[np.ndarray], bool]:
-        """The mode maps ``(C_i @ left_i) @ right_i.T`` and the rank gate
-        (every mode's), from one factored pseudoinverse per intersection."""
-        maps, rank_ok = [], True
-        for cl, right, ok in self._factored_maps():
-            maps.append(cl @ right.T)
-            rank_ok = rank_ok and ok
-        return maps, rank_ok
+    @property
+    def rank_ok(self) -> bool:
+        """The rank gate: every ``U_i`` has at least ``r_i`` singular values
+        above ``1e-6 * sigma_1(U_i)``, i.e. the sample kept the target rank."""
+        return all(
+            _count_above(s, _RANK_GATE_TOL) >= r
+            for (_, _, s), r in zip(self._pinv_factors, self.ranks)
+        )
 
-    def gated_tucker_form(self) -> tuple[tuple[np.ndarray, list[np.ndarray]], bool]:
-        """The reconstruction as a Tucker form ``(small, factors)`` and the
-        rank gate, from one factored pseudoinverse per intersection.
+    def mode_maps(self) -> list[np.ndarray]:
+        """The per-mode reconstruction operators ``C_i @ rank_r_pinv(U_i, r_i)``,
+        formed as ``(C_i @ left_i) @ right_i.T``."""
+        return [cl @ right.T for cl, right, _ in self._pinv_factors]
+
+    def tucker_form(self) -> tuple[np.ndarray, list[np.ndarray]]:
+        """The reconstruction as a Tucker form ``(small, factors)``.
 
         ``small = core x_0 right_0.T ... x_{n-1} right_{n-1}.T`` is ``k_0 x
         ... x k_{n-1}`` and ``factors[i] = C_i @ left_i``, so ``small x_0
         factors[0] ... x_{n-1} factors[n-1]`` equals :meth:`reconstruct` up
         to rounding without a full-size intermediate.
         """
-        parts = list(self._factored_maps())
-        small = multi_mode_product(self.core, [right.T for _, right, _ in parts])
-        return (small, [cl for cl, _, _ in parts]), all(ok for _, _, ok in parts)
+        small = multi_mode_product(self.core, [right.T for _, right, _ in self._pinv_factors])
+        return small, [cl for cl, _, _ in self._pinv_factors]
 
     def reconstruct(self) -> np.ndarray:
         """Apply the mode maps to the core; output has the source dims."""
@@ -273,11 +276,11 @@ def cur_to_hosvd(dec: CurDecomposition) -> HosvdDecomposition:
     """
     qs = []
     rs = []
-    for cl, right, _ in dec._factored_maps():
+    for cl, right, _ in dec._pinv_factors:
         if cl.shape[1] == 0:
             # nothing inverted: keep the zero map as one zero column
             cl, right = np.zeros((cl.shape[0], 1)), np.zeros((right.shape[0], 1))
-        q, rr = qr_factor(cl)
+        q, rr = np.linalg.qr(cl)
         qs.append(q)
         rs.append(rr @ right.T)
     small = multi_mode_product(dec.core, rs)

@@ -131,14 +131,21 @@ def cur_sample_sizes(method: str, dims, ranks, row_samples=None, fiber_samples=N
     return t, s
 
 
-def _gated_cur(x, ranks, sizes, seeds, gated=CurDecomposition.gated_mode_maps):
-    """Draw, extract and gate one CUR per seed until the rank gate passes.
+def _decompose(method, x, ranks, seeds, row_samples, fiber_samples):
+    """Decompose ``x`` with ``method``, timed.
 
-    ``gated`` maps a decomposition to ``(form, rank_ok)``: its mode maps by
-    default, or its Tucker form.  Returns ``(dec, form, runtime_s,
-    extract_s, rank_ok, resamples)``; the times cover drawing, extraction
-    and ``gated``, summed over attempts.
+    A CUR method draws, extracts and gates one decomposition per seed of
+    ``seeds`` until the rank gate passes; a Tucker method takes no seed.
+    Returns ``(dec, runtime_s, extract_s, rank_ok, resamples)``.  The
+    runtime covers the Tucker decomposition, or for CUR the drawing, the
+    extraction and the pseudoinverses with their rank gate, summed over
+    attempts; forming the mode maps is left to reconstruction.
     """
+    if method not in CUR_METHODS:
+        t0 = time.perf_counter()
+        dec = {"hosvd": hosvd, "st-hosvd": st_hosvd, "hooi": hooi}[method](x, ranks)
+        return dec, time.perf_counter() - t0, 0.0, True, 0
+    sizes = cur_sample_sizes(method, x.shape, ranks, row_samples, fiber_samples)
     runtime = extract = 0.0
     for resamples, seed in enumerate(seeds):
         t0 = time.perf_counter()
@@ -146,23 +153,12 @@ def _gated_cur(x, ranks, sizes, seeds, gated=CurDecomposition.gated_mode_maps):
         t1 = time.perf_counter()
         dec = cur_with_indices(x, rows, ranks, cols)
         t2 = time.perf_counter()
-        form, rank_ok = gated(dec)
+        rank_ok = dec.rank_ok
         runtime += time.perf_counter() - t0
         extract += t2 - t1
         if rank_ok:
             break
-    return dec, form, runtime, extract, rank_ok, resamples
-
-
-def _timed_tucker(method, noisy, ranks):
-    t0 = time.perf_counter()
-    if method == "hosvd":
-        dec = hosvd(noisy, ranks)
-    elif method == "st-hosvd":
-        dec = st_hosvd(noisy, ranks)
-    else:
-        dec = hooi(noisy, ranks)
-    return dec, time.perf_counter() - t0
+    return dec, runtime, extract, rank_ok, resamples
 
 
 def run_sweep(cfg: ExperimentConfig) -> list[dict]:
@@ -183,19 +179,11 @@ def run_sweep(cfg: ExperimentConfig) -> list[dict]:
                 rng = np.random.default_rng(seed)
                 exact, noisy, _ = generate_synthetic(d, cfg.rank, sigma, rng)
                 for method in cfg.methods:
-                    if method in CUR_METHODS:
-                        sizes = cur_sample_sizes(
-                            method, noisy.shape, ranks, cfg.row_samples, cfg.fiber_samples
-                        )
-                        # drawn lazily: a resample takes the next seed from the trial rng
-                        seeds = (int(rng.integers(2**63)) for _ in range(cfg.max_resamples + 1))
-                        dec, maps, runtime, extract, rank_ok, resamples = _gated_cur(
-                            noisy, ranks, sizes, seeds
-                        )
-                        approx = multi_mode_product(dec.core, maps)
-                    else:
-                        dec, runtime = _timed_tucker(method, noisy, ranks)
-                        approx, extract, rank_ok, resamples = dec.reconstruct(), 0.0, True, 0
+                    # drawn lazily: a CUR resample takes the next seed from the trial rng
+                    seeds = (int(rng.integers(2**63)) for _ in range(cfg.max_resamples + 1))
+                    dec, runtime, extract, rank_ok, resamples = _decompose(
+                        method, noisy, ranks, seeds, cfg.row_samples, cfg.fiber_samples
+                    )
                     rows.append(
                         {
                             "method": method,
@@ -204,7 +192,7 @@ def run_sweep(cfg: ExperimentConfig) -> list[dict]:
                             "sigma": sigma,
                             "trial": trial,
                             "seed": seed,
-                            "rel_err": relative_error(exact, approx),
+                            "rel_err": relative_error(exact, dec.reconstruct()),
                             "runtime_ms": runtime * 1e3,
                             "rank_ok": rank_ok,
                             "resamples": resamples,
@@ -338,25 +326,21 @@ def compress(
     norm = frobenius_norm(x)
     if not math.isfinite(norm):
         raise ValueError(f"{input_path} holds non-finite values")
+    dec, runtime, extract, rank_ok, _ = _decompose(
+        method, x, ranks, [int(seed)], row_samples, fiber_samples
+    )
     out_dir = Path(out_dir) if out_dir is not None else Path(str(input_path) + ".factors")
     out_dir.mkdir(parents=True, exist_ok=True)
-
     if method in CUR_METHODS:
-        sizes = cur_sample_sizes(method, x.shape, ranks, row_samples, fiber_samples)
-        dec, (core, factors), runtime, extract, rank_ok, _ = _gated_cur(
-            x, ranks, sizes, [int(seed)], CurDecomposition.gated_tucker_form
-        )
         files = _write_cur_factors(out_dir, dec, seed)
     else:
-        dec, runtime = _timed_tucker(method, x, ranks)
-        core, factors, extract, rank_ok = dec.core, dec.factors, 0.0, True
         files = _write_tucker_factors(out_dir, dec.core, dec.factors, method, x.shape)
 
     rec_path = None
     if write_reconstruction:
         rec_path = out_dir / "reconstruction.tnsr"
         files["reconstruction"] = rec_path.name
-    residual = _stream_reconstruction(x, core, factors, rec_path)
+    residual = _stream_reconstruction(x, *dec.tucker_form(), rec_path)
     # a reconstruction exact to machine precision (e.g. ranks == dims) has a
     # roundoff-dominated SNR; report the exact sentinel instead of a number
     snr = None if residual <= 1e-12 * norm else 20.0 * math.log10(norm / residual)
@@ -378,7 +362,8 @@ def convert_factors(in_dir, out_dir):
 
     Reads the manifest and factor files written by :func:`compress` for a
     CUR method, runs the CUR-to-Tucker conversion, and writes the resulting
-    core and factors with a Tucker-style manifest.
+    core and factors with a Tucker-style manifest.  A factor file holding a
+    non-finite value is rejected by name.
     """
     in_dir = Path(in_dir)
     out_dir = Path(out_dir)
@@ -394,9 +379,17 @@ def convert_factors(in_dir, out_dir):
                   _MANIFEST_NAME)
     files = manifest["files"]
     _require_keys(files, ("core", "fibers", "intersections"), f"{_MANIFEST_NAME} 'files'")
-    core = read_tensor(in_dir / files["core"])
-    fibers = tuple(read_tensor(in_dir / f) for f in files["fibers"])
-    inters = tuple(read_tensor(in_dir / f) for f in files["intersections"])
+
+    def read_finite(name):
+        path = in_dir / name
+        a = read_tensor(path)
+        if not np.isfinite(a).all():
+            raise ValueError(f"{path} holds non-finite values")
+        return a
+
+    core = read_finite(files["core"])
+    fibers = tuple(read_finite(f) for f in files["fibers"])
+    inters = tuple(read_finite(f) for f in files["intersections"])
     dims = tuple(int(d) for d in manifest["dims"])
     ranks = tuple(int(r) for r in manifest["ranks"])
     n = len(dims)

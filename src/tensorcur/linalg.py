@@ -1,4 +1,4 @@
-"""Matrix factorization primitives: compact SVD, pseudoinverses, numerical rank, QR.
+"""Matrix factorization primitives: compact SVD, pseudoinverses, numerical rank.
 
 All factorizations are dense and delegate to LAPACK through ``numpy.linalg``.
 The default rank cutoff is the conventional ``max(rows, cols) * eps`` relative
@@ -18,7 +18,6 @@ __all__ = [
     "rank_r_pinv",
     "rank_r_pinv_factors",
     "numerical_rank",
-    "qr_factor",
     "multilinear_rank",
 ]
 
@@ -169,13 +168,6 @@ def _gram_eigh(g: np.ndarray, q: int):
     if lam[-1] > 0.0 and lam[-q] >= _GRAM_MIN_RATIO * lam[-1]:
         return lam, v
     return None
-
-
-def qr_factor(m) -> tuple[np.ndarray, np.ndarray]:
-    """Reduced QR factorization: ``q @ r == m`` with orthonormal ``q`` columns."""
-    m = _as_matrix(m)
-    q, r = np.linalg.qr(m, mode="reduced")
-    return q, r
 
 
 def multilinear_rank(t, tol: float | None = None) -> tuple[int, ...]:

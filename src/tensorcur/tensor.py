@@ -21,7 +21,6 @@ Conventions used throughout the package:
 """
 
 import math
-from functools import reduce
 
 import numpy as np
 
@@ -31,7 +30,6 @@ __all__ = [
     "mode_product",
     "multi_mode_product",
     "gram",
-    "outer",
     "subtensor",
     "select_fibers",
     "composite_index",
@@ -189,15 +187,6 @@ def gram(t, k: int) -> np.ndarray:
         g += x @ x.T
         del x  # one chunk copy at a time
     return g
-
-
-def outer(vectors) -> np.ndarray:
-    """Outer product of ``n`` vectors: entry ``(i_0, ..., i_{n-1})`` equals
-    ``prod_k v_k[i_k]``.  Every unfolding of the result has rank <= 1."""
-    vectors = [np.asarray(v, dtype=np.float64).ravel() for v in vectors]
-    if not vectors:
-        raise ValueError("outer requires at least one vector")
-    return reduce(np.multiply.outer, vectors)
 
 
 def subtensor(t, index_sets) -> np.ndarray:

@@ -29,6 +29,10 @@ class HosvdDecomposition:
     core: np.ndarray
     factors: tuple[np.ndarray, ...]
 
+    def tucker_form(self) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+        """``(core, factors)``, the form :meth:`reconstruct` multiplies out."""
+        return self.core, self.factors
+
     def reconstruct(self) -> np.ndarray:
         return multi_mode_product(self.core, self.factors)
 
@@ -58,7 +62,7 @@ def _leading_left_vectors(t: np.ndarray, k: int, r: int) -> np.ndarray:
     return np.linalg.svd(m, full_matrices=False)[0][:, :q]
 
 
-def hosvd(t, ranks=None, tol: float | None = None) -> HosvdDecomposition:
+def hosvd(t, ranks=None) -> HosvdDecomposition:
     """Truncated higher-order SVD.
 
     Factor ``k`` holds the leading ``r_k`` left singular vectors of the
@@ -68,7 +72,7 @@ def hosvd(t, ranks=None, tol: float | None = None) -> HosvdDecomposition:
     """
     t = np.asarray(t, dtype=np.float64)
     if ranks is None:
-        ranks = multilinear_rank(t, tol)
+        ranks = multilinear_rank(t)
         ranks = tuple(max(1, r) for r in ranks)
     ranks = check_ranks(ranks, t.shape)
     factors = tuple(_leading_left_vectors(t, k, r) for k, r in enumerate(ranks))
@@ -105,8 +109,8 @@ def hooi(t, ranks, max_iters: int = 50, tol: float = 1e-8) -> HosvdDecomposition
     ranks = check_ranks(ranks, t.shape)
     if max_iters < 0:
         raise ValueError("max_iters must be nonnegative")
-    factors = list(st_hosvd(t, ranks).factors)
-    core = multi_mode_product(t, [w.T for w in factors])
+    start = st_hosvd(t, ranks)
+    factors, core = list(start.factors), start.core
     previous = frobenius_norm(core)
     for _ in range(max_iters):
         for k, r in enumerate(ranks):
@@ -115,7 +119,8 @@ def hooi(t, ranks, max_iters: int = 50, tol: float = 1e-8) -> HosvdDecomposition
                 if j != k:
                     partial = mode_product(partial, w.T, j)
             factors[k] = _leading_left_vectors(partial, k, r)
-        core = multi_mode_product(t, [w.T for w in factors])
+        # the last partial is t x_j W_j.T for every j < n-1, all updated
+        core = mode_product(partial, factors[-1].T, t.ndim - 1)
         current = frobenius_norm(core)
         if abs(current - previous) <= tol * max(current, np.finfo(np.float64).tiny):
             break

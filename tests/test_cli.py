@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from tensorcur import SamplingPlan, generate_synthetic, outer, read_tensor, write_tensor
+from tensorcur import SamplingPlan, generate_synthetic, read_tensor, write_tensor
 from tensorcur.cli import main
 from tensorcur.cur import draw_indices
 from tensorcur.experiments import CSV_HEADER, cur_sample_sizes
@@ -98,7 +98,8 @@ def test_compress_reports_a_reconstruction_without_signal(tmp_path, capsys):
         v = np.ones(d)
         v[idx] = 0.0
         spike.append(v)
-    x = 1e-6 * np.random.default_rng(5).standard_normal(dims) + outer(spike)
+    rank_one = np.multiply.outer(np.multiply.outer(spike[0], spike[1]), spike[2])
+    x = 1e-6 * np.random.default_rng(5).standard_normal(dims) + rank_one
     src = tmp_path / "spike.tnsr"
     write_tensor(src, x)
     code = main([
@@ -191,3 +192,30 @@ def test_compress_of_a_missing_file_is_an_input_error(tmp_path, capsys):
     src = tmp_path / "absent.tnsr"
     code = main(["compress", "--input", str(src), "--method", "chidori", "--ranks", "2,2,2"])
     assert_input_error(code, capsys, "absent.tnsr")
+
+
+@pytest.mark.parametrize("sizes", [["--row-samples", "0"], ["--fiber-samples", "100000"]])
+def test_compress_with_bad_sample_sizes_leaves_no_output_directory(tmp_path, capsys, sizes):
+    _, noisy, _ = generate_synthetic(8, 2, 0.0, np.random.default_rng(4))
+    src = tmp_path / "t.tnsr"
+    write_tensor(src, noisy)
+    code = main(["compress", "--input", str(src), "--method", "fiber", "--ranks", "2,2,2",
+                 "--out-dir", str(tmp_path / "out"), *sizes])
+    assert_input_error(code, capsys, "sample size")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name", ["core.tnsr", "fiber_1.tnsr", "intersection_0.tnsr"])
+def test_convert_of_a_non_finite_factor_names_the_file(tmp_path, capsys, name):
+    _, noisy, _ = generate_synthetic(8, 2, 1e-3, np.random.default_rng(5))
+    src = tmp_path / "t.tnsr"
+    write_tensor(src, noisy)
+    cur_dir = tmp_path / "cur"
+    main(["compress", "--input", str(src), "--method", "fiber", "--ranks", "2,2,2",
+          "--out-dir", str(cur_dir)])
+    capsys.readouterr()
+    factor = read_tensor(cur_dir / name)
+    factor.flat[0] = np.nan
+    write_tensor(cur_dir / name, factor)
+    code = main(["convert", "--in-dir", str(cur_dir), "--out-dir", str(tmp_path / "out")])
+    assert_input_error(code, capsys, f"{cur_dir / name} holds non-finite values")

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -12,6 +13,7 @@ from tensorcur import (
     composite_index,
     cur_to_hosvd,
     cur_with_indices,
+    evaluate_error_bounds,
     fiber_cur,
     fiber_sample_sizes,
     frobenius_norm,
@@ -22,6 +24,7 @@ from tensorcur import (
     relative_error,
     unfold,
 )
+from tensorcur import cur
 from tensorcur.cur import draw_indices
 
 from conftest import random_low_rank
@@ -357,10 +360,56 @@ class TestRankGate:
         a = random_low_rank(dims, ranks, np.random.default_rng(plan.seed))
         rows, cols = draw_indices(a, plan)
         dec = cur_with_indices(a, rows, ranks, cols)
-        maps, rank_ok = dec.gated_mode_maps()
+        maps, rank_ok = dec.mode_maps(), dec.rank_ok
         assert rank_ok == all(
             numerical_rank(u, 1e-6) >= r for u, r in zip(dec.intersections, ranks)
         )
         assert all(np.array_equal(m, p) for m, p in zip(maps, dec.mode_maps()))
         if rank_ok:
             assert relative_error(a, multi_mode_product(dec.core, maps)) <= 1e-8
+
+
+class TestOneFactorizationPerDecomposition:
+    """A decomposition factors each intersection once, on first use, and
+    every reader shares those factors."""
+
+    @pytest.fixture
+    def pinv_calls(self, monkeypatch):
+        calls = []
+        factor = cur.rank_r_pinv_factors
+
+        def counting(*args, **kwargs):
+            calls.append(np.shape(args[0]))
+            return factor(*args, **kwargs)
+
+        monkeypatch.setattr(cur, "rank_r_pinv_factors", counting)
+        return calls
+
+    @pytest.mark.parametrize("dims, ranks", [((9, 8, 7), (2, 3, 2)), ((6, 5, 5, 4), (2, 2, 2, 2))])
+    def test_every_reader(self, pinv_calls, dims, ranks):
+        exact, dec = exact_chidori(dims, ranks, 4)
+        noise = np.zeros(dims)
+        assert dec.rank_ok
+        dec.mode_maps()
+        dec.tucker_form()
+        dec.reconstruct()
+        check_characterization(exact, dec)
+        cur_to_hosvd(dec)
+        evaluate_error_bounds(exact, noise, dec)
+        assert len(pinv_calls) == len(dims)
+
+    def test_tucker_form_reproduces_the_reconstruction(self):
+        a = np.random.default_rng(8).standard_normal((9, 8, 7))
+        dec = fiber_cur(a, SamplingPlan((5, 4, 4), (6, 7, 5), seed=2), (3, 2, 3))
+        small, factors = dec.tucker_form()
+        assert relative_error(dec.reconstruct(), multi_mode_product(small, factors)) <= 1e-12
+
+    def test_replace_factors_afresh(self, pinv_calls):
+        t, dec = exact_chidori((8, 7, 6), (2, 2, 2), 5)
+        maps = dec.mode_maps()
+        lower = dataclasses.replace(dec, ranks=(1, 1, 1))
+        expected = cur_with_indices(t, dec.row_indices, (1, 1, 1)).mode_maps()
+        assert len(pinv_calls) == 6
+        assert all(np.array_equal(m, e) for m, e in zip(lower.mode_maps(), expected))
+        assert all(np.array_equal(m, p) for m, p in zip(dec.mode_maps(), maps))
+        assert len(pinv_calls) == 9

@@ -248,6 +248,15 @@ class TestCompress:
             compress(path, method, (2, 2, 2), out_dir=tmp_path / "out")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "method, sizes", [("chidori", {"row_samples": 0}), ("fiber", {"fiber_samples": 100000})]
+    )
+    def test_bad_sample_sizes_leave_no_output_directory(self, tmp_path, method, sizes):
+        path, _ = make_tensor_file(tmp_path, (6, 6, 6), (2, 2, 2), 0.0, 4)
+        with pytest.raises(ValueError, match="sample size"):
+            compress(path, method, (2, 2, 2), out_dir=tmp_path / "out", **sizes)
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_method_rejected(self, tmp_path):
         path, _ = make_tensor_file(tmp_path, (5, 5, 5), (2, 2, 2), 0.0, 4)
         with pytest.raises(ValueError):
@@ -516,6 +525,18 @@ class TestConvert:
         del (manifest[outer[0]] if outer else manifest)[name]
         manifest_path.write_text(json.dumps(manifest))
         with pytest.raises(ValueError, match=f"lacks the key '{name}'"):
+            convert_factors(out, tmp_path / "nope")
+        assert not (tmp_path / "nope").exists()
+
+    @pytest.mark.parametrize("name", ["core.tnsr", "fiber_1.tnsr", "intersection_0.tnsr"])
+    def test_non_finite_factor_file_rejected_by_name(self, tmp_path, name):
+        path, _ = make_tensor_file(tmp_path, (9, 9, 9), (2, 2, 2), 1e-3, 9)
+        out = tmp_path / "cur"
+        compress(path, "fiber", (2, 2, 2), seed=1, out_dir=out)
+        factor = read_tensor(out / name)
+        factor.flat[0] = np.nan
+        write_tensor(out / name, factor)
+        with pytest.raises(ValueError, match=f"{name} holds non-finite values"):
             convert_factors(out, tmp_path / "nope")
         assert not (tmp_path / "nope").exists()
 

@@ -9,7 +9,6 @@ from tensorcur import (
     multilinear_rank,
     numerical_rank,
     pinv,
-    qr_factor,
     rank_r_pinv,
     unfold,
 )
@@ -256,11 +255,3 @@ class TestRankAndQr:
         m = np.diag([1.0, 1e-3, 1e-9])
         assert numerical_rank(m, tol=1e-6) == 2
         assert numerical_rank(m, tol=1e-12) == 3
-
-    def test_qr_round_trip(self):
-        rng = np.random.default_rng(10)
-        m = rng.standard_normal((7, 3))
-        q, r = qr_factor(m)
-        assert np.linalg.norm(q @ r - m) <= 1e-11 * np.linalg.norm(m)
-        assert np.linalg.norm(q.T @ q - np.eye(3)) < 1e-10
-        assert np.allclose(r, np.triu(r))

@@ -12,7 +12,6 @@ from tensorcur import (
     mode_product,
     multi_mode_product,
     numerical_rank,
-    outer,
     select_fibers,
     spectral_norm,
     subtensor,
@@ -162,27 +161,6 @@ class TestCheckRanks:
     def test_rejects(self, ranks, message):
         with pytest.raises(ValueError, match=message):
             check_ranks(ranks, (2, 5))
-
-
-class TestOuter:
-    def test_two_basis_vectors(self):
-        e1 = np.array([1.0, 0.0])
-        got = outer([e1, e1])
-        assert np.array_equal(got, [[1.0, 0.0], [0.0, 0.0]])
-
-    def test_direct_product_values(self):
-        got = outer([np.array([1.0, 2.0]), np.array([1.0, 1.0, 1.0])])
-        assert np.array_equal(got, [[1, 1, 1], [2, 2, 2]])
-
-    def test_unfoldings_have_rank_one(self):
-        rng = np.random.default_rng(21)
-        t = outer([rng.standard_normal(d) + 2.0 for d in (3, 4, 5)])
-        for k in range(3):
-            assert numerical_rank(unfold(t, k)) == 1
-
-    def test_empty_list(self):
-        with pytest.raises(ValueError):
-            outer([])
 
 
 class TestSubtensorAndFibers:

@@ -15,6 +15,8 @@ from tensorcur import (
     unfold,
 )
 
+import tensorcur.tensor
+import tensorcur.tucker
 from tensorcur.tensor import mode_product
 
 from conftest import random_low_rank, tensor_with_layout
@@ -240,3 +242,21 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert peak < 0.25 * t.nbytes
+
+
+@pytest.mark.parametrize("max_iters, tol, full_size", [(1, 1e-8, 4), (3, 0.0, 10)])
+def test_hooi_reuses_the_cores_it_has(monkeypatch, max_iters, tol, full_size):
+    # st_hosvd's core starts the iteration and each sweep's last partial
+    # finishes its core, so only st_hosvd's first product and each factor
+    # update multiply the full tensor
+    t = np.random.default_rng(6).standard_normal((10, 9, 8))
+    operands = []
+
+    def counting(x, a, k):
+        operands.append(np.size(x))
+        return mode_product(x, a, k)
+
+    monkeypatch.setattr(tensorcur.tensor, "mode_product", counting)
+    monkeypatch.setattr(tensorcur.tucker, "mode_product", counting)
+    hooi(t, (3, 3, 3), max_iters=max_iters, tol=tol)
+    assert operands.count(t.size) == full_size
