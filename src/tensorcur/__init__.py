@@ -12,7 +12,6 @@ from .analysis import (
     coherence,
     evaluate_error_bounds,
     relative_error,
-    snr_db,
     tensor_coherence,
 )
 from .cur import (
@@ -34,14 +33,7 @@ from .experiments import (
     run_sweep,
     write_csv,
 )
-from .linalg import (
-    SvdFactors,
-    compact_svd,
-    multilinear_rank,
-    numerical_rank,
-    pinv,
-    rank_r_pinv,
-)
+from .linalg import multilinear_rank, numerical_rank, pinv
 from .sampling import (
     SamplingPlan,
     chidori_sample_sizes,
@@ -74,13 +66,11 @@ __all__ = [
     "ExperimentConfig",
     "HosvdDecomposition",
     "SamplingPlan",
-    "SvdFactors",
     "TensorFileError",
     "check_characterization",
     "chidori_cur",
     "chidori_sample_sizes",
     "coherence",
-    "compact_svd",
     "composite_index",
     "compress",
     "convert_factors",
@@ -101,13 +91,11 @@ __all__ = [
     "numerical_rank",
     "pinv",
     "projection_reconstruct",
-    "rank_r_pinv",
     "read_tensor",
     "relative_error",
     "run_sweep",
     "sample_without_replacement",
     "select_fibers",
-    "snr_db",
     "spectral_norm",
     "st_hosvd",
     "subtensor",

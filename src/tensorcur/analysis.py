@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cur import CurDecomposition
-from .linalg import compact_svd, multilinear_rank
+from .linalg import _EPS, _as_matrix, _count_above, multilinear_rank
 from .tensor import frobenius_norm, select_fibers, spectral_norm, subtensor, unfold
 
 __all__ = [
@@ -24,7 +24,6 @@ __all__ = [
     "tensor_coherence",
     "evaluate_error_bounds",
     "relative_error",
-    "snr_db",
 ]
 
 _ORTHONORMALITY_TOL = 1e-6
@@ -47,6 +46,18 @@ def coherence(w) -> float:
         )
     row_norms = np.einsum("ij,ij->i", w, w)
     return float(d / r * row_norms.max())
+
+
+def _leading_left(t: np.ndarray, k: int, r: int, error: str):
+    """The leading ``r`` left singular vectors and all singular values of the
+    finite ``unfold(t, k)``; ``error.format(k=k, rank=rank, r=r)`` is raised
+    when its numerical rank, counted as by ``numerical_rank``, is below ``r``."""
+    m = _as_matrix(unfold(t, k))
+    w, s, _ = np.linalg.svd(m, full_matrices=False)
+    rank = _count_above(s, max(m.shape) * _EPS)
+    if rank < r:
+        raise ValueError(error.format(k=k, rank=rank, r=r))
+    return w[:, :r], s
 
 
 @dataclass(frozen=True)
@@ -78,15 +89,11 @@ def tensor_coherence(a, ranks=None, tol: float | None = None) -> CoherenceReport
     smin = math.inf
     smax = 0.0
     for k, r in enumerate(ranks):
-        f = compact_svd(unfold(a, k))
-        if f.rank < r:
-            raise ValueError(
-                f"mode {k} unfolding has numerical rank {f.rank} < requested {r}"
-            )
-        mus.append(coherence(f.left[:, :r]))
-        svals.append(f.singular_values[:r].copy())
-        smin = min(smin, float(f.singular_values[r - 1]))
-        smax = max(smax, float(f.singular_values[0]))
+        w, s = _leading_left(a, k, r, "mode {k} unfolding has numerical rank {rank} < requested {r}")
+        mus.append(coherence(w))
+        svals.append(s[:r].copy())
+        smin = min(smin, float(s[r - 1]))
+        smax = max(smax, float(s[0]))
     return CoherenceReport(tuple(mus), max(mus), smin, smax, tuple(svals))
 
 
@@ -150,19 +157,14 @@ def evaluate_error_bounds(exact, noise, dec: CurDecomposition) -> BoundReport:
     premise = []
     for i in range(n):
         r = ranks[i]
-        unfolding = unfold(exact, i)
-        f = compact_svd(unfolding)
-        if f.rank < r:
-            raise ValueError(
-                f"exact tensor has mode-{i} rank {f.rank}, below target {r}"
-            )
-        w_sub = f.left[:, :r][dec.row_indices[i], :]
+        w, s = _leading_left(exact, i, r, "exact tensor has mode-{k} rank {rank}, below target {r}")
+        w_sub = w[dec.row_indices[i], :]
         s_w = np.linalg.svd(w_sub, compute_uv=False)
         sigma_r_w = float(s_w[r - 1]) if s_w.size >= r else 0.0
         w_pinv.append(_inverse_or_inf(sigma_r_w))
-        a_pinv.append(_inverse_or_inf(float(f.singular_values[r - 1])))
+        a_pinv.append(_inverse_or_inf(float(s[r - 1])))
 
-        clean_u = unfolding[np.ix_(dec.row_indices[i], dec.fiber_indices[i])]
+        clean_u = select_fibers(exact, i, dec.fiber_indices[i])[dec.row_indices[i], :]
         s_u = np.linalg.svd(clean_u, compute_uv=False)
         sigma_r_u = float(s_u[r - 1]) if s_u.size >= r else 0.0
         u_sigma_r.append(sigma_r_u)
@@ -218,13 +220,3 @@ def relative_error(a, approx) -> float:
     if norm == 0.0:
         raise ValueError("relative error undefined for a zero reference tensor")
     return frobenius_norm(a - approx) / norm
-
-
-def snr_db(x, x_r) -> float:
-    """Signal-to-noise ratio ``10 * log10(||x||_F^2 / ||x - x_r||_F^2)`` in dB."""
-    x = np.asarray(x, dtype=np.float64)
-    x_r = np.asarray(x_r, dtype=np.float64)
-    denom = frobenius_norm(x - x_r)
-    if denom == 0.0:
-        raise ValueError("SNR undefined for an exact reconstruction")
-    return 20.0 * math.log10(frobenius_norm(x) / denom)

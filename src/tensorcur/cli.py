@@ -7,18 +7,16 @@ import sys
 import numpy as np
 
 from .analysis import evaluate_error_bounds
-from .cur import cur_with_indices, draw_indices
 from .experiments import (
     METHODS,
     ExperimentConfig,
+    _decompose,
     compress,
     convert_factors,
-    cur_sample_sizes,
     generate_synthetic,
     run_sweep,
     write_csv,
 )
-from .sampling import SamplingPlan
 
 
 def _int_list(text: str) -> list[int]:
@@ -154,10 +152,9 @@ def _cmd_check_bounds(args) -> int:
     dims = args.dims if len(args.dims) > 1 else args.dims[0]
     rng = np.random.default_rng(args.seed)
     exact, noisy, noise = generate_synthetic(dims, args.rank, args.sigma, rng)
-    ranks = (args.rank,) * exact.ndim
-    sizes = cur_sample_sizes(args.method, exact.shape, ranks)
-    rows, cols = draw_indices(noisy, SamplingPlan(*sizes, seed=args.seed))
-    dec = cur_with_indices(noisy, rows, ranks, cols)
+    # one draw at the default sample sizes, never resampled: the bounds hold
+    # or fail for the sample as drawn
+    dec = _decompose(args.method, noisy, (args.rank,) * exact.ndim, [args.seed], None, None)[0]
     report = evaluate_error_bounds(exact, noise, dec)
     print(f"variant: {dec.variant}")
     print(f"measured_error:        {report.measured_error:.6e}")

@@ -7,10 +7,12 @@ columns to be the composite of the other modes' index sets, which makes
 ``U_i`` equal to the mode-i unfolding of the core; the Fiber variant samples
 fiber columns independently.  The approximation is
 
-    R x_0 (C_0 @ rank_r_pinv(U_0, r_0)) x_1 ... x_{n-1} (C_{n-1} @ ...)
+    R x_0 (C_0 @ U_0^+_{r_0}) x_1 ... x_{n-1} (C_{n-1} @ U_{n-1}^+_{r_{n-1}})
 
-and it reproduces ``A`` exactly precisely when every ``U_i`` has rank equal
-to the mode-i rank of ``A``.  The pseudoinverses are kept factored, with
+where ``U_i^+_{r_i}`` is the pseudoinverse of the best rank-``r_i``
+approximation of ``U_i`` (singular values below ``1e-14 * sigma_1`` are not
+inverted).  It reproduces ``A`` exactly precisely when every ``U_i`` has rank
+equal to the mode-i rank of ``A``.  The pseudoinverses are kept factored, with
 ``k_i <= r_i`` columns, from the Gram matrix of ``U_i`` and a Rayleigh-Ritz
 step or its thin SVD (:func:`~tensorcur.linalg.rank_r_pinv_factors`).  A
 decomposition factors each intersection once, on first use, and its rank
@@ -77,19 +79,16 @@ class CurDecomposition:
     ranks: tuple[int, ...]
 
     @property
-    def ndim(self) -> int:
-        return len(self.fibers)
-
-    @property
     def dims(self) -> tuple[int, ...]:
         return tuple(c.shape[0] for c in self.fibers)
 
     @cached_property
     def _pinv_factors(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
         """Per mode, ``(C_i @ left_i, right_i, s_i)`` from one factored
-        pseudoinverse ``rank_r_pinv(U_i, r_i) == left_i @ right_i.T``, both
-        factors ``k_i <= r_i`` wide, and the singular values ``s_i`` of
-        ``U_i``; computed on first use and kept."""
+        pseudoinverse ``U_i^+_{r_i} == left_i @ right_i.T`` of the best
+        rank-``r_i`` approximation of ``U_i``, both factors ``k_i <= r_i``
+        wide, and the singular values ``s_i`` of ``U_i``; computed on first
+        use and kept."""
         out = []
         for c, u, r in zip(self.fibers, self.intersections, self.ranks):
             left, right, s = rank_r_pinv_factors(u, r)
@@ -106,8 +105,8 @@ class CurDecomposition:
         )
 
     def mode_maps(self) -> list[np.ndarray]:
-        """The per-mode reconstruction operators ``C_i @ rank_r_pinv(U_i, r_i)``,
-        formed as ``(C_i @ left_i) @ right_i.T``."""
+        """The per-mode reconstruction operators ``C_i @ U_i^+_{r_i}``, formed
+        as ``(C_i @ left_i) @ right_i.T``."""
         return [cl @ right.T for cl, right, _ in self._pinv_factors]
 
     def tucker_form(self) -> tuple[np.ndarray, list[np.ndarray]]:

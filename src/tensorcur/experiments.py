@@ -226,39 +226,23 @@ class CompressionResult:
     files: dict
 
 
-def _write_cur_factors(out_dir: Path, dec: CurDecomposition, seed: int) -> dict:
-    files = {"core": "core.tnsr", "fibers": [], "intersections": []}
-    write_tensor(out_dir / "core.tnsr", dec.core)
-    for i, (c, u) in enumerate(zip(dec.fibers, dec.intersections)):
-        files["fibers"].append(f"fiber_{i}.tnsr")
-        files["intersections"].append(f"intersection_{i}.tnsr")
-        write_tensor(out_dir / files["fibers"][-1], c)
-        write_tensor(out_dir / files["intersections"][-1], u)
-    manifest = {
-        "format": 1,
-        "method": dec.variant,
-        "dims": [int(d) for d in dec.dims],
-        "ranks": [int(r) for r in dec.ranks],
-        "seed": int(seed),
-        "row_indices": [idx.tolist() for idx in dec.row_indices],
-        "fiber_indices": [idx.tolist() for idx in dec.fiber_indices],
-        "files": files,
-    }
-    (out_dir / _MANIFEST_NAME).write_text(json.dumps(manifest, indent=1), encoding="utf-8")
-    return files
-
-
-def _write_tucker_factors(out_dir: Path, core, factors, method: str, dims) -> dict:
-    files = {"core": "core.tnsr", "factors": []}
+def _write_factors(out_dir: Path, method: str, dims, ranks, core, matrices: dict, **extra) -> dict:
+    """Write ``core.tnsr``, each matrix ``matrices[name][i]`` to ``{name}_{i}.tnsr``
+    and the manifest: format, method, dims, ranks, the ``extra`` entries and the
+    file names, the list for ``name`` under ``files[name + "s"]``.  Returns
+    ``files``."""
+    files = {"core": "core.tnsr"}
     write_tensor(out_dir / "core.tnsr", core)
-    for i, w in enumerate(factors):
-        files["factors"].append(f"factor_{i}.tnsr")
-        write_tensor(out_dir / files["factors"][-1], w)
+    for name, mats in matrices.items():
+        files[name + "s"] = [f"{name}_{i}.tnsr" for i in range(len(mats))]
+        for file, m in zip(files[name + "s"], mats):
+            write_tensor(out_dir / file, m)
     manifest = {
         "format": 1,
         "method": method,
         "dims": [int(d) for d in dims],
-        "ranks": [int(r) for r in core.shape],
+        "ranks": [int(r) for r in ranks],
+        **extra,
         "files": files,
     }
     (out_dir / _MANIFEST_NAME).write_text(json.dumps(manifest, indent=1), encoding="utf-8")
@@ -278,12 +262,15 @@ def _stream_reconstruction(x: np.ndarray, core, factors, path=None) -> float:
     ``prod(d_<n-1) x k_{n-1}`` matrix ``H``.  Slab ``l`` is ``H @ F_{n-1}[l]``,
     one matrix-vector product per slab in every chunk, so its bytes do not
     depend on the chunk size; no full-size reconstruction is held.
+
+    Once the running sum of squares overflows, it and every later chunk are
+    taken in units of ``max|x|``; until then no chunk is scaled.
     """
     head = multi_mode_product(core, list(factors[:-1]) + [None])
     h = head.reshape(math.prod(x.shape[:-1]), head.shape[-1], order="F")
     last = factors[-1]
     step = max(1, _STREAM_CHUNK_BYTES // x[..., 0].nbytes)
-    total = 0.0
+    total, scale = 0.0, None
     with SlabWriter(path, x.shape) if path is not None else nullcontext() as out:
         for start in range(0, x.shape[-1], step):
             # (m, prod(d_<n-1), 1): slab by slab, each slab first index fastest
@@ -292,9 +279,17 @@ def _stream_reconstruction(x: np.ndarray, core, factors, path=None) -> float:
             if out is not None:
                 out.write(chunk)
             diff = np.subtract(chunk, x[..., start : start + step], out=chunk).ravel(order="K")
-            total += float(diff @ diff)
+            with np.errstate(over="ignore"):
+                sq = float(diff @ diff)
+            if scale is None and math.isinf(total + sq):
+                scale = max(float(x.max()), -float(x.min()))
+                total = (math.sqrt(total) / scale) ** 2
+            if scale is not None:
+                diff /= scale
+                sq = float(diff @ diff)
+            total += sq
             del slabs, chunk, diff  # one chunk at a time
-    return math.sqrt(total)
+    return math.sqrt(total) if scale is None else scale * math.sqrt(total)
 
 
 def compress(
@@ -332,9 +327,12 @@ def compress(
     out_dir = Path(out_dir) if out_dir is not None else Path(str(input_path) + ".factors")
     out_dir.mkdir(parents=True, exist_ok=True)
     if method in CUR_METHODS:
-        files = _write_cur_factors(out_dir, dec, seed)
+        matrices = {"fiber": dec.fibers, "intersection": dec.intersections}
+        extra = {"seed": int(seed), "row_indices": [i.tolist() for i in dec.row_indices],
+                 "fiber_indices": [j.tolist() for j in dec.fiber_indices]}
     else:
-        files = _write_tucker_factors(out_dir, dec.core, dec.factors, method, x.shape)
+        matrices, extra = {"factor": dec.factors}, {}
+    files = _write_factors(out_dir, method, x.shape, dec.ranks, dec.core, matrices, **extra)
 
     rec_path = None
     if write_reconstruction:
@@ -412,5 +410,6 @@ def convert_factors(in_dir, out_dir):
     dec = CurDecomposition(method, core, fibers, inters, rows, cols, ranks)
     converted = cur_to_hosvd(dec)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_tucker_factors(out_dir, converted.core, converted.factors, "hosvd", dims)
+    _write_factors(out_dir, "hosvd", dims, converted.ranks, converted.core,
+                   {"factor": converted.factors})
     return converted

@@ -1,21 +1,17 @@
-"""Matrix factorization primitives: compact SVD, pseudoinverses, numerical rank.
+"""Matrix factorization primitives: pseudoinverses, the factored rank-``r``
+pseudoinverse of a sampled intersection, numerical rank.
 
 All factorizations are dense and delegate to LAPACK through ``numpy.linalg``.
 The default rank cutoff is the conventional ``max(rows, cols) * eps`` relative
 to the largest singular value.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .tensor import unfold
 
 __all__ = [
-    "SvdFactors",
-    "compact_svd",
     "pinv",
-    "rank_r_pinv",
     "rank_r_pinv_factors",
     "numerical_rank",
     "multilinear_rank",
@@ -29,25 +25,7 @@ _PINV_FLOOR = 1e-14
 # in direction k; below sigma_k / sigma_1 = 1e-3 the thin SVD of m is used
 _GRAM_MIN_RATIO = 1e-6
 
-
-@dataclass(frozen=True)
-class SvdFactors:
-    """Compact SVD ``m = left @ diag(singular_values) @ right.T``.
-
-    ``left`` and ``right`` have orthonormal columns; ``singular_values`` is
-    nonincreasing and contains only the values retained by the rank cutoff.
-    """
-
-    left: np.ndarray
-    singular_values: np.ndarray
-    right: np.ndarray
-
-    @property
-    def rank(self) -> int:
-        return self.singular_values.size
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.left * self.singular_values) @ self.right.T
+_EPS = np.finfo(np.float64).eps
 
 
 def _as_matrix(m) -> np.ndarray:
@@ -59,65 +37,40 @@ def _as_matrix(m) -> np.ndarray:
     return m
 
 
-def default_rank_tol(m: np.ndarray) -> float:
-    """Relative singular-value cutoff: ``max(rows, cols) * machine epsilon``."""
-    return max(m.shape) * np.finfo(np.float64).eps
-
-
-def compact_svd(m, tol: float | None = None) -> SvdFactors:
-    """Compact SVD retaining exactly the triples with ``sigma_j > tol * sigma_1``.
-
-    The zero matrix yields empty factors (rank 0).
-    """
-    m = _as_matrix(m)
-    if tol is None:
-        tol = default_rank_tol(m)
-    if min(m.shape) == 0:
-        return SvdFactors(np.zeros((m.shape[0], 0)), np.zeros(0), np.zeros((m.shape[1], 0)))
-    w, s, vt = np.linalg.svd(m, full_matrices=False)
-    r = _count_above(s, tol)
-    return SvdFactors(w[:, :r], s[:r], vt[:r].T)
-
-
 def _count_above(s: np.ndarray, tol: float) -> int:
     return 0 if s.size == 0 or s[0] == 0.0 else int(np.count_nonzero(s > tol * s[0]))
 
 
 def numerical_rank(m, tol: float | None = None) -> int:
-    """Number of singular values above ``tol * sigma_1``."""
+    """Number of singular values above ``tol * sigma_1`` (by default
+    ``tol = max(rows, cols) * eps``)."""
     m = _as_matrix(m)
     s = np.linalg.svd(m, compute_uv=False) if min(m.shape) else np.zeros(0)
-    return _count_above(s, default_rank_tol(m) if tol is None else tol)
+    return _count_above(s, max(m.shape) * _EPS if tol is None else tol)
 
 
 def pinv(m, tol: float | None = None) -> np.ndarray:
-    """Moore-Penrose pseudoinverse via the compact SVD.
+    """Moore-Penrose pseudoinverse from the thin SVD, inverting the singular
+    values above ``tol * sigma_1`` (by default ``tol = max(rows, cols) * eps``).
 
     Satisfies the four Penrose identities; ``pinv`` of a zero matrix is the
     zero matrix of transposed shape.
     """
     m = _as_matrix(m)
-    f = compact_svd(m, tol)
-    if f.rank == 0:
+    if min(m.shape) == 0:
         return np.zeros((m.shape[1], m.shape[0]))
-    return (f.right / f.singular_values) @ f.left.T
-
-
-def rank_r_pinv(m, r: int) -> np.ndarray:
-    """Pseudoinverse of the best rank-``r`` approximation of ``m``.
-
-    Equals ``V_r diag(1/sigma_1..1/sigma_r) W_r.T``.  Singular values below
-    ``1e-14 * sigma_1`` are not inverted: the effective rank is silently
-    reduced, which avoids dividing by numerically-zero values when the
-    requested rank exceeds the numerical rank.
-    """
-    left, right, _ = rank_r_pinv_factors(m, r)
-    return left @ right.T
+    w, s, vt = np.linalg.svd(m, full_matrices=False)
+    k = _count_above(s, max(m.shape) * _EPS if tol is None else tol)
+    return (vt[:k].T / s[:k]) @ w[:, :k].T
 
 
 def rank_r_pinv_factors(m, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`rank_r_pinv` as ``left @ right.T``, each factor with ``k <= r``
-    columns, plus the singular values ``s`` of ``m`` (empty when ``r == 0``).
+    """The pseudoinverse of the best rank-``r`` approximation of ``m``, ``V_r
+    diag(1/sigma_1..1/sigma_r) W_r.T``, as ``left @ right.T``, each factor
+    with ``k <= r`` columns, plus the singular values ``s`` of ``m`` (empty
+    when ``r == 0``).  Singular values below ``1e-14 * sigma_1`` are not
+    inverted: ``k`` is then silently below ``r``, which avoids dividing by
+    numerically-zero values when ``r`` exceeds the numerical rank.
 
     A wide ``m`` (rows <= cols) takes no SVD of ``m``.  With ``q = min(r,
     rows)``, ``eigh`` of the Gram ``m @ m.T`` gives the leading left

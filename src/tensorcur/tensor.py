@@ -72,8 +72,7 @@ def as_index_array(indices, extent: int) -> np.ndarray:
     if idx.ndim != 1 or idx.size == 0:
         raise ValueError("index set must be a nonempty 1-d sequence")
     if idx[0] < 0 or idx[-1] >= extent:
-        if np.any(idx < 0) or np.any(idx >= extent):
-            raise ValueError(f"index out of range for extent {extent}")
+        raise ValueError(f"index out of range for extent {extent}")
     if np.any(np.diff(idx) <= 0):
         raise ValueError("index set must be strictly increasing")
     return idx
@@ -245,9 +244,19 @@ def composite_index(index_sets, k: int, dims) -> np.ndarray:
 
 
 def frobenius_norm(t) -> float:
-    """Square root of the sum of squared entries."""
+    """Square root of the sum of squared entries.
+
+    When the sum of squares overflows for finite entries, it is taken again
+    in units of ``max|t|``; other inputs are summed once, unscaled.
+    """
     # order="K" reads C- and F-contiguous inputs in place instead of copying them
-    return float(np.linalg.norm(np.asarray(t, dtype=np.float64).ravel(order="K")))
+    flat = np.asarray(t, dtype=np.float64).ravel(order="K")
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(flat))
+    if math.isinf(norm) and np.isfinite(flat).all():
+        scale = max(float(flat.max()), -float(flat.min()))
+        norm = scale * float(np.linalg.norm(flat / scale))
+    return norm
 
 
 def spectral_norm(m) -> float:

@@ -13,7 +13,6 @@ from tensorcur import (
     generate_synthetic,
     numerical_rank,
     relative_error,
-    snr_db,
     tensor_coherence,
 )
 
@@ -63,6 +62,25 @@ def verified_chidori(exact, noisy, ranks, sizes, start_seed=0):
         if all(numerical_rank(u, 1e-6) >= r for u, r in zip(dec.intersections, ranks)):
             return dec
     raise AssertionError("rank condition never held")
+
+
+class TestRankChecks:
+    def test_tensor_coherence_names_the_rank_poor_mode(self):
+        t = random_low_rank((10, 9, 8), (3, 2, 4), np.random.default_rng(11))
+        with pytest.raises(ValueError, match=r"^mode 1 unfolding has numerical rank 2 < requested 3$"):
+            tensor_coherence(t, (3, 3, 4))
+
+    def test_tensor_coherence_rejects_non_finite_input(self):
+        t = random_low_rank((6, 6, 6), (2, 2, 2), np.random.default_rng(12))
+        t[1, 2, 3] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            tensor_coherence(t, (2, 2, 2))
+
+    def test_error_bounds_name_the_rank_poor_mode(self):
+        exact = random_low_rank((12, 12, 12), (2, 3, 3), np.random.default_rng(13))
+        dec = cur_with_indices(exact, [np.arange(0, 12, 2)] * 3, (3, 3, 3))
+        with pytest.raises(ValueError, match=r"^exact tensor has mode-0 rank 2, below target 3$"):
+            evaluate_error_bounds(exact, np.zeros_like(exact), dec)
 
 
 class TestErrorBounds:
@@ -171,24 +189,11 @@ class TestMetrics:
         with pytest.raises(ValueError):
             relative_error(np.zeros((2, 2)), np.ones((2, 2)))
 
-    def test_snr_zero_reconstruction_is_zero_db(self):
-        x = np.full((3, 3), 2.0)
-        assert snr_db(x, np.zeros_like(x)) == pytest.approx(0.0, abs=1e-12)
+    def test_relative_error_is_scale_invariant_where_squares_overflow(self):
+        rng = np.random.default_rng(10)
+        x = 1e200 * rng.standard_normal((8, 8, 8))
+        approx = x + 1e198 * rng.standard_normal(x.shape)
+        got = relative_error(x, approx)
+        assert np.isfinite(got)
+        assert got == pytest.approx(relative_error(x * 1e-200, approx * 1e-200), rel=1e-12)
 
-    def test_snr_twenty_db_case(self):
-        # power ratio 100: ||x||^2 = 100, ||x - x_r||^2 = 1
-        x = np.array([10.0])
-        x_r = np.array([9.0])
-        assert snr_db(x, x_r) == pytest.approx(20.0, abs=1e-12)
-
-    def test_snr_decreases_with_error(self):
-        rng = np.random.default_rng(9)
-        x = rng.standard_normal((5, 5))
-        direction = rng.standard_normal((5, 5))
-        values = [snr_db(x, x - eps * direction) for eps in (0.01, 0.1, 1.0)]
-        assert values[0] > values[1] > values[2]
-
-    def test_snr_exact_reconstruction_is_an_error(self):
-        x = np.ones((2, 2))
-        with pytest.raises(ValueError):
-            snr_db(x, x.copy())

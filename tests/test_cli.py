@@ -3,7 +3,17 @@ import json
 import numpy as np
 import pytest
 
-from tensorcur import SamplingPlan, generate_synthetic, read_tensor, write_tensor
+from tensorcur import (
+    SamplingPlan,
+    chidori_cur,
+    chidori_sample_sizes,
+    evaluate_error_bounds,
+    fiber_cur,
+    fiber_sample_sizes,
+    generate_synthetic,
+    read_tensor,
+    write_tensor,
+)
 from tensorcur.cli import main
 from tensorcur.cur import draw_indices
 from tensorcur.experiments import CSV_HEADER, cur_sample_sizes
@@ -135,6 +145,42 @@ def test_check_bounds_fiber_variant(capsys):
     out = capsys.readouterr().out
     assert "chidori_bound" not in out
     assert "guaranteed" in out
+
+
+@pytest.mark.parametrize("method, dims, sigma, seed", [
+    ("chidori", [20], 1e-6, 4),
+    ("fiber", [24, 20, 22], 1e-7, 2),
+])
+def test_check_bounds_prints_the_bounds_of_one_draw_at_the_default_sizes(
+        capsys, method, dims, sigma, seed):
+    code = main([
+        "check-bounds", "--dims", ",".join(map(str, dims)), "--rank", "2",
+        "--sigma", str(sigma), "--seed", str(seed), "--method", method,
+    ])
+    assert code == 0
+    exact, noisy, noise = generate_synthetic(dims if len(dims) > 1 else dims[0], 2, sigma,
+                                             np.random.default_rng(seed))
+    ranks = (2, 2, 2)
+    rows = chidori_sample_sizes(exact.shape, ranks)
+    if method == "chidori":
+        dec = chidori_cur(noisy, SamplingPlan(rows, seed=seed), ranks)
+    else:
+        plan = SamplingPlan(rows, fiber_counts=fiber_sample_sizes(exact.shape, ranks)[1], seed=seed)
+        dec = fiber_cur(noisy, plan, ranks)
+    report = evaluate_error_bounds(exact, noise, dec)
+    expected = [
+        f"variant: {method}",
+        f"measured_error:        {report.measured_error:.6e}",
+        f"general_bound:         {report.general_bound:.6e}",
+    ]
+    if method == "chidori":
+        expected.append(f"chidori_bound:         {report.chidori_bound:.6e}")
+    expected += [
+        f"premise_ok:            {list(report.premise_ok)}",
+        f"guaranteed:            {report.guaranteed}",
+        f"core_noise_norm:       {report.core_noise_norm:.6e}",
+    ]
+    assert capsys.readouterr().out.splitlines()[: len(expected)] == expected
 
 
 def test_unknown_subcommand_exits():

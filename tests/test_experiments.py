@@ -333,6 +333,26 @@ class TestStreamedReconstruction:
         assert not read_tensor(out / "reconstruction.tnsr").any()
         assert result.snr_db == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("method", experiments.METHODS)
+    @pytest.mark.parametrize("scale", [1e200, 1e153])
+    @pytest.mark.parametrize("chunk_bytes", [1, 1 << 22])
+    def test_squares_that_overflow_are_scaled(self, tmp_path, monkeypatch, method, scale,
+                                              chunk_bytes):
+        # at 1e200 one slab's squares overflow; at 1e153 each slab's sum is
+        # finite and only the running sum overflows, after some slabs
+        monkeypatch.setattr(experiments, "_STREAM_CHUNK_BYTES", chunk_bytes)
+        big = scale * np.random.default_rng(18).standard_normal((8, 8, 8))
+        snrs = []
+        for name, x in (("big", big), ("unit", big * (1.0 / scale))):
+            write_tensor(tmp_path / f"{name}.tnsr", x)
+            # the Gram kernels overflow, then fall back to the thin SVD
+            with np.errstate(over="ignore", invalid="ignore"):
+                result = compress(tmp_path / f"{name}.tnsr", method, (2, 2, 2), seed=1,
+                                  out_dir=tmp_path / name)
+            snrs.append(result.snr_db)
+        assert np.isfinite(snrs[0])
+        assert snrs[0] == pytest.approx(snrs[1], abs=1e-9)
+
     # sha256 over the names and bytes of the factor files and the manifest,
     # recorded from the code that built the reconstruction whole
     FACTOR_DIGESTS = {

@@ -3,15 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tensorcur import (
-    SvdFactors,
-    compact_svd,
-    multilinear_rank,
-    numerical_rank,
-    pinv,
-    rank_r_pinv,
-    unfold,
-)
+from tensorcur import multilinear_rank, numerical_rank, pinv, unfold
 from tensorcur.linalg import rank_r_pinv_factors
 
 
@@ -19,47 +11,10 @@ def rank_deficient(rows, cols, rank, rng):
     return rng.standard_normal((rows, rank)) @ rng.standard_normal((rank, cols))
 
 
-class TestCompactSvd:
-    def test_identity(self):
-        f = compact_svd(np.eye(3))
-        assert f.rank == 3
-        assert np.allclose(f.singular_values, 1.0)
-
-    def test_unit_rank_one_outer(self):
-        rng = np.random.default_rng(1)
-        u = rng.standard_normal(5)
-        v = rng.standard_normal(4)
-        u /= np.linalg.norm(u)
-        v /= np.linalg.norm(v)
-        f = compact_svd(np.outer(u, v))
-        assert f.rank == 1
-        assert f.singular_values[0] == pytest.approx(1.0, rel=1e-12)
-
-    def test_exact_rank_two_product(self):
-        rng = np.random.default_rng(2)
-        m = rank_deficient(6, 4, 2, rng)
-        f = compact_svd(m)
-        assert f.rank == 2
-        assert np.linalg.norm(f.reconstruct() - m) <= 1e-8 * np.linalg.norm(m)
-
-    def test_factor_orthonormality(self):
-        rng = np.random.default_rng(3)
-        f = compact_svd(rng.standard_normal((7, 5)))
-        assert np.linalg.norm(f.left.T @ f.left - np.eye(f.rank)) < 1e-10
-        assert np.linalg.norm(f.right.T @ f.right - np.eye(f.rank)) < 1e-10
-        assert np.all(np.diff(f.singular_values) <= 0)
-
-    def test_zero_matrix_has_rank_zero(self):
-        f = compact_svd(np.zeros((4, 2)))
-        assert isinstance(f, SvdFactors)
-        assert f.rank == 0
-        assert f.left.shape == (4, 0) and f.right.shape == (2, 0)
-
-    def test_rejects_non_finite(self):
-        m = np.eye(2)
-        m[0, 1] = np.nan
-        with pytest.raises(ValueError):
-            compact_svd(m)
+def factored_pinv(m, r):
+    """The rank-``r`` pseudoinverse ``left @ right.T`` of ``rank_r_pinv_factors``."""
+    left, right, _ = rank_r_pinv_factors(m, r)
+    return left @ right.T
 
 
 class TestPinv:
@@ -92,15 +47,15 @@ class TestPinv:
         assert np.linalg.norm(m @ pinv(m) @ m - m) <= 1e-9 * np.linalg.norm(m)
 
 
-class TestRankRPinv:
+class TestFactoredRankRPinv:
     def test_full_rank_request_equals_pinv(self):
         rng = np.random.default_rng(6)
         m = rng.standard_normal((6, 4))
-        assert np.allclose(rank_r_pinv(m, 4), pinv(m), atol=1e-12)
+        assert np.allclose(factored_pinv(m, 4), pinv(m), atol=1e-12)
 
     def test_rank_zero_is_zero_matrix(self):
         m = np.ones((3, 5))
-        got = rank_r_pinv(m, 0)
+        got = factored_pinv(m, 0)
         assert got.shape == (5, 3)
         assert np.all(got == 0)
 
@@ -109,24 +64,24 @@ class TestRankRPinv:
         m = rng.standard_normal((10, 6))
         w, s, vt = np.linalg.svd(m, full_matrices=False)
         truncated = (w[:, :3] * s[:3]) @ vt[:3]
-        assert np.linalg.norm(rank_r_pinv(m, 3) - pinv(truncated)) < 1e-10
+        assert np.linalg.norm(factored_pinv(m, 3) - pinv(truncated)) < 1e-10
 
     def test_result_rank_at_most_r(self):
         rng = np.random.default_rng(8)
         for r in range(5):
             m = rng.standard_normal((7, 6))
-            assert numerical_rank(rank_r_pinv(m, r)) <= r
+            assert numerical_rank(factored_pinv(m, r)) <= r
 
     def test_effective_rank_reduction_on_deficient_input(self):
         rng = np.random.default_rng(9)
         m = rank_deficient(8, 6, 2, rng)
-        got = rank_r_pinv(m, 5)  # only 2 usable directions
+        got = factored_pinv(m, 5)  # only 2 usable directions
         assert numerical_rank(got) == 2
         assert np.allclose(got, pinv(m), atol=1e-10)
 
     def test_negative_rank(self):
         with pytest.raises(ValueError):
-            rank_r_pinv(np.eye(2), -1)
+            rank_r_pinv_factors(np.eye(2), -1)
 
 
 def planted_singular_values(shape, ratio, noise, r=4, seed=0):
@@ -144,7 +99,8 @@ def planted_singular_values(shape, ratio, noise, r=4, seed=0):
 
 
 def svd_pinv_factors(m, r):
-    """The reference kernel: factors of ``rank_r_pinv`` from the thin SVD of ``m``."""
+    """The reference kernel: the factored rank-``r`` pseudoinverse from the thin
+    SVD of ``m``."""
     w, s, vt = np.linalg.svd(m, full_matrices=False)
     k = min(r, int(np.count_nonzero(s > 1e-14 * s[0])))
     return vt[:k].T / s[:k], w[:, :k], s
@@ -167,7 +123,7 @@ class TestFactoredPinvAgainstSvd:
             left, right, s = rank_r_pinv_factors(m, 4)
             left_ref, right_ref, s_ref = svd_pinv_factors(m, 4)
             got, ref = left @ right.T, left_ref @ right_ref.T
-            assert np.array_equal(rank_r_pinv(m, 4), got)
+            assert np.array_equal(factored_pinv(m, 4), got)
             scale = np.linalg.norm(pinv_r)
             err = np.linalg.norm(got - pinv_r) / scale
             assert err <= np.linalg.norm(ref - pinv_r) / scale + 1e-12
@@ -229,18 +185,29 @@ def planted_rank_matrices(draw):
     return (u * s) @ v.T, rank
 
 
+def svd_count(m, tol):
+    """Singular values of ``m`` from ``np.linalg.svd`` above ``tol * sigma_1``,
+    by default ``tol = max(rows, cols) * eps``."""
+    if min(m.shape) == 0:
+        return 0
+    s = np.linalg.svd(m, compute_uv=False)
+    if tol is None:
+        tol = max(m.shape) * np.finfo(np.float64).eps
+    return int(np.count_nonzero(s > tol * s[0])) if s[0] > 0 else 0
+
+
 class TestNumericalRankProperties:
     @settings(max_examples=150, deadline=None)
     @given(planted_rank_matrices(), st.sampled_from([None, 1e-6, 1e-12]))
-    def test_equals_compact_svd_rank_and_planted_rank(self, case, tol):
+    def test_equals_svd_count_and_planted_rank(self, case, tol):
         m, rank = case
-        assert numerical_rank(m, tol) == compact_svd(m, tol).rank == rank
+        assert numerical_rank(m, tol) == svd_count(m, tol) == rank
 
     @settings(max_examples=100, deadline=None)
     @given(planted_rank_matrices(), st.sampled_from([1e-2, 0.1, 0.5]))
-    def test_equals_compact_svd_rank_when_the_cutoff_splits_the_spectrum(self, case, tol):
+    def test_equals_svd_count_when_the_cutoff_splits_the_spectrum(self, case, tol):
         m, _ = case
-        assert numerical_rank(m, tol) == compact_svd(m, tol).rank
+        assert numerical_rank(m, tol) == svd_count(m, tol)
 
 
 class TestRankAndQr:

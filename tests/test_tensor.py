@@ -360,6 +360,16 @@ class TestNorms:
             tracemalloc.stop()
         assert peak < 0.1 * t.nbytes
 
+    def test_finite_input_is_summed_once_unscaled(self):
+        t = tensor_with_layout((7, 5, 6), "F", seed=59)
+        assert frobenius_norm(t) == float(np.linalg.norm(t.ravel(order="K")))
+
+    def test_squares_that_overflow_are_scaled_and_infinite_entries_are_not(self):
+        t = np.full((4, 4), 1e300)
+        assert frobenius_norm(t) == pytest.approx(4e300, rel=1e-15)
+        t[0, 0] = np.inf
+        assert frobenius_norm(t) == np.inf
+
     def test_spectral_norm_is_largest_singular_value(self):
         rng = np.random.default_rng(56)
         m = rng.standard_normal((6, 4))
