@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cur import CurDecomposition
-from .linalg import _EPS, _as_matrix, _count_above, multilinear_rank
+from .linalg import _EPS, _as_matrix, _count_above
 from .tensor import frobenius_norm, select_fibers, spectral_norm, subtensor, unfold
 
 __all__ = [
@@ -71,16 +71,14 @@ class CoherenceReport:
     mode_singular_values: tuple[np.ndarray, ...]
 
 
-def tensor_coherence(a, ranks=None, tol: float | None = None) -> CoherenceReport:
-    """Coherence of every mode unfolding's leading left singular vectors.
+def tensor_coherence(a, ranks) -> CoherenceReport:
+    """Coherence of the leading ``r_i`` left singular vectors of every mode-i
+    unfolding.
 
     ``sigma_min`` is the smallest retained singular value across modes (the
-    r_i-th of each unfolding) and ``sigma_max`` the largest overall.  With
-    ``ranks=None`` the numerical multilinear rank is used.
+    r_i-th of each unfolding) and ``sigma_max`` the largest overall.
     """
     a = np.asarray(a, dtype=np.float64)
-    if ranks is None:
-        ranks = multilinear_rank(a, tol)
     ranks = tuple(int(r) for r in ranks)
     if len(ranks) != a.ndim:
         raise ValueError(f"expected {a.ndim} ranks, got {len(ranks)}")

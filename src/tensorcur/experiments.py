@@ -43,6 +43,9 @@ CSV_HEADER = "method,d,r,sigma,trial,seed,rel_err,runtime_ms,rank_ok,resamples,e
 
 _MANIFEST_NAME = "manifest.json"
 
+# draws after the first that a sweep's CUR method takes until its rank gate passes
+_MAX_RESAMPLES = 10
+
 
 def generate_synthetic(dims, ranks, sigma, rng: np.random.Generator):
     """Random low multilinear rank tensor plus i.i.d. Gaussian noise.
@@ -76,7 +79,8 @@ class ExperimentConfig:
 
     One row is produced per ``(d, sigma, method, trial)``.  ``row_samples``
     and ``fiber_samples`` override the default log-scaled sampling sizes for
-    the CUR methods (applied to every mode).
+    the CUR methods (applied to every mode).  A CUR method whose rank gate
+    fails is redrawn, at most ``_MAX_RESAMPLES`` times.
     """
 
     dims: list[int]
@@ -87,7 +91,6 @@ class ExperimentConfig:
     methods: list[str] = field(default_factory=lambda: list(METHODS))
     row_samples: int | None = None
     fiber_samples: int | None = None
-    max_resamples: int = 10
 
     def __post_init__(self):
         self.dims = [int(d) for d in self.dims]
@@ -104,38 +107,16 @@ class ExperimentConfig:
         for m in self.methods:
             if m not in METHODS:
                 raise ValueError(f"unknown method {m!r}; choose from {METHODS}")
-        if self.max_resamples < 0:
-            raise ValueError("max_resamples must be nonnegative")
-
-
-def cur_sample_sizes(method: str, dims, ranks, row_samples=None, fiber_samples=None):
-    """Per-mode ``(row_counts, fiber_counts)`` of a CUR method's plans:
-    log-scaled defaults unless overridden, ``fiber_counts=None`` for Chidori."""
-    if row_samples is not None:
-        t = (int(row_samples),) * len(dims)
-        for size, d in zip(t, dims):
-            if not 1 <= size <= d:
-                raise ValueError(f"row sample size {size} invalid for extent {d}")
-    else:
-        t = chidori_sample_sizes(dims, ranks)
-    if method == "chidori":
-        return t, None
-    if fiber_samples is not None:
-        s = (int(fiber_samples),) * len(dims)
-        total = math.prod(dims)
-        for i, size in enumerate(s):
-            if not 1 <= size <= total // dims[i]:
-                raise ValueError(f"fiber sample size {size} invalid at mode {i}")
-    else:
-        s = fiber_sample_sizes(dims, ranks)[1]
-    return t, s
 
 
 def _decompose(method, x, ranks, seeds, row_samples, fiber_samples):
     """Decompose ``x`` with ``method``, timed.
 
     A CUR method draws, extracts and gates one decomposition per seed of
-    ``seeds`` until the rank gate passes; a Tucker method takes no seed.
+    ``seeds`` until the rank gate passes; a Tucker method takes no seed.  Its
+    plan has the default sizes of :mod:`~tensorcur.sampling` unless
+    ``row_samples`` or ``fiber_samples`` is given for every mode; the plan
+    and the draw reject sizes out of range.
     Returns ``(dec, runtime_s, extract_s, rank_ok, resamples)``.  The
     runtime covers the Tucker decomposition, or for CUR the drawing, the
     extraction and the pseudoinverses with their rank gate, summed over
@@ -145,11 +126,15 @@ def _decompose(method, x, ranks, seeds, row_samples, fiber_samples):
         t0 = time.perf_counter()
         dec = {"hosvd": hosvd, "st-hosvd": st_hosvd, "hooi": hooi}[method](x, ranks)
         return dec, time.perf_counter() - t0, 0.0, True, 0
-    sizes = cur_sample_sizes(method, x.shape, ranks, row_samples, fiber_samples)
+    n = x.ndim
+    t = chidori_sample_sizes(x.shape, ranks) if row_samples is None else (row_samples,) * n
+    s = None  # Chidori takes its fibers at the rows' composite
+    if method == "fiber":
+        s = fiber_sample_sizes(x.shape, ranks)[1] if fiber_samples is None else (fiber_samples,) * n
     runtime = extract = 0.0
     for resamples, seed in enumerate(seeds):
         t0 = time.perf_counter()
-        rows, cols = draw_indices(x, SamplingPlan(*sizes, seed=seed))
+        rows, cols = draw_indices(x, SamplingPlan(t, s, seed=seed))
         t1 = time.perf_counter()
         dec = cur_with_indices(x, rows, ranks, cols)
         t2 = time.perf_counter()
@@ -180,7 +165,7 @@ def run_sweep(cfg: ExperimentConfig) -> list[dict]:
                 exact, noisy, _ = generate_synthetic(d, cfg.rank, sigma, rng)
                 for method in cfg.methods:
                     # drawn lazily: a CUR resample takes the next seed from the trial rng
-                    seeds = (int(rng.integers(2**63)) for _ in range(cfg.max_resamples + 1))
+                    seeds = (int(rng.integers(2**63)) for _ in range(_MAX_RESAMPLES + 1))
                     dec, runtime, extract, rank_ok, resamples = _decompose(
                         method, noisy, ranks, seeds, cfg.row_samples, cfg.fiber_samples
                     )
@@ -254,23 +239,20 @@ _STREAM_CHUNK_BYTES = 1 << 22
 
 
 def _stream_reconstruction(x: np.ndarray, core, factors, path=None) -> float:
-    """``frobenius_norm(x - core x_0 F_0 ... x_{n-1} F_{n-1})``, summed over
-    chunks of last-mode slabs (contiguous in F order); each chunk of the
-    reconstruction is written to ``path`` when given.
+    """``frobenius_norm(x - core x_0 F_0 ... x_{n-1} F_{n-1})``, the ``hypot``
+    of its norms over chunks of last-mode slabs (contiguous in F order); each
+    chunk of the reconstruction is written to ``path`` when given.
 
     The head ``core x_0 F_0 ... x_{n-2} F_{n-2}`` is formed once, as a
     ``prod(d_<n-1) x k_{n-1}`` matrix ``H``.  Slab ``l`` is ``H @ F_{n-1}[l]``,
     one matrix-vector product per slab in every chunk, so its bytes do not
     depend on the chunk size; no full-size reconstruction is held.
-
-    Once the running sum of squares overflows, it and every later chunk are
-    taken in units of ``max|x|``; until then no chunk is scaled.
     """
     head = multi_mode_product(core, list(factors[:-1]) + [None])
     h = head.reshape(math.prod(x.shape[:-1]), head.shape[-1], order="F")
     last = factors[-1]
     step = max(1, _STREAM_CHUNK_BYTES // x[..., 0].nbytes)
-    total, scale = 0.0, None
+    norms = []
     with SlabWriter(path, x.shape) if path is not None else nullcontext() as out:
         for start in range(0, x.shape[-1], step):
             # (m, prod(d_<n-1), 1): slab by slab, each slab first index fastest
@@ -278,18 +260,10 @@ def _stream_reconstruction(x: np.ndarray, core, factors, path=None) -> float:
             chunk = slabs[:, :, 0].T.reshape(x.shape[:-1] + (-1,), order="F")
             if out is not None:
                 out.write(chunk)
-            diff = np.subtract(chunk, x[..., start : start + step], out=chunk).ravel(order="K")
-            with np.errstate(over="ignore"):
-                sq = float(diff @ diff)
-            if scale is None and math.isinf(total + sq):
-                scale = max(float(x.max()), -float(x.min()))
-                total = (math.sqrt(total) / scale) ** 2
-            if scale is not None:
-                diff /= scale
-                sq = float(diff @ diff)
-            total += sq
-            del slabs, chunk, diff  # one chunk at a time
-    return math.sqrt(total) if scale is None else scale * math.sqrt(total)
+            np.subtract(chunk, x[..., start : start + step], out=chunk)
+            norms.append(frobenius_norm(chunk))
+            del slabs, chunk  # one chunk at a time
+    return math.hypot(*norms)
 
 
 def compress(

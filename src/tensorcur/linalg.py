@@ -49,9 +49,9 @@ def numerical_rank(m, tol: float | None = None) -> int:
     return _count_above(s, max(m.shape) * _EPS if tol is None else tol)
 
 
-def pinv(m, tol: float | None = None) -> np.ndarray:
+def pinv(m) -> np.ndarray:
     """Moore-Penrose pseudoinverse from the thin SVD, inverting the singular
-    values above ``tol * sigma_1`` (by default ``tol = max(rows, cols) * eps``).
+    values above ``max(rows, cols) * eps * sigma_1``.
 
     Satisfies the four Penrose identities; ``pinv`` of a zero matrix is the
     zero matrix of transposed shape.
@@ -60,7 +60,7 @@ def pinv(m, tol: float | None = None) -> np.ndarray:
     if min(m.shape) == 0:
         return np.zeros((m.shape[1], m.shape[0]))
     w, s, vt = np.linalg.svd(m, full_matrices=False)
-    k = _count_above(s, max(m.shape) * _EPS if tol is None else tol)
+    k = _count_above(s, max(m.shape) * _EPS)
     return (vt[:k].T / s[:k]) @ w[:, :k].T
 
 
@@ -94,7 +94,8 @@ def rank_r_pinv_factors(m, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if r == 0 or min(rows, cols) == 0:
         return np.zeros((cols, 0)), np.zeros((rows, 0)), np.zeros(0)
     q = min(int(r), rows)
-    eig = _gram_eigh(m @ m.T, q) if rows <= cols else None
+    with np.errstate(over="ignore", invalid="ignore"):  # _gram_eigh checks the diagonal
+        eig = _gram_eigh(m @ m.T, q) if rows <= cols else None
     if eig is not None:
         lam, v = eig
         y = np.linalg.qr(m.T @ v[:, -q:][:, ::-1])[0]

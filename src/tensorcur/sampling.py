@@ -182,7 +182,7 @@ def sample_without_replacement(
     if k < 1:
         raise ValueError("sample size must be positive")
     if k > n:
-        raise ValueError(f"cannot draw {k} indices from a population of {n}")
+        raise ValueError(f"sample size {k} exceeds the population of {n}")
     if probabilities is None:
         out = _uniform_without_replacement(n, k, rng)
     else:

@@ -175,16 +175,17 @@ def gram(t, k: int) -> np.ndarray:
     c, j, _ = _c_contiguous(t, k)
     v = _slab_view(c, j)
     p, d, s = v.shape
-    if p == 1:
-        return v[0] @ v[0].T
-    if s == 1:
-        return v[:, :, 0].T @ v[:, :, 0]
-    step = max(1, min(-(-p // 8), _GRAM_CHUNK_BYTES // v[0].nbytes))
-    g = np.zeros((d, d))
-    for start in range(0, p, step):
-        x = v[start : start + step].transpose(1, 0, 2).reshape(d, -1)
-        g += x @ x.T
-        del x  # one chunk copy at a time
+    with np.errstate(over="ignore", invalid="ignore"):  # callers check the diagonal
+        if p == 1:
+            return v[0] @ v[0].T
+        if s == 1:
+            return v[:, :, 0].T @ v[:, :, 0]
+        step = max(1, min(-(-p // 8), _GRAM_CHUNK_BYTES // v[0].nbytes))
+        g = np.zeros((d, d))
+        for start in range(0, p, step):
+            x = v[start : start + step].transpose(1, 0, 2).reshape(d, -1)
+            g += x @ x.T
+            del x  # one chunk copy at a time
     return g
 
 

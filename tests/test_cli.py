@@ -16,7 +16,7 @@ from tensorcur import (
 )
 from tensorcur.cli import main
 from tensorcur.cur import draw_indices
-from tensorcur.experiments import CSV_HEADER, cur_sample_sizes
+from tensorcur.experiments import CSV_HEADER
 
 
 def test_synthetic_subcommand_writes_csv(tmp_path, capsys):
@@ -101,8 +101,8 @@ def test_compress_reports_a_reconstruction_without_signal(tmp_path, capsys):
     # a rank-1 spike on rows outside the drawn index sets: the sample sees only
     # 1e-6 noise, keeps its rank, and reconstructs none of the spike
     dims, ranks, seed = (16, 16, 16), (1, 1, 1), 4
-    rows, _ = draw_indices(np.empty(dims), SamplingPlan(cur_sample_sizes("chidori", dims, ranks)[0],
-                                                        seed=seed))
+    plan = SamplingPlan(chidori_sample_sizes(dims, ranks), seed=seed)
+    rows, _ = draw_indices(np.empty(dims), plan)
     spike = []
     for d, idx in zip(dims, rows):
         v = np.ones(d)

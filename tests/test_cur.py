@@ -284,6 +284,18 @@ class TestValidation:
         with pytest.raises(ValueError):
             cur_with_indices(np.ones((3, 3, 3)), [[0, 0], [0, 1], [0, 1]], (1, 1, 1))
 
+    def test_wrong_number_of_row_index_sets(self):
+        with pytest.raises(ValueError, match="expected 3 row index sets, got 2"):
+            cur_with_indices(np.ones((3, 3, 3)), [[0, 1]] * 2, (1, 1, 1))
+
+    def test_wrong_number_of_fiber_index_sets(self):
+        with pytest.raises(ValueError, match="expected 3 fiber index sets, got 2"):
+            cur_with_indices(np.ones((3, 3, 3)), [[0, 1]] * 3, (1, 1, 1), [[0, 1]] * 2)
+
+    def test_plan_with_the_wrong_number_of_row_counts(self):
+        with pytest.raises(ValueError, match="plan has 2 row counts for a 3-mode tensor"):
+            draw_indices(np.ones((3, 3, 3)), SamplingPlan((2, 2), seed=0))
+
 
 class TestReadsOnlySampledEntries:
     @pytest.mark.parametrize("method", ["chidori", "fiber"])

@@ -8,10 +8,12 @@ import pytest
 from tensorcur import (
     ExperimentConfig,
     SamplingPlan,
+    chidori_sample_sizes,
     compress,
     convert_factors,
     cur_with_indices,
     frobenius_norm,
+    fiber_sample_sizes,
     generate_synthetic,
     hosvd,
     multilinear_rank,
@@ -23,7 +25,7 @@ from tensorcur import (
 )
 from tensorcur import experiments
 from tensorcur.cur import draw_indices
-from tensorcur.experiments import CSV_HEADER, cur_sample_sizes, rows_to_csv
+from tensorcur.experiments import CSV_HEADER, rows_to_csv
 
 # non-timing columns (all but runtime_ms and extract_ms) of a sweep whose
 # fiber rows all exhaust their 10 resamples, which shifts the chidori seeds
@@ -273,8 +275,8 @@ class TestCompress:
 def reference_reconstruction(x, method, ranks, seed):
     """``multi_mode_product(core, maps)`` of the decomposition ``compress`` makes."""
     if method in ("chidori", "fiber"):
-        sizes = cur_sample_sizes(method, x.shape, ranks)
-        rows, cols = draw_indices(x, SamplingPlan(*sizes, seed=seed))
+        t, s = fiber_sample_sizes(x.shape, ranks)
+        rows, cols = draw_indices(x, SamplingPlan(t, s if method == "fiber" else None, seed=seed))
         return cur_with_indices(x, rows, ranks, cols).reconstruct()
     return {"hosvd": hosvd, "st-hosvd": st_hosvd}[method](x, ranks).reconstruct()
 
@@ -323,7 +325,8 @@ class TestStreamedReconstruction:
     def test_zero_intersections_stream_zeros(self, tmp_path):
         dims, ranks, seed = (12, 10, 8), (2, 2, 2), 3
         x = np.random.default_rng(15).standard_normal(dims)
-        rows, _ = draw_indices(x, SamplingPlan(cur_sample_sizes("chidori", dims, ranks)[0], seed=seed))
+        plan = SamplingPlan(chidori_sample_sizes(dims, ranks), seed=seed)
+        rows, _ = draw_indices(x, plan)
         x[np.ix_(*rows)] = 0.0  # every intersection is a zero matrix: k_i = 0
         path = tmp_path / "x.tnsr"
         write_tensor(path, x)
@@ -345,10 +348,8 @@ class TestStreamedReconstruction:
         snrs = []
         for name, x in (("big", big), ("unit", big * (1.0 / scale))):
             write_tensor(tmp_path / f"{name}.tnsr", x)
-            # the Gram kernels overflow, then fall back to the thin SVD
-            with np.errstate(over="ignore", invalid="ignore"):
-                result = compress(tmp_path / f"{name}.tnsr", method, (2, 2, 2), seed=1,
-                                  out_dir=tmp_path / name)
+            result = compress(tmp_path / f"{name}.tnsr", method, (2, 2, 2), seed=1,
+                              out_dir=tmp_path / name)
             snrs.append(result.snr_db)
         assert np.isfinite(snrs[0])
         assert snrs[0] == pytest.approx(snrs[1], abs=1e-9)
@@ -500,12 +501,21 @@ class TestConvert:
         with pytest.raises(ValueError, match="CUR"):
             convert_factors(out, tmp_path / "nope")
 
-    def test_inconsistent_factor_shapes_rejected(self, tmp_path):
+    @pytest.mark.parametrize(
+        "name,clobber,message",
+        [
+            ("fiber_0.tnsr", lambda a: a[..., None], "factors must be matrices"),
+            ("fiber_0.tnsr", lambda a: a[1:], "fiber 0 has 8 rows"),
+            ("fiber_1.tnsr", lambda a: a[:, 1:], "column mismatch at mode 1"),
+            ("intersection_2.tnsr", lambda a: a[1:], "core extent mismatch at mode 2"),
+        ],
+    )
+    def test_inconsistent_factor_shapes_rejected(self, tmp_path, name, clobber, message):
         path, _ = make_tensor_file(tmp_path, (9, 9, 9), (2, 2, 2), 0.0, 9)
         out = tmp_path / "broken"
         compress(path, "chidori", (2, 2, 2), seed=1, out_dir=out)
-        write_tensor(out / "fiber_0.tnsr", np.ones((3, 2)))  # clobber one factor
-        with pytest.raises(ValueError, match="inconsistent"):
+        write_tensor(out / name, clobber(read_tensor(out / name)))  # clobber one factor
+        with pytest.raises(ValueError, match=f"inconsistent factor shapes: {message}"):
             convert_factors(out, tmp_path / "nope2")
 
     @pytest.mark.parametrize(

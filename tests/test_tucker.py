@@ -216,6 +216,7 @@ class TestNonFiniteInput:
         with pytest.raises(ValueError, match="non-finite"):
             method(t, (2,) * len(dims))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_finite_entries_whose_squares_overflow_are_accepted(self):
         t = 1e200 * random_low_rank((6, 5, 4), (1, 1, 1), np.random.default_rng(15))
         dec = hosvd(t, (1, 1, 1))
