@@ -14,8 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cur import CurDecomposition
-from .linalg import _EPS, _as_matrix, _count_above
-from .tensor import frobenius_norm, select_fibers, spectral_norm, subtensor, unfold
+from .linalg import _EPS, _count_above
+from .tensor import check_ranks, frobenius_norm, select_fibers, spectral_norm, subtensor, unfold
+from .tucker import _leading_left_vectors
 
 __all__ = [
     "CoherenceReport",
@@ -49,15 +50,14 @@ def coherence(w) -> float:
 
 
 def _leading_left(t: np.ndarray, k: int, r: int, error: str):
-    """The leading ``r`` left singular vectors and all singular values of the
-    finite ``unfold(t, k)``; ``error.format(k=k, rank=rank, r=r)`` is raised
+    """The Tucker kernel's leading ``r`` left singular vectors and singular
+    values of ``unfold(t, k)``; ``error.format(k=k, rank=rank, r=r)`` is raised
     when its numerical rank, counted as by ``numerical_rank``, is below ``r``."""
-    m = _as_matrix(unfold(t, k))
-    w, s, _ = np.linalg.svd(m, full_matrices=False)
-    rank = _count_above(s, max(m.shape) * _EPS)
+    w, s = _leading_left_vectors(t, k, r)
+    rank = _count_above(s, max(t.shape[k], t.size // t.shape[k]) * _EPS)
     if rank < r:
         raise ValueError(error.format(k=k, rank=rank, r=r))
-    return w[:, :r], s
+    return w, s
 
 
 @dataclass(frozen=True)
@@ -79,19 +79,15 @@ def tensor_coherence(a, ranks) -> CoherenceReport:
     r_i-th of each unfolding) and ``sigma_max`` the largest overall.
     """
     a = np.asarray(a, dtype=np.float64)
-    ranks = tuple(int(r) for r in ranks)
-    if len(ranks) != a.ndim:
-        raise ValueError(f"expected {a.ndim} ranks, got {len(ranks)}")
+    ranks = check_ranks(ranks, a.shape)
     mus = []
     svals = []
-    smin = math.inf
-    smax = 0.0
     for k, r in enumerate(ranks):
         w, s = _leading_left(a, k, r, "mode {k} unfolding has numerical rank {rank} < requested {r}")
         mus.append(coherence(w))
         svals.append(s[:r].copy())
-        smin = min(smin, float(s[r - 1]))
-        smax = max(smax, float(s[0]))
+    smin = min(float(s[-1]) for s in svals)
+    smax = max(float(s[0]) for s in svals)
     return CoherenceReport(tuple(mus), max(mus), smin, smax, tuple(svals))
 
 

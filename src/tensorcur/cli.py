@@ -150,6 +150,8 @@ def _cmd_convert(args) -> int:
 
 def _cmd_check_bounds(args) -> int:
     dims = args.dims if len(args.dims) > 1 else args.dims[0]
+    if args.seed < 0:
+        raise ValueError(f"seed {args.seed} must be nonnegative")
     rng = np.random.default_rng(args.seed)
     exact, noisy, noise = generate_synthetic(dims, args.rank, args.sigma, rng)
     # one draw at the default sample sizes, never resampled: the bounds hold

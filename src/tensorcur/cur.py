@@ -283,6 +283,6 @@ def cur_to_hosvd(dec: CurDecomposition) -> HosvdDecomposition:
         qs.append(q)
         rs.append(rr @ right.T)
     small = multi_mode_product(dec.core, rs)
-    inner = hosvd(small)
+    inner = hosvd(small, tuple(max(1, r) for r in multilinear_rank(small)))
     factors = tuple(q @ v for q, v in zip(qs, inner.factors))
     return HosvdDecomposition(inner.core, factors)

@@ -64,8 +64,8 @@ def generate_synthetic(dims, ranks, sigma, rng: np.random.Generator):
     else:
         dims = tuple(int(d) for d in dims)
     ranks = check_ranks((ranks,) * len(dims) if np.isscalar(ranks) else ranks, dims)
-    if sigma < 0:
-        raise ValueError("noise level must be nonnegative")
+    if not 0 <= sigma < math.inf:
+        raise ValueError(f"noise level {sigma} must be finite and nonnegative")
     core = rng.standard_normal(ranks)
     factors = [rng.standard_normal((d, r)) for d, r in zip(dims, ranks)]
     exact = multi_mode_product(core, factors)
@@ -98,8 +98,11 @@ class ExperimentConfig:
         if not self.dims or any(d < 1 for d in self.dims):
             raise ValueError("dims must be a nonempty list of positive sizes")
         check_ranks((self.rank,), (min(self.dims),))
-        if any(s < 0 for s in self.sigmas):
-            raise ValueError("noise levels must be nonnegative")
+        for s in self.sigmas:
+            if not 0 <= s < math.inf:
+                raise ValueError(f"noise level {s} must be finite and nonnegative")
+        if self.seed < 0:
+            raise ValueError(f"seed {self.seed} must be nonnegative")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         if not self.methods:

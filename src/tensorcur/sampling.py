@@ -54,6 +54,8 @@ class SamplingPlan:
             )
         if self.distribution not in DISTRIBUTIONS:
             raise ValueError(f"unknown distribution {self.distribution!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed {self.seed} must be nonnegative")
         if any(t < 1 for t in self.row_counts):
             raise ValueError("row sample sizes must be positive")
         if self.fiber_counts is not None:

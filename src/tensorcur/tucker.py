@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _gram_eigh, multilinear_rank
+from .linalg import _gram_eigh
 from .tensor import (
     check_ranks,
     frobenius_norm,
@@ -46,8 +46,9 @@ def _reject_non_finite(t: np.ndarray) -> None:
         raise ValueError("the tensor holds non-finite values")
 
 
-def _leading_left_vectors(t: np.ndarray, k: int, r: int) -> np.ndarray:
-    """The leading ``r`` left singular vectors of ``unfold(t, k)``."""
+def _leading_left_vectors(t: np.ndarray, k: int, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """The leading ``r`` left singular vectors of ``unfold(t, k)`` and all its
+    singular values, descending (the square roots of the Gram eigenvalues)."""
     d = t.shape[k]
     p = t.size // d
     # a d x p unfolding has at most min(d, p) singular vectors
@@ -55,27 +56,22 @@ def _leading_left_vectors(t: np.ndarray, k: int, r: int) -> np.ndarray:
     # a tall unfolding keeps its thin SVD: the d x d Gram would cost O(d^2) memory
     eig = _gram_eigh(gram(t, k), q) if d <= p else None
     if eig is not None:
-        return eig[1][:, -q:][:, ::-1]
+        lam, v = eig
+        return v[:, -q:][:, ::-1], np.sqrt(np.maximum(lam[::-1], 0.0))
     m = unfold(t, k)
     # an infinite entry can stall the SVD, so its operand is checked first
     _reject_non_finite(m)
-    return np.linalg.svd(m, full_matrices=False)[0][:, :q]
+    w, s, _ = np.linalg.svd(m, full_matrices=False)
+    return w[:, :q], s
 
 
-def hosvd(t, ranks=None) -> HosvdDecomposition:
-    """Truncated higher-order SVD.
-
-    Factor ``k`` holds the leading ``r_k`` left singular vectors of the
-    mode-k unfolding; the core is the input multiplied by every factor
-    transpose.  With ``ranks=None`` the numerical multilinear rank is used,
-    which makes the reconstruction exact for exactly low-rank inputs.
-    """
+def hosvd(t, ranks) -> HosvdDecomposition:
+    """Truncated higher-order SVD: factor ``k`` holds the leading ``r_k`` left
+    singular vectors of the mode-k unfolding, and the core is the input
+    multiplied by every factor transpose."""
     t = np.asarray(t, dtype=np.float64)
-    if ranks is None:
-        ranks = multilinear_rank(t)
-        ranks = tuple(max(1, r) for r in ranks)
     ranks = check_ranks(ranks, t.shape)
-    factors = tuple(_leading_left_vectors(t, k, r) for k, r in enumerate(ranks))
+    factors = tuple(_leading_left_vectors(t, k, r)[0] for k, r in enumerate(ranks))
     core = multi_mode_product(t, [w.T for w in factors])
     return HosvdDecomposition(core, factors)
 
@@ -91,7 +87,7 @@ def st_hosvd(t, ranks) -> HosvdDecomposition:
     factors = []
     current = t
     for k, r in enumerate(ranks):
-        w = _leading_left_vectors(current, k, r)
+        w = _leading_left_vectors(current, k, r)[0]
         factors.append(w)
         current = mode_product(current, w.T, k)
     return HosvdDecomposition(current, tuple(factors))
@@ -118,7 +114,7 @@ def hooi(t, ranks, max_iters: int = 50, tol: float = 1e-8) -> HosvdDecomposition
             for j, w in enumerate(factors):
                 if j != k:
                     partial = mode_product(partial, w.T, j)
-            factors[k] = _leading_left_vectors(partial, k, r)
+            factors[k] = _leading_left_vectors(partial, k, r)[0]
         # the last partial is t x_j W_j.T for every j < n-1, all updated
         core = mode_product(partial, factors[-1].T, t.ndim - 1)
         current = frobenius_norm(core)

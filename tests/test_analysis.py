@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,9 +16,11 @@ from tensorcur import (
     numerical_rank,
     relative_error,
     tensor_coherence,
+    unfold,
 )
+from tensorcur.tucker import _leading_left_vectors
 
-from conftest import random_low_rank
+from conftest import random_low_rank, tensor_with_layout
 
 
 def orthonormal(d, r, rng):
@@ -75,6 +79,16 @@ class TestRankChecks:
         t[1, 2, 3] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
             tensor_coherence(t, (2, 2, 2))
+
+    @pytest.mark.parametrize("ranks, message", [
+        ((2, 0, 2), "rank 0 out of range for extent 9 at mode 1"),
+        ((2, 2, 9), "rank 9 out of range for extent 8 at mode 2"),
+        ((2, 2), "expected 3 ranks, got 2"),
+    ])
+    def test_tensor_coherence_validates_its_ranks(self, ranks, message):
+        t = random_low_rank((10, 9, 8), (2, 2, 2), np.random.default_rng(11))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            tensor_coherence(t, ranks)
 
     def test_error_bounds_name_the_rank_poor_mode(self):
         exact = random_low_rank((12, 12, 12), (2, 3, 3), np.random.default_rng(13))
@@ -176,6 +190,61 @@ class TestErrorBounds:
         report = evaluate_error_bounds(exact, noise, dec)
         assert not report.guaranteed
         assert not all(report.premise_ok)
+
+
+def projector(w):
+    return w @ w.T
+
+
+class TestUnfoldingSpectrum:
+    # coherence and the bounds read each unfolding's leading subspace and
+    # singular values from the Tucker kernel, which forms the Gram matrix
+    # from a view of a wide unfolding and takes the thin SVD of a tall one
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    @pytest.mark.parametrize("dims", [(12, 10, 9), (7, 6, 5, 4), (90, 5, 4)])
+    def test_matches_the_svd_of_the_unfolding(self, dims, layout):
+        t = tensor_with_layout(dims, layout, seed=20)
+        r = 3
+        for k in range(t.ndim):
+            w, s = _leading_left_vectors(t, k, r)
+            w_ref, s_ref, _ = np.linalg.svd(unfold(t, k), full_matrices=False)
+            if dims[k] > t.size // dims[k]:  # a tall mode takes the SVD itself
+                assert np.array_equal(w, w_ref[:, :r]) and np.array_equal(s, s_ref)
+            assert np.linalg.norm(projector(w) - projector(w_ref[:, :r]), 2) <= 1e-9
+            np.testing.assert_allclose(s[:r], s_ref[:r], rtol=1e-9, atol=0)
+        report = tensor_coherence(t, (r,) * t.ndim)
+        for k, (mu, sv) in enumerate(zip(report.mode_coherences, report.mode_singular_values)):
+            w_ref, s_ref, _ = np.linalg.svd(unfold(t, k), full_matrices=False)
+            assert mu == pytest.approx(coherence(w_ref[:, :r]), rel=1e-9)
+            np.testing.assert_allclose(sv, s_ref[:r], rtol=1e-9, atol=0)
+
+    @pytest.mark.parametrize("dims", [(14, 13, 12), (9, 8, 8, 7)])
+    def test_no_svd_of_a_full_size_operand(self, monkeypatch, dims):
+        ranks = (2,) * len(dims)
+        exact, noisy, noise = generate_synthetic(dims, ranks, 1e-6, np.random.default_rng(21))
+        dec = verified_chidori(exact, noisy, ranks, (6,) * len(dims))
+        sizes = []
+        svd = np.linalg.svd
+
+        def recording(a, *args, **kwargs):
+            sizes.append(np.size(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recording)
+        tensor_coherence(noisy, ranks)
+        evaluate_error_bounds(exact, noise, dec)
+        assert sizes and max(sizes) < exact.size
+
+    @pytest.mark.parametrize("layout", ["C", "F"])
+    def test_coherence_peak_is_a_fraction_of_the_tensor(self, layout):
+        t = tensor_with_layout((48, 48, 48), layout, seed=22)
+        tracemalloc.start()
+        try:
+            tensor_coherence(t, (5, 5, 5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * t.nbytes
 
 
 class TestMetrics:

@@ -150,6 +150,9 @@ def test_check_bounds_fiber_variant(capsys):
 @pytest.mark.parametrize("method, dims, sigma, seed", [
     ("chidori", [20], 1e-6, 4),
     ("fiber", [24, 20, 22], 1e-7, 2),
+    # the 60 x 16 mode-0 unfolding is tall, so the bounds take its thin SVD
+    ("chidori", [60, 4, 4], 1e-6, 0),
+    ("fiber", [60, 4, 4], 1e-6, 0),
 ])
 def test_check_bounds_prints_the_bounds_of_one_draw_at_the_default_sizes(
         capsys, method, dims, sigma, seed):
@@ -265,3 +268,37 @@ def test_convert_of_a_non_finite_factor_names_the_file(tmp_path, capsys, name):
     write_tensor(cur_dir / name, factor)
     code = main(["convert", "--in-dir", str(cur_dir), "--out-dir", str(tmp_path / "out")])
     assert_input_error(code, capsys, f"{cur_dir / name} holds non-finite values")
+
+
+@pytest.mark.parametrize("argv", [
+    ["synthetic", "--dims", "8", "--rank", "2", "--sigma", "0,nan"],
+    ["synthetic", "--dims", "8", "--rank", "2", "--sigma", "inf", "--methods", "hosvd"],
+    ["synthetic", "--dims", "8", "--rank", "2", "--sigma", "0,-1e-3"],
+    ["check-bounds", "--dims", "8", "--rank", "2", "--sigma", "nan"],
+    ["check-bounds", "--dims", "8", "--rank", "2", "--sigma", "inf"],
+])
+def test_a_noise_level_that_is_not_finite_and_nonnegative_is_an_input_error(
+        tmp_path, capsys, argv):
+    sigma = argv[argv.index("--sigma") + 1].split(",")[-1]
+    out = ["--out", str(tmp_path / "sweep.csv")] if argv[0] == "synthetic" else []
+    code = main(argv + out)
+    assert_input_error(code, capsys, f"noise level {float(sigma)} must be finite and nonnegative")
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["synthetic", "compress", "check-bounds"])
+def test_a_negative_seed_is_an_input_error(tmp_path, capsys, command):
+    _, noisy, _ = generate_synthetic(8, 2, 0.0, np.random.default_rng(6))
+    src = tmp_path / "t.tnsr"
+    write_tensor(src, noisy)
+    argv = {
+        "synthetic": ["synthetic", "--dims", "8", "--rank", "2",
+                      "--out", str(tmp_path / "sweep.csv")],
+        "compress": ["compress", "--input", str(src), "--method", "chidori", "--ranks", "2,2,2",
+                     "--out-dir", str(tmp_path / "out")],
+        "check-bounds": ["check-bounds", "--dims", "8", "--rank", "2", "--sigma", "0"],
+    }[command]
+    code = main(argv + ["--seed", "-3"])
+    assert_input_error(code, capsys, "seed -3 must be nonnegative")
+    assert not (tmp_path / "out").exists() and not (tmp_path / "sweep.csv").exists()
+

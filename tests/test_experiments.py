@@ -114,6 +114,11 @@ class TestGenerateSynthetic:
         with pytest.raises(ValueError):
             generate_synthetic(4, 5, 0.0, np.random.default_rng(4))
 
+    @pytest.mark.parametrize("sigma", [-1e-3, np.nan, np.inf])
+    def test_rejects_a_noise_level_that_is_not_finite_and_nonnegative(self, sigma):
+        with pytest.raises(ValueError, match=f"^noise level {sigma} must be finite and nonnegative$"):
+            generate_synthetic(6, 2, sigma, np.random.default_rng(4))
+
 
 class TestConfigValidation:
     def test_rejects_unknown_method(self):
@@ -129,6 +134,15 @@ class TestConfigValidation:
             ExperimentConfig([10], 11, [0.0], 1, 0)
         with pytest.raises(ValueError):
             ExperimentConfig([10], 2, [-1.0], 1, 0)
+
+    @pytest.mark.parametrize("sigma", [-1.0, np.nan, np.inf])
+    def test_rejects_a_noise_level_that_is_not_finite_and_nonnegative(self, sigma):
+        with pytest.raises(ValueError, match=f"^noise level {sigma} must be finite and nonnegative$"):
+            ExperimentConfig([10], 2, [0.0, sigma], 1, 0)
+
+    def test_rejects_a_negative_seed(self):
+        with pytest.raises(ValueError, match="^seed -3 must be nonnegative$"):
+            ExperimentConfig([10], 2, [0.0], 1, -3)
 
 
 class TestRunSweep:

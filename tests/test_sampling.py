@@ -283,6 +283,10 @@ class TestSamplingPlan:
         with pytest.raises(ValueError):
             SamplingPlan((2, 2, 2), fiber_counts=(1, 1))
 
+    def test_rejects_a_negative_seed(self):
+        with pytest.raises(ValueError, match="^seed -1 must be nonnegative$"):
+            SamplingPlan((2, 2, 2), seed=-1)
+
     def test_rng_is_seed_stable(self):
         plan = SamplingPlan((3, 3, 3), seed=123)
         assert plan.rng().integers(1 << 30) == plan.rng().integers(1 << 30)

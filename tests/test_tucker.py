@@ -45,11 +45,9 @@ class TestHosvd:
         dec = hosvd(slices_3x3x2, (2, 2, 2))
         assert relative_error(slices_3x3x2, dec.reconstruct()) < 1e-9
 
-    def test_compact_default_ranks(self):
-        rng = np.random.default_rng(2)
-        t = random_low_rank((7, 7, 7), (2, 3, 2), rng)
-        dec = hosvd(t)
-        assert dec.core.shape == (2, 3, 2)
+    def test_ranks_are_required(self):
+        with pytest.raises(TypeError):
+            hosvd(np.ones((3, 3, 3)))
 
     def test_rank_exceeding_extent(self):
         with pytest.raises(ValueError):
@@ -160,7 +158,8 @@ def planted_spectrum(ratio, noise, dims=(14, 12, 10), r=4, seed=0):
 
 def svd_left_vectors(t, k, r):
     m = unfold(t, k)
-    return np.linalg.svd(m, full_matrices=False)[0][:, : min(r, *m.shape)]
+    w, s, _ = np.linalg.svd(m, full_matrices=False)
+    return w[:, : min(r, *m.shape)], s
 
 
 class TestGramAgainstSvd:
@@ -184,7 +183,7 @@ class TestGramAgainstSvd:
 
     def test_ill_conditioned_exact_input_falls_back_to_the_svd(self):
         t, ranks = planted_spectrum(1e-8, 0.0)
-        dec = hosvd(t)
+        dec = hosvd(t, ranks)
         assert dec.ranks == ranks
         assert relative_error(t, dec.reconstruct()) < 1e-12
 
