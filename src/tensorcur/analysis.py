@@ -15,7 +15,8 @@ import numpy as np
 
 from .cur import CurDecomposition
 from .linalg import _EPS, _count_above
-from .tensor import check_ranks, frobenius_norm, select_fibers, spectral_norm, subtensor, unfold
+from .tensor import check_ranks, frobenius_norm, residual, select_fibers, spectral_norm
+from .tensor import subtensor, unfold
 from .tucker import _leading_left_vectors
 
 __all__ = [
@@ -189,9 +190,8 @@ def evaluate_error_bounds(exact, noise, dec: CurDecomposition) -> BoundReport:
                 5.0 * w_pinv[j] * e_inter[j] + 2.0 * e_fiber[j]
             )
 
-    measured = frobenius_norm(exact - dec.reconstruct())
     return BoundReport(
-        measured_error=measured,
+        measured_error=residual(exact, *dec.tucker_form()),
         general_bound=general,
         chidori_bound=chidori,
         premise_ok=tuple(premise),

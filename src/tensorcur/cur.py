@@ -38,6 +38,7 @@ from .tensor import (
     composite_index,
     frobenius_norm,
     multi_mode_product,
+    residual,
     select_fibers,
     subtensor,
     unfold,
@@ -257,10 +258,7 @@ def check_characterization(a, dec: CurDecomposition, tol: float = 1e-8) -> Chara
     for i, rows in enumerate(dec.row_indices):
         slabs.append(numerical_rank(unfold(np.take(a, rows, axis=i), i), tol))
     norm = frobenius_norm(a)
-    if norm == 0.0:
-        rel = 0.0
-    else:
-        rel = frobenius_norm(a - dec.reconstruct()) / norm
+    rel = residual(a, *dec.tucker_form()) / norm if norm > 0.0 else 0.0
     return CharacterizationReport(ranks, inter, fib, core, tuple(slabs), rel, tol)
 
 

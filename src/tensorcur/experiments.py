@@ -16,10 +16,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import relative_error
 from .cur import CurDecomposition, cur_to_hosvd, cur_with_indices, draw_indices
 from .sampling import SamplingPlan, chidori_sample_sizes, fiber_sample_sizes
-from .tensor import as_index_array, check_ranks, frobenius_norm, multi_mode_product
+from .tensor import as_index_array, check_ranks, frobenius_norm, multi_mode_product, residual
 from .tensorfile import SlabWriter, read_tensor, write_tensor
 from .tucker import hooi, hosvd, st_hosvd
 
@@ -153,10 +152,11 @@ def run_sweep(cfg: ExperimentConfig) -> list[dict]:
     """Run the configured sweep; one result dict per ``(d, sigma, method, trial)``.
 
     Within a trial every method sees the same noisy tensor; errors are
-    measured against the exact tensor.  Timings cover the decomposition only
-    (sampling, extraction, and the pseudoinverses with their rank gate for
-    the CUR methods), never data generation, reconstruction, or error
-    evaluation.
+    measured against the exact tensor, streamed from each decomposition's
+    Tucker form by :func:`~tensorcur.tensor.residual`.  Timings cover the
+    decomposition only (sampling, extraction, and the pseudoinverses with
+    their rank gate for the CUR methods), never data generation,
+    reconstruction, or error evaluation.
     """
     rows = []
     for d in cfg.dims:
@@ -165,7 +165,8 @@ def run_sweep(cfg: ExperimentConfig) -> list[dict]:
             for trial in range(cfg.trials):
                 seed = cfg.seed + trial
                 rng = np.random.default_rng(seed)
-                exact, noisy, _ = generate_synthetic(d, cfg.rank, sigma, rng)
+                exact, noisy = generate_synthetic(d, cfg.rank, sigma, rng)[:2]
+                norm = frobenius_norm(exact)
                 for method in cfg.methods:
                     # drawn lazily: a CUR resample takes the next seed from the trial rng
                     seeds = (int(rng.integers(2**63)) for _ in range(_MAX_RESAMPLES + 1))
@@ -180,13 +181,14 @@ def run_sweep(cfg: ExperimentConfig) -> list[dict]:
                             "sigma": sigma,
                             "trial": trial,
                             "seed": seed,
-                            "rel_err": relative_error(exact, dec.reconstruct()),
+                            "rel_err": residual(exact, *dec.tucker_form()) / norm,
                             "runtime_ms": runtime * 1e3,
                             "rank_ok": rank_ok,
                             "resamples": resamples,
                             "extract_ms": extract * 1e3,
                         }
                     )
+                del exact, noisy  # before the next trial's tensors are generated
     return rows
 
 
@@ -237,38 +239,6 @@ def _write_factors(out_dir: Path, method: str, dims, ranks, core, matrices: dict
     return files
 
 
-# bytes of last-mode slabs reconstructed, written and differenced at a time
-_STREAM_CHUNK_BYTES = 1 << 22
-
-
-def _stream_reconstruction(x: np.ndarray, core, factors, path=None) -> float:
-    """``frobenius_norm(x - core x_0 F_0 ... x_{n-1} F_{n-1})``, the ``hypot``
-    of its norms over chunks of last-mode slabs (contiguous in F order); each
-    chunk of the reconstruction is written to ``path`` when given.
-
-    The head ``core x_0 F_0 ... x_{n-2} F_{n-2}`` is formed once, as a
-    ``prod(d_<n-1) x k_{n-1}`` matrix ``H``.  Slab ``l`` is ``H @ F_{n-1}[l]``,
-    one matrix-vector product per slab in every chunk, so its bytes do not
-    depend on the chunk size; no full-size reconstruction is held.
-    """
-    head = multi_mode_product(core, list(factors[:-1]) + [None])
-    h = head.reshape(math.prod(x.shape[:-1]), head.shape[-1], order="F")
-    last = factors[-1]
-    step = max(1, _STREAM_CHUNK_BYTES // x[..., 0].nbytes)
-    norms = []
-    with SlabWriter(path, x.shape) if path is not None else nullcontext() as out:
-        for start in range(0, x.shape[-1], step):
-            # (m, prod(d_<n-1), 1): slab by slab, each slab first index fastest
-            slabs = np.matmul(h, last[start : start + step, :, None])
-            chunk = slabs[:, :, 0].T.reshape(x.shape[:-1] + (-1,), order="F")
-            if out is not None:
-                out.write(chunk)
-            np.subtract(chunk, x[..., start : start + step], out=chunk)
-            norms.append(frobenius_norm(chunk))
-            del slabs, chunk  # one chunk at a time
-    return math.hypot(*norms)
-
-
 def compress(
     input_path,
     method: str,
@@ -283,16 +253,16 @@ def compress(
 
     The SNR compares the loaded tensor against the method's reconstruction;
     an exact reconstruction is reported as ``snr_db=None`` (the "exact"
-    sentinel).  The reconstruction is never held whole: it is formed from
-    the Tucker form (for CUR, ``core x_i right_i.T`` with factors ``C_i @
-    left_i``) one chunk of last-mode slabs at a time, written when
-    ``write_reconstruction`` is set and differenced against the input for
-    the SNR in the same pass.  Timing covers the decomposition only, not
-    I/O.  An input with a non-finite value is rejected before it is
-    decomposed.
+    sentinel).  The reconstruction is never held whole: it is streamed from
+    the Tucker form by :func:`~tensorcur.tensor.residual`, which writes it
+    when ``write_reconstruction`` is set.  Timing covers the decomposition
+    only, not I/O.  An input with a non-finite value or a negative seed is
+    rejected before it is decomposed.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
+    if seed < 0:  # a Tucker method draws nothing, so no plan would check it
+        raise ValueError(f"seed {seed} must be nonnegative")
     x = read_tensor(input_path)
     ranks = check_ranks(ranks, x.shape)
     norm = frobenius_norm(x)
@@ -311,14 +281,15 @@ def compress(
         matrices, extra = {"factor": dec.factors}, {}
     files = _write_factors(out_dir, method, x.shape, dec.ranks, dec.core, matrices, **extra)
 
-    rec_path = None
+    writer = nullcontext()
     if write_reconstruction:
-        rec_path = out_dir / "reconstruction.tnsr"
-        files["reconstruction"] = rec_path.name
-    residual = _stream_reconstruction(x, *dec.tucker_form(), rec_path)
+        files["reconstruction"] = "reconstruction.tnsr"
+        writer = SlabWriter(out_dir / files["reconstruction"], x.shape)
+    with writer as out:
+        res = residual(x, *dec.tucker_form(), out)
     # a reconstruction exact to machine precision (e.g. ranks == dims) has a
     # roundoff-dominated SNR; report the exact sentinel instead of a number
-    snr = None if residual <= 1e-12 * norm else 20.0 * math.log10(norm / residual)
+    snr = None if res <= 1e-12 * norm else 20.0 * math.log10(norm / res)
     return CompressionResult(
         method, ranks, snr, runtime * 1e3, extract * 1e3, rank_ok, str(out_dir), files
     )

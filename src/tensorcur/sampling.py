@@ -211,9 +211,7 @@ def chidori_sample_sizes(dims, ranks) -> tuple[int, ...]:
 
     Raises if the prescription exceeds a mode's extent rather than clamping.
     """
-    dims = tuple(int(d) for d in dims)
-    ranks = tuple(int(r) for r in ranks)
-    return tuple(_size_from_log(r, d, 1.0, "row") for d, r in zip(dims, ranks))
+    return tuple(_size_from_log(int(r), int(d), 1.0, "row") for d, r in zip(dims, ranks))
 
 
 def fiber_sample_sizes(dims, ranks) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -221,12 +219,6 @@ def fiber_sample_sizes(dims, ranks) -> tuple[tuple[int, ...], tuple[int, ...]]:
     ``s_i = ceil(2 r_i log(prod_{j != i} d_j))``."""
     dims = tuple(int(d) for d in dims)
     ranks = tuple(int(r) for r in ranks)
-    t = chidori_sample_sizes(dims, ranks)
-    s = []
-    for i, r in enumerate(ranks):
-        rest = 1
-        for j, d in enumerate(dims):
-            if j != i:
-                rest *= d
-        s.append(_size_from_log(r, rest, 2.0, "fiber"))
-    return t, tuple(s)
+    total = math.prod(dims)
+    s = tuple(_size_from_log(r, total // d, 2.0, "fiber") for d, r in zip(dims, ranks))
+    return chidori_sample_sizes(dims, ranks), s

@@ -1,5 +1,5 @@
-"""Dense tensor algebra: unfolding, folding, mode products, Gram matrices, and
-subtensor extraction.
+"""Dense tensor algebra: unfolding, folding, mode products, Gram matrices,
+subtensor extraction, and the residual norm of a Tucker form.
 
 Conventions used throughout the package:
 
@@ -34,6 +34,7 @@ __all__ = [
     "select_fibers",
     "composite_index",
     "frobenius_norm",
+    "residual",
     "spectral_norm",
 ]
 
@@ -258,6 +259,43 @@ def frobenius_norm(t) -> float:
         scale = max(float(flat.max()), -float(flat.min()))
         norm = scale * float(np.linalg.norm(flat / scale))
     return norm
+
+
+# bytes of last-mode slabs reconstructed, written and differenced at a time
+_STREAM_CHUNK_BYTES = 1 << 22
+
+
+def residual(x, core, factors, writer=None) -> float:
+    """``frobenius_norm(x - multi_mode_product(core, factors))``, streamed.
+
+    The head ``core x_0 F_0 ... x_{n-2} F_{n-2}`` is formed once as a matrix
+    ``H``.  Each chunk of last-mode slabs is ``H @ F_{n-1}[l]`` slab by slab
+    (so its bytes do not depend on the chunk size), passed to ``writer.write``
+    if given and differenced in place; the chunk norms combine by ``hypot``.
+    Without a writer a C-contiguous ``x`` is read as ``x.T`` against the
+    reversed form, so its chunks are contiguous.
+    """
+    x = _as_tensor(x)
+    if tuple(len(f) for f in factors) != x.shape:
+        raise ValueError(f"the Tucker form does not have the tensor's dims {x.shape}")
+    if writer is None and x.flags.c_contiguous:
+        x, core, factors = x.T, np.transpose(core), factors[::-1]
+    head = multi_mode_product(core, [*factors[:-1], None])
+    h = head.reshape(math.prod(x.shape[:-1]), head.shape[-1], order="F")
+    # a reversed-column view would send the batched product down numpy's non-BLAS loop
+    last = np.ascontiguousarray(factors[-1], dtype=np.float64)
+    step = max(1, _STREAM_CHUNK_BYTES // x[..., 0].nbytes)
+    norms = []
+    for start in range(0, x.shape[-1], step):
+        # (m, prod(d_<n-1), 1): slab by slab, each slab first index fastest
+        slabs = np.matmul(h, last[start : start + step, :, None])
+        chunk = slabs[:, :, 0].T.reshape(x.shape[:-1] + (-1,), order="F")
+        if writer is not None:
+            writer.write(chunk)
+        np.subtract(chunk, x[..., start : start + step], out=chunk)
+        norms.append(frobenius_norm(chunk))
+        del slabs, chunk  # one chunk at a time
+    return math.hypot(*norms)
 
 
 def spectral_norm(m) -> float:

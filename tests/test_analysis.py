@@ -5,12 +5,14 @@ import pytest
 
 from tensorcur import (
     SamplingPlan,
+    check_characterization,
     chidori_cur,
     coherence,
     composite_index,
     cur_with_indices,
     evaluate_error_bounds,
     fiber_cur,
+    fiber_sample_sizes,
     frobenius_norm,
     generate_synthetic,
     numerical_rank,
@@ -18,6 +20,7 @@ from tensorcur import (
     tensor_coherence,
     unfold,
 )
+from tensorcur import tensor
 from tensorcur.tucker import _leading_left_vectors
 
 from conftest import random_low_rank, tensor_with_layout
@@ -245,6 +248,48 @@ class TestUnfoldingSpectrum:
         finally:
             tracemalloc.stop()
         assert peak < 0.5 * t.nbytes
+
+
+class TestStreamedError:
+    """The bounds' measured error and the characterization's relative error
+    are streamed from the decomposition's Tucker form."""
+
+    @staticmethod
+    def instance(dims, variant, sigma, seed):
+        ranks = (2,) * len(dims)
+        exact, noisy, noise = generate_synthetic(dims, ranks, sigma, np.random.default_rng(seed))
+        t, s = fiber_sample_sizes(dims, ranks)
+        plan = SamplingPlan(t, s if variant == "fiber" else None, seed=seed)
+        dec = (fiber_cur if variant == "fiber" else chidori_cur)(noisy, plan, ranks)
+        return exact, noisy, noise, dec
+
+    @pytest.mark.parametrize("variant", ["chidori", "fiber"])
+    @pytest.mark.parametrize("dims", [(20, 18, 16), (9, 8, 7, 6)])
+    def test_errors_match_the_full_reconstruction(self, variant, dims):
+        exact, noisy, noise, dec = self.instance(dims, variant, 1e-3, 23)
+        rec = dec.reconstruct()
+        measured = evaluate_error_bounds(exact, noise, dec).measured_error
+        assert measured == pytest.approx(frobenius_norm(exact - rec), rel=1e-9)
+        rel = check_characterization(noisy, dec).relative_error
+        assert rel == pytest.approx(relative_error(noisy, rec), rel=1e-9)
+
+    @pytest.mark.parametrize("variant", ["chidori", "fiber"])
+    @pytest.mark.parametrize("which", ["bounds", "characterization"])
+    def test_peak_is_a_fraction_of_the_tensor(self, monkeypatch, variant, which):
+        monkeypatch.setattr(tensor, "_STREAM_CHUNK_BYTES", 1 << 16)
+        exact, noisy, noise, dec = self.instance((64, 64, 64), variant, 1e-4, 24)
+        assert dec.rank_ok  # the intersections are factored before the peak is taken
+        tracemalloc.start()
+        try:
+            if which == "bounds":
+                evaluate_error_bounds(exact, noise, dec)
+            else:
+                check_characterization(noisy, dec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a full-size reconstruction and difference peaked at 2x
+        assert peak < 0.5 * exact.nbytes
 
 
 class TestMetrics:

@@ -302,3 +302,15 @@ def test_a_negative_seed_is_an_input_error(tmp_path, capsys, command):
     assert_input_error(code, capsys, "seed -3 must be nonnegative")
     assert not (tmp_path / "out").exists() and not (tmp_path / "sweep.csv").exists()
 
+
+
+@pytest.mark.parametrize("method", ["chidori", "fiber", "hosvd", "st-hosvd", "hooi"])
+def test_compress_rejects_a_negative_seed_with_every_method(tmp_path, capsys, method):
+    # a Tucker method draws no sample, so no sampling plan would see the seed
+    _, noisy, _ = generate_synthetic(12, 2, 1e-3, np.random.default_rng(7))
+    src = tmp_path / "t.tnsr"
+    write_tensor(src, noisy)
+    code = main(["compress", "--input", str(src), "--method", method, "--ranks", "2,2,2",
+                 "--seed", "-1", "--out-dir", str(tmp_path / "out")])
+    assert_input_error(code, capsys, "seed -1 must be nonnegative")
+    assert not (tmp_path / "out").exists()

@@ -23,7 +23,7 @@ from tensorcur import (
     write_csv,
     write_tensor,
 )
-from tensorcur import experiments
+from tensorcur import experiments, tensor
 from tensorcur.cur import draw_indices
 from tensorcur.experiments import CSV_HEADER, rows_to_csv
 
@@ -33,53 +33,53 @@ from tensorcur.experiments import CSV_HEADER, rows_to_csv
 FORCED_RESAMPLE_SWEEP = """\
 method,d,r,sigma,trial,seed,rel_err,rank_ok,resamples
 fiber,15,3,0,0,11,3.143660411485e+00,0,10
-chidori,15,3,0,0,11,6.918532814096e-13,1,0
-hosvd,15,3,0,0,11,1.073321986506e-15,1,0
+chidori,15,3,0,0,11,5.246127787528e-13,1,0
+hosvd,15,3,0,0,11,1.052110370143e-15,1,0
 fiber,15,3,0,1,12,8.219305912826e-01,0,10
-chidori,15,3,0,1,12,7.285255013291e-16,1,0
-hosvd,15,3,0,1,12,9.442975599622e-16,1,0
+chidori,15,3,0,1,12,8.002456905793e-16,1,0
+hosvd,15,3,0,1,12,9.475817970701e-16,1,0
 fiber,15,3,0,2,13,1.699546544899e+00,0,10
-chidori,15,3,0,2,13,6.660948502795e-16,1,0
-hosvd,15,3,0,2,13,1.154531042182e-15,1,0
+chidori,15,3,0,2,13,6.150925722273e-16,1,0
+hosvd,15,3,0,2,13,1.135529187086e-15,1,0
 fiber,15,3,0,3,14,1.379093707349e+00,0,10
-chidori,15,3,0,3,14,1.324181864830e-15,1,0
-hosvd,15,3,0,3,14,1.228350757027e-15,1,0
+chidori,15,3,0,3,14,1.164179311948e-15,1,0
+hosvd,15,3,0,3,14,1.219963073941e-15,1,0
 fiber,15,3,0.001,0,11,3.143328712322e+00,0,10
 chidori,15,3,0.001,0,11,1.594024849219e+00,1,0
-hosvd,15,3,0.001,0,11,4.998265969356e-05,1,0
+hosvd,15,3,0.001,0,11,4.998265969358e-05,1,0
 fiber,15,3,0.001,1,12,8.225084152633e-01,0,10
 chidori,15,3,0.001,1,12,1.191320672450e-03,1,0
 hosvd,15,3,0.001,1,12,6.501166940142e-05,1,0
 fiber,15,3,0.001,2,13,1.700420365047e+00,0,10
 chidori,15,3,0.001,2,13,5.742940644191e-04,1,0
-hosvd,15,3,0.001,2,13,3.904217526621e-05,1,0
+hosvd,15,3,0.001,2,13,3.904217526622e-05,1,0
 fiber,15,3,0.001,3,14,1.382002786073e+00,0,10
 chidori,15,3,0.001,3,14,3.192613544067e-03,1,0
-hosvd,15,3,0.001,3,14,3.983716012528e-05,1,0
+hosvd,15,3,0.001,3,14,3.983716012527e-05,1,0
 fiber,25,3,0,0,11,8.732292197007e-01,0,10
-chidori,25,3,0,0,11,9.780552491191e-16,1,0
-hosvd,25,3,0,0,11,9.995337685905e-16,1,0
+chidori,25,3,0,0,11,9.646798395513e-16,1,0
+hosvd,25,3,0,0,11,9.855599934642e-16,1,0
 fiber,25,3,0,1,12,1.488780810953e+00,0,10
-chidori,25,3,0,1,12,1.030489426032e-15,1,0
-hosvd,25,3,0,1,12,1.047740687511e-15,1,0
+chidori,25,3,0,1,12,1.041374879882e-15,1,0
+hosvd,25,3,0,1,12,1.037272196987e-15,1,0
 fiber,25,3,0,2,13,9.421482343889e+00,0,10
-chidori,25,3,0,2,13,1.174506562396e-15,1,0
-hosvd,25,3,0,2,13,1.162241805282e-15,1,0
+chidori,25,3,0,2,13,1.201064190733e-15,1,0
+hosvd,25,3,0,2,13,1.152072446470e-15,1,0
 fiber,25,3,0,3,14,1.653688026056e+00,0,10
-chidori,25,3,0,3,14,1.758789750367e-15,1,0
-hosvd,25,3,0,3,14,9.931381981083e-16,1,0
+chidori,25,3,0,3,14,1.537227969505e-15,1,0
+hosvd,25,3,0,3,14,9.695142726464e-16,1,0
 fiber,25,3,0.001,0,11,8.716085869561e-01,0,10
 chidori,25,3,0.001,0,11,4.025875979199e-03,1,0
 hosvd,25,3,0.001,0,11,3.852099688639e-05,1,0
 fiber,25,3,0.001,1,12,1.489624453665e+00,0,10
-chidori,25,3,0.001,1,12,9.555460743971e-04,1,0
+chidori,25,3,0.001,1,12,9.555460743970e-04,1,0
 hosvd,25,3,0.001,1,12,3.368036065261e-05,1,0
 fiber,25,3,0.001,2,13,9.437858667521e+00,0,10
-chidori,25,3,0.001,2,13,2.416160134828e-03,1,0
+chidori,25,3,0.001,2,13,2.416160134829e-03,1,0
 hosvd,25,3,0.001,2,13,1.640158787790e-05,1,0
 fiber,25,3,0.001,3,14,1.652457022987e+00,0,10
 chidori,25,3,0.001,3,14,1.865754663770e-02,1,0
-hosvd,25,3,0.001,3,14,2.176624349390e-05,1,0
+hosvd,25,3,0.001,3,14,2.176624349389e-05,1,0
 """
 
 
@@ -184,6 +184,21 @@ class TestRunSweep:
         )
         rows = run_sweep(cfg)
         assert rows[0]["rel_err"] < 1e-9
+
+    def test_a_trial_releases_its_tensors_before_the_next_is_generated(self, monkeypatch):
+        monkeypatch.setattr(tensor, "_STREAM_CHUNK_BYTES", 1 << 16)
+        d = 64
+        cfg = ExperimentConfig(dims=[d], rank=2, sigmas=[1e-4], trials=3, seed=0,
+                               methods=["chidori"])
+        tracemalloc.start()
+        try:
+            run_sweep(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # generating a trial holds its exact tensor, noise and noisy tensor;
+        # the previous trial's three tensors sat on top and peaked at 6x
+        assert peak < 4 * 8 * d**3
 
     def test_forced_resamples_are_pinned(self):
         cfg = ExperimentConfig(
@@ -313,7 +328,7 @@ class TestStreamedReconstruction:
         path, x = make_tensor_file(tmp_path, dims, ranks, 1e-3, 13)
         written = []
         for chunk_bytes in (1, x.nbytes):  # one slab per chunk, then the whole tensor
-            monkeypatch.setattr(experiments, "_STREAM_CHUNK_BYTES", chunk_bytes)
+            monkeypatch.setattr(tensor, "_STREAM_CHUNK_BYTES", chunk_bytes)
             out = tmp_path / f"out{chunk_bytes}"
             result = compress(path, method, ranks, seed=6, out_dir=out, write_reconstruction=True)
             written.append((out / "reconstruction.tnsr").read_bytes())
@@ -357,7 +372,7 @@ class TestStreamedReconstruction:
                                               chunk_bytes):
         # at 1e200 one slab's squares overflow; at 1e153 each slab's sum is
         # finite and only the running sum overflows, after some slabs
-        monkeypatch.setattr(experiments, "_STREAM_CHUNK_BYTES", chunk_bytes)
+        monkeypatch.setattr(tensor, "_STREAM_CHUNK_BYTES", chunk_bytes)
         big = scale * np.random.default_rng(18).standard_normal((8, 8, 8))
         snrs = []
         for name, x in (("big", big), ("unit", big * (1.0 / scale))):
@@ -404,7 +419,7 @@ class TestStreamedReconstruction:
         path, x = make_tensor_file(tmp_path, (128, 128, 32), (4, 4, 4), 1e-3, 17)
         nbytes = x.nbytes
         del x
-        monkeypatch.setattr(experiments, "_STREAM_CHUNK_BYTES", 1 << 16)
+        monkeypatch.setattr(tensor, "_STREAM_CHUNK_BYTES", 1 << 16)
         tracemalloc.start()
         try:
             compress(path, "hosvd", (4, 4, 4), out_dir=tmp_path / "out", write_reconstruction=True)

@@ -18,7 +18,8 @@ from tensorcur import (
     unfold,
 )
 
-from tensorcur.tensor import check_ranks, gram
+from tensorcur import tensor
+from tensorcur.tensor import check_ranks, gram, residual
 
 from conftest import random_low_rank, tensor_with_layout
 
@@ -374,6 +375,79 @@ class TestNorms:
         rng = np.random.default_rng(56)
         m = rng.standard_normal((6, 4))
         assert spectral_norm(m) == pytest.approx(np.linalg.svd(m, compute_uv=False)[0])
+
+
+def tucker_form(dims, ks, seed):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(ks), [rng.standard_normal((d, k)) for d, k in zip(dims, ks)]
+
+
+class TestResidual:
+    """The streamed residual equals the norm of the difference with the full
+    reconstruction, for every layout and chunking, and never holds it whole."""
+
+    SHAPES = [((40,), (3,)), ((30, 25), (3, 2)), ((16, 14, 12), (2, 3, 2)),
+              ((9, 8, 7, 6), (2, 2, 3, 2))]
+
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    @pytest.mark.parametrize("dims,ks", SHAPES)
+    @pytest.mark.parametrize("chunk_bytes", [1, 1 << 30])  # one slab, more than the tensor
+    def test_matches_the_full_reconstruction(self, monkeypatch, layout, dims, ks, chunk_bytes):
+        monkeypatch.setattr(tensor, "_STREAM_CHUNK_BYTES", chunk_bytes)
+        x = tensor_with_layout(dims, layout, seed=60)
+        core, factors = tucker_form(dims, ks, 61)
+        ref = frobenius_norm(x - multi_mode_product(core, factors))
+        assert residual(x, core, factors) == pytest.approx(ref, rel=1e-12)
+
+    @pytest.mark.parametrize("layout", ["C", "F"])
+    def test_reversed_view_factors(self, layout):
+        dims = (20, 18, 16)
+        x = tensor_with_layout(dims, layout, seed=62)
+        core, factors = tucker_form(dims, (3, 3, 3), 63)
+        views = [np.ascontiguousarray(f[:, ::-1])[:, ::-1] for f in factors]
+        assert not any(v.flags.c_contiguous for v in views)
+        ref = frobenius_norm(x - multi_mode_product(core, factors))
+        assert residual(x, core, views) == pytest.approx(ref, rel=1e-12)
+
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    @pytest.mark.parametrize("chunk_bytes", [1, 1 << 30])
+    def test_writer_receives_the_last_mode_slabs_in_order(self, monkeypatch, layout,
+                                                          chunk_bytes):
+        monkeypatch.setattr(tensor, "_STREAM_CHUNK_BYTES", chunk_bytes)
+        dims = (7, 6, 5)
+        x = tensor_with_layout(dims, layout, seed=64)
+        core, factors = tucker_form(dims, (2, 2, 2), 65)
+
+        class Collect(list):
+            def write(self, chunk):
+                assert chunk.shape[:-1] == dims[:-1]
+                self.append(chunk.copy())
+
+        chunks = Collect()
+        got = residual(x, core, factors, chunks)
+        rec = multi_mode_product(core, factors)
+        assert np.allclose(np.concatenate(chunks, axis=-1), rec, rtol=0, atol=1e-12)
+        assert got == pytest.approx(frobenius_norm(x - rec), rel=1e-12)
+
+    def test_a_form_of_other_dims_is_rejected(self):
+        core, factors = tucker_form((4, 5, 6), (2, 2, 2), 66)
+        with pytest.raises(ValueError, match="does not have the tensor's dims"):
+            residual(np.zeros((5, 4, 6)), core, factors)
+
+    @pytest.mark.parametrize("layout", ["C", "F"])
+    def test_peak_memory_is_one_chunk(self, monkeypatch, layout):
+        monkeypatch.setattr(tensor, "_STREAM_CHUNK_BYTES", 1 << 16)
+        dims = (64, 64, 64)
+        x = tensor_with_layout(dims, layout, seed=67)
+        core, factors = tucker_form(dims, (4, 4, 4), 68)
+        tracemalloc.start()
+        try:
+            residual(x, core, factors)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the 64 x 64 x 4 head (and its F-ordered copy) is 1/16 of the input
+        assert peak < 0.25 * x.nbytes
 
 
 def test_low_rank_helper_has_declared_rank():
