@@ -16,7 +16,7 @@ import numpy as np
 from .cur import CurDecomposition
 from .linalg import _EPS, _count_above
 from .tensor import check_ranks, frobenius_norm, residual, select_fibers, spectral_norm
-from .tensor import subtensor, unfold
+from .tensor import _contiguous, subtensor, unfold
 from .tucker import _leading_left_vectors
 
 __all__ = [
@@ -79,7 +79,7 @@ def tensor_coherence(a, ranks) -> CoherenceReport:
     ``sigma_min`` is the smallest retained singular value across modes (the
     r_i-th of each unfolding) and ``sigma_max`` the largest overall.
     """
-    a = np.asarray(a, dtype=np.float64)
+    a = _contiguous(a)
     ranks = check_ranks(ranks, a.shape)
     mus = []
     svals = []

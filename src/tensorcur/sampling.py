@@ -11,10 +11,13 @@ about ``sqrt(n)`` weights from the cumulative block sums, then an entry from
 that block's cumulative sum, and the drawn entry is zeroed and its block sum
 refreshed, so a draw costs ``O(sqrt(n))``.  Index sets are always returned
 sorted ascending so downstream slicing is reproducible.
+
+A length plan reads the tensor once: every squared-norm marginal it needs is
+summed from chunks of leading slabs, each squared into one reused buffer of
+about 1 MB and reduced by matrix-vector products with a ones vector.
 """
 
 import math
-import string
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,51 +78,108 @@ def length_distribution(t, axis: str = "rows", mode: int = 0) -> np.ndarray:
     ``p_j = ||m[j, :]||^2 / ||m||_F^2`` for ``axis="rows"`` and the column
     analogue for ``axis="cols"``; columns follow the unfolding's order (first
     remaining index fastest).  For a matrix and ``mode=0``, ``m`` is ``t``
-    itself.  The squared norms are summed straight from ``t`` in one
-    ``einsum`` pass, so neither the unfolding nor a squared copy of ``t`` is
-    ever built.
+    itself.  The squared norms come from the one chunked pass of
+    :func:`mode_length_distributions`, so neither the unfolding nor a squared
+    copy of ``t`` is ever built.
     """
     t = np.asarray(t, dtype=np.float64)
     if not 0 <= mode < t.ndim:
         raise ValueError(f"mode {mode} out of range for a {t.ndim}-mode tensor")
     if axis not in ("rows", "cols"):
         raise ValueError("axis must be 'rows' or 'cols'")
-    return _normalized(_squared_norms(t, mode, keep_mode=axis == "rows"))
+    rows, cols = mode_length_distributions(t, fibers=axis == "cols")
+    return (rows if axis == "rows" else cols)[mode]
 
 
 def mode_length_distributions(t, fibers: bool = False):
     """Row length distributions of every mode unfolding of ``t`` and, with
     ``fibers=True``, the column ones, as ``(rows, cols)`` lists
     (``cols is None`` otherwise); entry ``i`` equals
-    ``length_distribution(t, axis, mode=i)`` up to rounding.
+    ``length_distribution(unfold(t, i), axis)`` up to rounding.
 
-    Each mode's row norms are summed from the column-norm marginal of another
-    mode, so the whole tensor is read once per mode for Fiber plans and twice
-    for Chidori plans (the last mode's marginal, then that mode's row norms).
+    The tensor is read once, in chunks (see :func:`_length_norms`).  When the
+    squares of finite entries overflow, the pass is redone in units of
+    ``max|t|``; a tensor with a non-finite entry is rejected.
     """
     t = np.asarray(t, dtype=np.float64)
-    n = t.ndim
-    kept = range(n) if fibers else range(1, n)[-1:]  # Chidori: mode n-1 only, if n > 1
-    marginals = {i: np.expand_dims(_squared_norms(t, i, keep_mode=False), i) for i in kept}
-    rows = []
-    for j in range(n):
-        i = next((i for i in marginals if i != j), None)
-        others = tuple(m for m in range(n) if m != j)
-        sq = _squared_norms(t, j, keep_mode=True) if i is None else marginals[i].sum(axis=others)
-        rows.append(_normalized(sq))
-    cols = [_normalized(m) for m in marginals.values()] if fibers else None
-    return rows, cols
+    with np.errstate(over="ignore"):
+        rows, cols = _length_norms(t, fibers)
+    if not all(math.isfinite(sq.sum()) for sq in rows + cols):
+        if not np.isfinite(t).all():
+            raise ValueError("the tensor holds non-finite values")
+        rows, cols = _length_norms(t, fibers, max(float(t.max()), -float(t.min())))
+    cols = [_normalized(sq) for sq in cols] if fibers else None
+    return [_normalized(sq) for sq in rows], cols
 
 
-def _squared_norms(t: np.ndarray, mode: int, keep_mode: bool) -> np.ndarray:
-    # one einsum pass: squared row norms of the mode unfolding, or its column ones
-    modes = string.ascii_letters[: t.ndim]
-    kept = modes[mode] if keep_mode else modes[:mode] + modes[mode + 1 :]
-    return np.einsum(f"{modes},{modes}->{kept}", t, t)
+# bytes of squared slabs per chunk of a norm pass, so that the chunk stays in L2
+_NORM_CHUNK_BYTES = 1 << 20
+
+
+def _length_norms(t: np.ndarray, fibers: bool, scale: float = 1.0):
+    """``(rows, cols)``: the squared row norms of every mode unfolding of
+    ``t / scale`` and, with ``fibers``, the squared column norms in each
+    unfolding's column order (``cols`` is empty otherwise), from one pass.
+
+    The pass reads the C-contiguous view of ``t`` (an F-ordered ``t`` through
+    ``t.T``, whose modes are reversed) in chunks of leading slabs.  A Fiber
+    plan sums the squares over each axis in turn; a Chidori plan only over
+    the last axis and over all but the last.  Every row-norm vector but the
+    last axis's is summed from the last axis's marginal.
+    """
+    if t.ndim == 1:  # a vector is its own (d, 1) unfolding
+        rows, cols = _length_norms(t[:, None], fibers, scale)
+        return rows[:1], cols[:1]
+    flipped = t.flags.f_contiguous and not t.flags.c_contiguous
+    c = t.T if flipped else t
+    n = c.ndim
+    groups = [(a, a + 1) for a in range(n)] if fibers else [(0, n - 1), (n - 1, n)]
+    sums = _square_sums(c, groups, scale)
+    # sums[0] is summed over axis 0 (Fiber) or over every axis but the last (Chidori)
+    last = sums[0].reshape(-1, c.shape[-1]).sum(axis=0)
+    rows = [sums[-1].sum(axis=tuple(b for b in range(n - 1) if b != a)) for a in range(n - 1)]
+    rows.append(last)
+    # a marginal lists its remaining axes in the view's order, reversed from t's when flipped
+    cols = [sq.ravel(order="C" if flipped else "F") for sq in sums] if fibers else []
+    return (rows[::-1], cols[::-1]) if flipped else (rows, cols)
+
+
+def _square_sums(c: np.ndarray, groups, scale: float) -> list[np.ndarray]:
+    """For each ``(lo, hi)`` in ``groups``, the sum of ``(c / scale)**2`` over
+    the axes ``lo..hi-1`` of ``c``, from one pass over chunks of ``c``'s
+    leading slabs.  Each chunk is squared into one reused buffer (a
+    non-contiguous ``c`` is copied there chunk by chunk), at most
+    ``_NORM_CHUNK_BYTES`` and an eighth of the tensor, and reduced by
+    matrix-vector products with a ones vector."""
+    shape = c.shape
+    slab = c.itemsize * math.prod(shape[1:])
+    step = max(1, min(-(-shape[0] // 8), _NORM_CHUNK_BYTES // max(1, slab)))
+    buf = np.empty((step,) + shape[1:])
+    ones = np.ones(max(math.prod(buf.shape[lo:hi]) for lo, hi in groups))
+    sums = [np.zeros(shape[:lo] + shape[hi:]) for lo, hi in groups]
+    for start in range(0, shape[0], step):
+        x = buf[: min(step, shape[0] - start)]
+        chunk = c[start : start + len(x)]
+        if scale != 1.0:
+            chunk = np.divide(chunk, scale, out=x)
+        np.square(chunk, out=x)
+        for (lo, hi), out in zip(groups, sums):
+            p, m = math.prod(x.shape[:lo]), math.prod(x.shape[lo:hi])
+            v = x.reshape(p, m, math.prod(x.shape[hi:]))
+            if m == 1:  # nothing to sum
+                part = v[:, 0, :]
+            elif v.shape[2] == 1:
+                part = v[:, :, 0] @ ones[:m]
+            else:
+                part = ones[:m] @ v
+            if lo == 0:
+                out += part.reshape(out.shape)
+            else:
+                out[start : start + len(x)] = part.reshape((len(x),) + out.shape[1:])
+    return sums
 
 
 def _normalized(sq: np.ndarray) -> np.ndarray:
-    sq = sq.ravel(order="F")
     total = sq.sum()
     if total <= 0.0:
         raise ValueError("degenerate distribution: zero tensor")

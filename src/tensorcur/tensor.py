@@ -51,6 +51,13 @@ def _check_mode(t: np.ndarray, k: int) -> None:
         raise ValueError(f"mode {k} out of range for a {t.ndim}-mode tensor")
 
 
+def _contiguous(t) -> np.ndarray:
+    """``t`` as a float64 array that is C- or F-contiguous: any other layout
+    is copied to C order, once, by a caller that takes many views of it."""
+    t = np.asarray(t, dtype=np.float64)
+    return t if t.flags.c_contiguous or t.flags.f_contiguous else np.ascontiguousarray(t)
+
+
 def _c_contiguous(t: np.ndarray, k: int) -> tuple[np.ndarray, int, bool]:
     """``(c, j, flipped)``: a C-contiguous tensor ``c`` whose mode ``j`` is
     ``t``'s mode ``k``.  An F-contiguous ``t`` is read as ``c = t.T``

@@ -11,6 +11,7 @@ import numpy as np
 
 from .linalg import _gram_eigh
 from .tensor import (
+    _contiguous,
     check_ranks,
     frobenius_norm,
     gram,
@@ -69,7 +70,7 @@ def hosvd(t, ranks) -> HosvdDecomposition:
     """Truncated higher-order SVD: factor ``k`` holds the leading ``r_k`` left
     singular vectors of the mode-k unfolding, and the core is the input
     multiplied by every factor transpose."""
-    t = np.asarray(t, dtype=np.float64)
+    t = _contiguous(t)
     ranks = check_ranks(ranks, t.shape)
     factors = tuple(_leading_left_vectors(t, k, r)[0] for k, r in enumerate(ranks))
     core = multi_mode_product(t, [w.T for w in factors])
@@ -82,7 +83,7 @@ def st_hosvd(t, ranks) -> HosvdDecomposition:
     Each mode is compressed immediately after its factor is computed, so
     later SVDs act on progressively smaller tensors.
     """
-    t = np.asarray(t, dtype=np.float64)
+    t = _contiguous(t)
     ranks = check_ranks(ranks, t.shape)
     factors = []
     current = t
@@ -101,7 +102,7 @@ def hooi(t, ranks, max_iters: int = 50, tol: float = 1e-8) -> HosvdDecomposition
     when the relative change of the core norm drops below ``tol`` or after
     ``max_iters`` sweeps.  The fit is nonincreasing across sweeps.
     """
-    t = np.asarray(t, dtype=np.float64)
+    t = _contiguous(t)
     ranks = check_ranks(ranks, t.shape)
     if max_iters < 0:
         raise ValueError("max_iters must be nonnegative")

@@ -14,6 +14,8 @@ from tensorcur import (
     sample_without_replacement,
     unfold,
 )
+from tensorcur import sampling
+from tensorcur.cur import draw_indices
 from tensorcur.sampling import mode_length_distributions
 
 from conftest import tensor_with_layout
@@ -100,6 +102,11 @@ class TestLengthDistribution:
         np.testing.assert_allclose(got, length_distribution(unfold(t, k), axis), rtol=1e-12)
 
 
+# numpy functions through which a pass could read the whole tensor
+READERS = ("einsum", "square", "multiply", "divide", "abs", "isfinite", "sum", "dot",
+           "matmul", "tensordot", "copyto", "ascontiguousarray", "asfortranarray")
+
+
 class TestModeLengthDistributions:
     @settings(max_examples=100, deadline=None)
     @given(
@@ -127,27 +134,75 @@ class TestModeLengthDistributions:
         with pytest.raises(ValueError, match="degenerate"):
             mode_length_distributions(np.zeros(dims), fibers)
 
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    @pytest.mark.parametrize("dims", [(11,), (11, 13), (11, 4, 13), (11, 3, 4, 13)])
+    @pytest.mark.parametrize("fibers", [False, True])
+    @pytest.mark.parametrize("slabs", [1, 2])
+    def test_chunk_boundaries(self, monkeypatch, layout, dims, fibers, slabs):
+        # chunks of one slab, or of two, which do not divide 11 or 13 leading slabs
+        t = tensor_with_layout(dims, layout, seed=len(dims))
+        lead = dims[-1] if layout == "F" else dims[0]
+        monkeypatch.setattr(sampling, "_NORM_CHUNK_BYTES", slabs * (t.nbytes // lead))
+        rows, cols = mode_length_distributions(t, fibers)
+        for k, p in enumerate(rows):
+            np.testing.assert_allclose(p, length_distribution(unfold(t, k), "rows"), rtol=1e-12)
+        for k, q in enumerate(cols or []):
+            np.testing.assert_allclose(q, length_distribution(unfold(t, k), "cols"), rtol=1e-12)
+
     @pytest.mark.parametrize(
         "distribution,variant,passes",
-        [("length", "fiber", 3), ("length", "chidori", 2), ("uniform", "fiber", 0),
+        [("length", "fiber", 1), ("length", "chidori", 1), ("uniform", "fiber", 0),
          ("uniform", "chidori", 0)],
     )
-    def test_full_tensor_passes(self, monkeypatch, distribution, variant, passes):
-        t = generate_synthetic((7, 8, 9), 2, 1e-3, np.random.default_rng(6))[1]
-        full = []
-        einsum = np.einsum
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    def test_full_tensor_passes(self, monkeypatch, distribution, variant, passes, layout):
+        t = tensor_with_layout((17, 8, 9), layout, seed=6)
+        read = []
 
-        def counting(subscripts, *operands, **kwargs):
-            if any(np.size(op) == t.size for op in operands):
-                full.append(subscripts)
-            return einsum(subscripts, *operands, **kwargs)
+        def counting(name):
+            # entries of t read by one call: an operand given twice is read once
+            f = getattr(np, name)
 
-        monkeypatch.setattr(np, "einsum", counting)
+            def spy(*operands, **kwargs):
+                sizes = [np.size(op) for op in operands if np.may_share_memory(op, t)]
+                read.append(max(sizes, default=0))
+                return f(*operands, **kwargs)
+
+            return spy
+
+        for name in READERS:
+            monkeypatch.setattr(np, name, counting(name))
         if variant == "fiber":
             fiber_cur(t, SamplingPlan((3, 3, 3), (5, 5, 5), distribution), (2, 2, 2))
         else:
             chidori_cur(t, SamplingPlan((3, 3, 3), distribution=distribution), (2, 2, 2))
-        assert len(full) == passes, full
+        assert sum(read) == passes * t.size
+
+    @pytest.mark.parametrize("fibers", [False, True])
+    def test_squares_that_overflow_are_taken_in_units_of_the_largest_entry(self, fibers):
+        a = np.random.default_rng(4).standard_normal((9, 7, 8))
+        rows, cols = mode_length_distributions(a, fibers)
+        big_rows, big_cols = mode_length_distributions(a * 1e160, fibers)
+        for p, q in zip(rows + (cols or []), big_rows + (big_cols or [])):
+            np.testing.assert_allclose(q, p, rtol=1e-12)
+        plan = SamplingPlan((3, 3, 3), (5, 5, 5) if fibers else None, "length", seed=2)
+        for got, want in zip(draw_indices(a * 1e160, plan), draw_indices(a, plan)):
+            for i, j in zip(got or [], want or []):
+                np.testing.assert_array_equal(i, j)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("fibers", [False, True])
+    def test_non_finite_input_is_named(self, value, fibers):
+        a = np.random.default_rng(4).standard_normal((9, 7, 8))
+        a[3, 2, 5] = value
+        with pytest.raises(ValueError, match="the tensor holds non-finite values"):
+            mode_length_distributions(a, fibers)
+        with pytest.raises(ValueError, match="the tensor holds non-finite values"):
+            length_distribution(a, "cols" if fibers else "rows", mode=1)
+        plan = SamplingPlan((3, 3, 3), (5, 5, 5) if fibers else None, "length")
+        decompose = fiber_cur if fibers else chidori_cur
+        with pytest.raises(ValueError, match="the tensor holds non-finite values"):
+            decompose(a, plan, (2, 2, 2))
 
 
 class TestSampleWithoutReplacement:
@@ -270,6 +325,53 @@ class TestLengthPlansArePinned:
         dec = fiber_cur(tensor, plan, (2, 2, 2))
         assert [r.tolist() for r in dec.row_indices] == self.ROWS[seed]
         assert [j.tolist() for j in dec.fiber_indices] == self.FIBERS[seed]
+
+
+class TestLengthDrawsOnA40CubeArePinned:
+    """Length-weighted ``draw_indices`` on a fixed heavy-tailed ``40^3`` input,
+    recorded from the implementation that summed each mode's marginal in
+    its own ``einsum`` pass; a Fiber plan draws the same rows first."""
+
+    ROWS = {
+        0: [[0, 1, 10, 25, 33, 36], [0, 20, 24, 28, 32, 37], [1, 7, 21, 29, 34, 35]],
+        1: [[5, 12, 16, 20, 37, 38], [1, 15, 20, 21, 29, 32], [4, 11, 13, 17, 19, 31]],
+        2: [[3, 10, 13, 24, 29, 33], [2, 6, 7, 12, 23, 27], [16, 18, 26, 27, 28, 38]],
+    }
+    FIBERS = {
+        0: [
+            [49, 193, 490, 646, 714, 1000, 1058, 1090],
+            [206, 646, 1051, 1104, 1114, 1168, 1565, 1595],
+            [495, 514, 563, 777, 838, 926, 1389, 1483],
+        ],
+        1: [
+            [321, 424, 455, 809, 1174, 1208, 1532, 1566],
+            [184, 252, 447, 851, 880, 1021, 1254, 1548],
+            [66, 106, 725, 850, 980, 1018, 1329, 1447],
+        ],
+        2: [
+            [290, 522, 578, 660, 841, 1251, 1441, 1471],
+            [164, 169, 320, 780, 1100, 1134, 1369, 1429],
+            [634, 681, 824, 955, 982, 1017, 1345, 1393],
+        ],
+    }
+
+    @pytest.fixture(scope="class")
+    def tensor(self):
+        return np.random.default_rng(11).standard_normal((40, 40, 40)) ** 3
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_chidori(self, tensor, seed):
+        plan = SamplingPlan((6, 6, 6), distribution="length", seed=seed)
+        rows, cols = draw_indices(tensor, plan)
+        assert [r.tolist() for r in rows] == self.ROWS[seed]
+        assert cols is None
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_fiber(self, tensor, seed):
+        plan = SamplingPlan((6, 6, 6), (8, 8, 8), distribution="length", seed=seed)
+        rows, cols = draw_indices(tensor, plan)
+        assert [r.tolist() for r in rows] == self.ROWS[seed]
+        assert [j.tolist() for j in cols] == self.FIBERS[seed]
 
 
 class TestSamplingPlan:

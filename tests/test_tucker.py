@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from tensorcur import (
     multilinear_rank,
     relative_error,
     st_hosvd,
+    tensor_coherence,
     tucker,
     unfold,
 )
@@ -242,6 +244,34 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert peak < 0.25 * t.nbytes
+
+
+class TestStridedInputIsCopiedOnce:
+    @pytest.mark.parametrize("op", ["hosvd", "st_hosvd", "hooi", "tensor_coherence"])
+    def test_every_view_is_contiguous_and_matches_the_c_ordered_input(self, monkeypatch, op):
+        t = tensor_with_layout((9, 8, 7), "strided", seed=18)
+        run = {
+            "hosvd": lambda x: hosvd(x, (3, 2, 3)).tucker_form(),
+            "st_hosvd": lambda x: st_hosvd(x, (3, 2, 3)).tucker_form(),
+            "hooi": lambda x: hooi(x, (3, 2, 3), max_iters=3).tucker_form(),
+            "tensor_coherence": lambda x: astuple(tensor_coherence(x, (3, 2, 3))),
+        }[op]
+        want = run(np.ascontiguousarray(t))
+        seen = []
+        c_contiguous = tensorcur.tensor._c_contiguous
+
+        def spy(x, k):
+            seen.append(x.flags.c_contiguous or x.flags.f_contiguous)
+            return c_contiguous(x, k)
+
+        monkeypatch.setattr(tensorcur.tensor, "_c_contiguous", spy)
+        got = run(t)
+        assert seen and all(seen)
+        # tuples of factors, coherences or singular values are compared entry by entry
+        leaves = [[a for x in out for a in (x if isinstance(x, tuple) else (x,))]
+                  for out in (got, want)]
+        for a, b in zip(*leaves, strict=True):
+            np.testing.assert_array_equal(a, b)
 
 
 @pytest.mark.parametrize("max_iters, tol, full_size", [(1, 1e-8, 4), (3, 0.0, 10)])
