@@ -13,10 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cur import CurDecomposition
+from .cur import CurDecomposition, cur_with_indices
 from .linalg import _EPS, _count_above
-from .tensor import check_ranks, frobenius_norm, residual, select_fibers, spectral_norm
-from .tensor import _contiguous, subtensor, unfold
+from .tensor import _contiguous, check_ranks, frobenius_norm, residual, spectral_norm, unfold
 from .tucker import _leading_left_vectors
 
 __all__ = [
@@ -125,12 +124,14 @@ def evaluate_error_bounds(exact, noise, dec: CurDecomposition) -> BoundReport:
     """Evaluate the approximation-error bound RHS values for ``dec`` built
     from ``exact + noise``.
 
-    ``exact`` must have multilinear rank equal to ``dec.ranks``.  All
-    noiseless submatrices (core, fibers, intersections) are re-extracted from
-    ``exact`` at the decomposition's indices, and the left singular vectors
-    of the noiseless unfoldings supply the subfactor pseudoinverse norms.
+    ``exact`` must have multilinear rank equal to ``dec.ranks``.  The core,
+    fibers and intersections of ``exact`` and of ``noise`` are gathered by
+    :func:`~tensorcur.cur.cur_with_indices` at the decomposition's indices,
+    which rejects non-finite values among them; no other entry of ``noise``
+    is read.  The left singular vectors of the noiseless unfoldings supply
+    the subfactor pseudoinverse norms.  A strided ``exact`` is copied once.
     """
-    exact = np.asarray(exact, dtype=np.float64)
+    exact = _contiguous(exact)
     noise = np.asarray(noise, dtype=np.float64)
     if exact.shape != noise.shape:
         raise ValueError("exact tensor and noise must have the same shape")
@@ -138,10 +139,11 @@ def evaluate_error_bounds(exact, noise, dec: CurDecomposition) -> BoundReport:
         raise ValueError("decomposition dims do not match the tensor")
     n = exact.ndim
     ranks = dec.ranks
+    clean = cur_with_indices(exact, dec.row_indices, ranks, dec.fiber_indices)
+    sampled_noise = cur_with_indices(noise, dec.row_indices, ranks, dec.fiber_indices)
 
-    core_noise = frobenius_norm(subtensor(noise, dec.row_indices))
-    clean_core = subtensor(exact, dec.row_indices)
-    core_spectral = tuple(spectral_norm(unfold(clean_core, j)) for j in range(n))
+    core_noise = frobenius_norm(sampled_noise.core)
+    core_spectral = tuple(spectral_norm(unfold(clean.core, j)) for j in range(n))
 
     w_pinv = []
     u_pinv = []
@@ -150,8 +152,7 @@ def evaluate_error_bounds(exact, noise, dec: CurDecomposition) -> BoundReport:
     e_fiber = []
     e_inter = []
     premise = []
-    for i in range(n):
-        r = ranks[i]
+    for i, r in enumerate(ranks):
         w, s = _leading_left(exact, i, r, "exact tensor has mode-{k} rank {rank}, below target {r}")
         w_sub = w[dec.row_indices[i], :]
         s_w = np.linalg.svd(w_sub, compute_uv=False)
@@ -159,17 +160,14 @@ def evaluate_error_bounds(exact, noise, dec: CurDecomposition) -> BoundReport:
         w_pinv.append(_inverse_or_inf(sigma_r_w))
         a_pinv.append(_inverse_or_inf(float(s[r - 1])))
 
-        clean_u = select_fibers(exact, i, dec.fiber_indices[i])[dec.row_indices[i], :]
-        s_u = np.linalg.svd(clean_u, compute_uv=False)
+        s_u = np.linalg.svd(clean.intersections[i], compute_uv=False)
         sigma_r_u = float(s_u[r - 1]) if s_u.size >= r else 0.0
         u_sigma_r.append(sigma_r_u)
         u_pinv.append(_inverse_or_inf(sigma_r_u))
 
-        noise_fibers = select_fibers(noise, i, dec.fiber_indices[i])
-        noise_inter = noise_fibers[dec.row_indices[i], :]
-        e_fiber.append(frobenius_norm(noise_fibers))
-        e_inter.append(frobenius_norm(noise_inter))
-        premise.append(sigma_r_u > 8.0 * spectral_norm(noise_inter))
+        e_fiber.append(frobenius_norm(sampled_noise.fibers[i]))
+        e_inter.append(frobenius_norm(sampled_noise.intersections[i]))
+        premise.append(sigma_r_u > 8.0 * spectral_norm(sampled_noise.intersections[i]))
 
     lead = (9.0 / 4.0) ** n * math.prod(w_pinv) * core_noise
     general = lead

@@ -26,6 +26,7 @@ _PINV_FLOOR = 1e-14
 _GRAM_MIN_RATIO = 1e-6
 
 _EPS = np.finfo(np.float64).eps
+_TINY = np.finfo(np.float64).tiny
 
 
 def _as_matrix(m) -> np.ndarray:
@@ -82,10 +83,10 @@ def rank_r_pinv_factors(m, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Y = W' S' Z'.T``, give ``left = Y Z' / S'`` and ``right = W'`` within
     ``eps * kappa^2 * rho^3`` of the SVD's result; ``s`` is ``S'`` followed
     by the square roots of the other Gram eigenvalues.  A tall ``m``, a Gram
-    whose diagonal overflows, and ``sigma_q / sigma_1 < 1e-3`` take the thin
-    SVD of ``m``.  Gram-path values sit far above the ``1e-14`` floor and a
-    ``1e-6`` rank gate, so both paths invert the same rank and pass the same
-    gates.
+    whose diagonal overflows or underflows, and ``sigma_q / sigma_1 < 1e-3``
+    take the thin SVD of ``m``.  Gram-path values sit far above the ``1e-14``
+    floor and a ``1e-6`` rank gate, so both paths invert the same rank and
+    pass the same gates.
     """
     m = _as_matrix(m)
     if r < 0:
@@ -113,15 +114,14 @@ def rank_r_pinv_factors(m, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _gram_eigh(g: np.ndarray, q: int):
     """``eigh`` of the Gram matrix ``g = m @ m.T``, or ``None`` when the leading
-    ``q`` directions must come from the thin SVD of ``m``: ``g`` is zero, has
-    a non-finite diagonal (a non-finite ``m``, or squares that overflow), or
-    has ``lambda_q < 1e-6 * lambda_1``."""
-    if not np.isfinite(np.diagonal(g)).all():
+    ``q`` directions must come from the thin SVD of ``m``: ``g``'s diagonal is
+    not finite (a non-finite ``m``, or overflow) or below ``tiny / eps`` (a
+    zero ``m``, or underflow), or ``lambda_q < 1e-6 * lambda_1``."""
+    diagonal = np.diagonal(g)
+    if not (np.isfinite(diagonal).all() and diagonal.max() >= _TINY / _EPS):
         return None
     lam, v = np.linalg.eigh(g)
-    if lam[-1] > 0.0 and lam[-q] >= _GRAM_MIN_RATIO * lam[-1]:
-        return lam, v
-    return None
+    return (lam, v) if lam[-q] >= _GRAM_MIN_RATIO * lam[-1] else None
 
 
 def multilinear_rank(t, tol: float | None = None) -> tuple[int, ...]:

@@ -98,16 +98,19 @@ def mode_length_distributions(t, fibers: bool = False):
     ``length_distribution(unfold(t, i), axis)`` up to rounding.
 
     The tensor is read once, in chunks (see :func:`_length_norms`).  When the
-    squares of finite entries overflow, the pass is redone in units of
-    ``max|t|``; a tensor with a non-finite entry is rejected.
+    sum of squares of a nonzero finite ``t`` overflows or falls below the
+    smallest normal float, the pass is redone in units of ``max|t|``; a
+    tensor with a non-finite entry is rejected.
     """
     t = np.asarray(t, dtype=np.float64)
     with np.errstate(over="ignore"):
         rows, cols = _length_norms(t, fibers)
-    if not all(math.isfinite(sq.sum()) for sq in rows + cols):
+    if not all(np.finfo(np.float64).tiny <= sq.sum() < math.inf for sq in rows + cols):
         if not np.isfinite(t).all():
             raise ValueError("the tensor holds non-finite values")
-        rows, cols = _length_norms(t, fibers, max(float(t.max()), -float(t.min())))
+        scale = max(float(t.max(initial=0.0)), -float(t.min(initial=0.0)))
+        if scale > 0.0:
+            rows, cols = _length_norms(t, fibers, scale)
     cols = [_normalized(sq) for sq in cols] if fibers else None
     return [_normalized(sq) for sq in rows], cols
 

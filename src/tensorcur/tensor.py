@@ -61,12 +61,9 @@ def _contiguous(t) -> np.ndarray:
 def _c_contiguous(t: np.ndarray, k: int) -> tuple[np.ndarray, int, bool]:
     """``(c, j, flipped)``: a C-contiguous tensor ``c`` whose mode ``j`` is
     ``t``'s mode ``k``.  An F-contiguous ``t`` is read as ``c = t.T``
-    (``flipped``); any other layout is copied once."""
-    if t.flags.c_contiguous:
-        return t, k, False
-    if t.flags.f_contiguous:
-        return t.T, t.ndim - 1 - k, True
-    return np.ascontiguousarray(t), k, False
+    (``flipped``); any other layout is copied once, by :func:`_contiguous`."""
+    t = _contiguous(t)
+    return (t, k, False) if t.flags.c_contiguous else (t.T, t.ndim - 1 - k, True)
 
 
 def _slab_view(c: np.ndarray, j: int) -> np.ndarray:
@@ -255,16 +252,18 @@ def composite_index(index_sets, k: int, dims) -> np.ndarray:
 def frobenius_norm(t) -> float:
     """Square root of the sum of squared entries.
 
-    When the sum of squares overflows for finite entries, it is taken again
-    in units of ``max|t|``; other inputs are summed once, unscaled.
+    When the sum of squares of a nonzero finite ``t`` overflows or falls
+    below the smallest normal float, it is taken again in units of
+    ``max|t|``; other inputs are summed once, unscaled.
     """
     # order="K" reads C- and F-contiguous inputs in place instead of copying them
     flat = np.asarray(t, dtype=np.float64).ravel(order="K")
     with np.errstate(over="ignore"):
         norm = float(np.linalg.norm(flat))
-    if math.isinf(norm) and np.isfinite(flat).all():
-        scale = max(float(flat.max()), -float(flat.min()))
-        norm = scale * float(np.linalg.norm(flat / scale))
+    if (math.isinf(norm) or norm**2 < np.finfo(np.float64).tiny) and np.isfinite(flat).all():
+        scale = max(float(flat.max(initial=0.0)), -float(flat.min(initial=0.0)))
+        if scale > 0.0:
+            norm = scale * float(np.linalg.norm(flat / scale))
     return norm
 
 

@@ -2,8 +2,9 @@
 truncated HOSVD, and HOOI.  Factors are the leading eigenvectors of each
 unfolding's Gram matrix, formed from a view of the tensor by
 :func:`~tensorcur.tensor.gram`, or its thin SVD's when the unfolding is
-taller than wide or ``sigma_k / sigma_1 < 1e-3``.  A tensor with a
-non-finite entry is rejected with a ``ValueError``."""
+taller than wide, the Gram's diagonal over- or underflows, or ``sigma_k /
+sigma_1 < 1e-3``.  A tensor with a non-finite entry is rejected with a
+``ValueError``."""
 
 from dataclasses import dataclass
 
@@ -111,10 +112,7 @@ def hooi(t, ranks, max_iters: int = 50, tol: float = 1e-8) -> HosvdDecomposition
     previous = frobenius_norm(core)
     for _ in range(max_iters):
         for k, r in enumerate(ranks):
-            partial = t
-            for j, w in enumerate(factors):
-                if j != k:
-                    partial = mode_product(partial, w.T, j)
+            partial = multi_mode_product(t, [None if j == k else w.T for j, w in enumerate(factors)])
             factors[k] = _leading_left_vectors(partial, k, r)[0]
         # the last partial is t x_j W_j.T for every j < n-1, all updated
         core = mode_product(partial, factors[-1].T, t.ndim - 1)

@@ -1,7 +1,10 @@
 import tracemalloc
+from dataclasses import astuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tensorcur import (
     SamplingPlan,
@@ -69,6 +72,10 @@ def verified_chidori(exact, noisy, ranks, sizes, start_seed=0):
         if all(numerical_rank(u, 1e-6) >= r for u, r in zip(dec.intersections, ranks)):
             return dec
     raise AssertionError("rank condition never held")
+
+
+def sampled_decomposition(a, variant, plan):
+    return (fiber_cur if variant == "fiber" else chidori_cur)(a, plan, (2, 2, 2))
 
 
 class TestRankChecks:
@@ -184,6 +191,42 @@ class TestErrorBounds:
         dec = fiber_cur(exact, plan, (2, 2, 2))
         report = evaluate_error_bounds(exact, np.zeros_like(exact), dec)
         assert report.chidori_bound is None
+
+    @pytest.mark.parametrize("variant", ["chidori", "fiber"])
+    @pytest.mark.parametrize("which", ["exact", "noise"])
+    def test_a_non_finite_sampled_entry_is_named(self, variant, which):
+        rng = np.random.default_rng(8)
+        exact = random_low_rank((12, 12, 12), (2, 2, 2), rng)
+        noise = 1e-6 * rng.standard_normal(exact.shape)
+        plan = SamplingPlan((6, 6, 6), (20, 20, 20) if variant == "fiber" else None, seed=1)
+        dec = sampled_decomposition(exact + noise, variant, plan)
+        tensors = {"exact": exact, "noise": noise}
+        tensors[which][tuple(rows[0] for rows in dec.row_indices)] = np.nan  # a core entry
+        with pytest.raises(ValueError, match="^the sampled core or fibers hold non-finite values$"):
+            evaluate_error_bounds(tensors["exact"], tensors["noise"], dec)
+
+    @settings(max_examples=30, deadline=None)
+    @given(variant=st.sampled_from(["chidori", "fiber"]), seed=st.integers(0, 2**32 - 1))
+    def test_noise_outside_the_core_and_fibers_is_never_read(self, variant, seed):
+        # the bounds are stated on the sampled noise alone, so redrawing every
+        # other entry of the noise leaves the whole report unchanged
+        rng = np.random.default_rng(seed)
+        exact = random_low_rank((9, 8, 7), (2, 2, 2), rng)
+        noise = 1e-3 * rng.standard_normal(exact.shape)
+        plan = SamplingPlan((4, 4, 4), (9, 9, 9) if variant == "fiber" else None, seed=seed)
+        dec = sampled_decomposition(exact + noise, variant, plan)
+        sampled = np.zeros(exact.shape, dtype=bool)
+        sampled[np.ix_(*dec.row_indices)] = True
+        for i, cols in enumerate(dec.fiber_indices):
+            others = list(np.unravel_index(cols, exact.shape[:i] + exact.shape[i + 1 :], order="F"))
+            sampled[tuple(others[:i] + [slice(None)] + others[i:])] = True
+        redrawn = np.where(sampled, noise, 10.0 * rng.standard_normal(exact.shape))
+        before = evaluate_error_bounds(exact, noise, dec)
+        after = evaluate_error_bounds(exact, redrawn, dec)
+        assert not np.array_equal(redrawn, noise) or sampled.all()
+        # core_noise_norm, fiber_noise_norms, intersection_noise_norms,
+        # premise_ok and every field computed from them, bit for bit
+        assert astuple(after) == astuple(before)
 
     def test_premise_flags_off_when_noise_swamps_intersections(self):
         rng = np.random.default_rng(7)

@@ -366,12 +366,13 @@ class TestStreamedReconstruction:
         assert result.snr_db == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("method", experiments.METHODS)
-    @pytest.mark.parametrize("scale", [1e200, 1e153])
+    @pytest.mark.parametrize("scale", [1e200, 1e153, 1e-160, 1e-170, 1e-300])
     @pytest.mark.parametrize("chunk_bytes", [1, 1 << 22])
     def test_squares_that_overflow_are_scaled(self, tmp_path, monkeypatch, method, scale,
                                               chunk_bytes):
         # at 1e200 one slab's squares overflow; at 1e153 each slab's sum is
-        # finite and only the running sum overflows, after some slabs
+        # finite and only the running sum overflows, after some slabs; the
+        # squares that underflow are subnormal at 1e-160 and 0 below
         monkeypatch.setattr(tensor, "_STREAM_CHUNK_BYTES", chunk_bytes)
         big = scale * np.random.default_rng(18).standard_normal((8, 8, 8))
         snrs = []

@@ -164,6 +164,15 @@ class TestFactoredPinvAgainstSvd:
         for x, y in zip(got, ref):
             assert np.all(np.isfinite(x)) and np.array_equal(x, y)
 
+    @pytest.mark.parametrize("scale", [1e-150, 1e-160, 1e-170])
+    def test_squares_that_underflow_take_the_svd(self, scale):
+        # the Gram's diagonal is below tiny / eps, so its entries lost precision
+        m = scale * np.random.default_rng(4).standard_normal((5, 8))
+        got = rank_r_pinv_factors(m, 3)
+        ref = svd_pinv_factors(m, 3)
+        for x, y in zip(got, ref):
+            assert np.all(np.isfinite(x)) and np.array_equal(x, y)
+
     def test_zero_and_rank_zero(self):
         left, right, s = rank_r_pinv_factors(np.zeros((3, 5)), 2)
         assert left.shape == (5, 0) and right.shape == (3, 0)

@@ -190,6 +190,20 @@ class TestModeLengthDistributions:
             for i, j in zip(got or [], want or []):
                 np.testing.assert_array_equal(i, j)
 
+    @pytest.mark.parametrize("scale", [1e-160, 1e-170, 1e-300])
+    @pytest.mark.parametrize("fibers", [False, True])
+    def test_squares_that_underflow_are_taken_in_units_of_the_largest_entry(self, fibers, scale):
+        # at 1e-160 the squares are subnormal; at 1e-170 and 1e-300 they are 0
+        a = np.random.default_rng(0).standard_normal((20, 20, 20))
+        rows, cols = mode_length_distributions(a, fibers)
+        small_rows, small_cols = mode_length_distributions(a * scale, fibers)
+        for p, q in zip(rows + (cols or []), small_rows + (small_cols or []), strict=True):
+            np.testing.assert_allclose(q, p, rtol=1e-12)
+        plan = SamplingPlan((5, 5, 5), (9, 9, 9) if fibers else None, "length")
+        for got, want in zip(draw_indices(a * scale, plan), draw_indices(a, plan)):
+            for i, j in zip(got or [], want or []):
+                np.testing.assert_array_equal(i, j)
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("fibers", [False, True])
     def test_non_finite_input_is_named(self, value, fibers):

@@ -371,6 +371,14 @@ class TestNorms:
         t[0, 0] = np.inf
         assert frobenius_norm(t) == np.inf
 
+    @pytest.mark.parametrize("scale", [1e-160, 1e-170, 1e-300])
+    def test_squares_that_underflow_are_scaled_and_a_zero_tensor_is_not(self, scale):
+        # at 1e-160 the squares are subnormal; at 1e-170 and 1e-300 they are 0
+        a = np.random.default_rng(0).standard_normal((20, 20, 20))
+        np.testing.assert_allclose(frobenius_norm(a * scale), scale * frobenius_norm(a), rtol=1e-12)
+        assert frobenius_norm(np.zeros((20, 20))) == 0.0
+        assert frobenius_norm(np.zeros((0, 3))) == 0.0
+
     def test_spectral_norm_is_largest_singular_value(self):
         rng = np.random.default_rng(56)
         m = rng.standard_normal((6, 4))

@@ -5,6 +5,10 @@ import numpy as np
 import pytest
 
 from tensorcur import (
+    SamplingPlan,
+    chidori_cur,
+    evaluate_error_bounds,
+    fiber_cur,
     frobenius_norm,
     hooi,
     hosvd,
@@ -247,14 +251,21 @@ class TestMemory:
 
 
 class TestStridedInputIsCopiedOnce:
-    @pytest.mark.parametrize("op", ["hosvd", "st_hosvd", "hooi", "tensor_coherence"])
+    @pytest.mark.parametrize("op", ["hosvd", "st_hosvd", "hooi", "tensor_coherence",
+                                    "chidori_bounds", "fiber_bounds"])
     def test_every_view_is_contiguous_and_matches_the_c_ordered_input(self, monkeypatch, op):
         t = tensor_with_layout((9, 8, 7), "strided", seed=18)
+        noise = 1e-3 * np.random.default_rng(19).standard_normal(t.shape)
+        plan = SamplingPlan((4, 4, 4), (9, 9, 9), seed=3)
+        chidori, fiber = (f(t + noise, plan, (3, 2, 3)) for f in (chidori_cur, fiber_cur))
         run = {
             "hosvd": lambda x: hosvd(x, (3, 2, 3)).tucker_form(),
             "st_hosvd": lambda x: st_hosvd(x, (3, 2, 3)).tucker_form(),
             "hooi": lambda x: hooi(x, (3, 2, 3), max_iters=3).tucker_form(),
             "tensor_coherence": lambda x: astuple(tensor_coherence(x, (3, 2, 3))),
+            # the exact tensor is the strided one; every report field is compared
+            "chidori_bounds": lambda x: astuple(evaluate_error_bounds(x, noise, chidori)),
+            "fiber_bounds": lambda x: astuple(evaluate_error_bounds(x, noise, fiber)),
         }[op]
         want = run(np.ascontiguousarray(t))
         seen = []
