@@ -14,9 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cur import CurDecomposition, cur_with_indices
-from .linalg import _EPS, _count_above
+from .linalg import _EPS, _count_above, _leading_left_vectors
 from .tensor import _contiguous, check_ranks, frobenius_norm, residual, spectral_norm, unfold
-from .tucker import _leading_left_vectors
 
 __all__ = [
     "CoherenceReport",
@@ -50,10 +49,10 @@ def coherence(w) -> float:
 
 
 def _leading_left(t: np.ndarray, k: int, r: int, error: str):
-    """The Tucker kernel's leading ``r`` left singular vectors and singular
+    """The shared kernel's leading ``r`` left singular vectors and singular
     values of ``unfold(t, k)``; ``error.format(k=k, rank=rank, r=r)`` is raised
     when its numerical rank, counted as by ``numerical_rank``, is below ``r``."""
-    w, s = _leading_left_vectors(t, k, r)
+    w, s, _ = _leading_left_vectors(t, k, r)
     rank = _count_above(s, max(t.shape[k], t.size // t.shape[k]) * _EPS)
     if rank < r:
         raise ValueError(error.format(k=k, rank=rank, r=r))

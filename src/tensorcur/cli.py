@@ -149,7 +149,7 @@ def _cmd_convert(args) -> int:
 
 
 def _cmd_check_bounds(args) -> int:
-    dims = args.dims if len(args.dims) > 1 else args.dims[0]
+    dims = args.dims[0] if len(args.dims) == 1 else args.dims
     if args.seed < 0:
         raise ValueError(f"seed {args.seed} must be nonnegative")
     rng = np.random.default_rng(args.seed)

@@ -13,10 +13,11 @@ where ``U_i^+_{r_i}`` is the pseudoinverse of the best rank-``r_i``
 approximation of ``U_i`` (singular values below ``1e-14 * sigma_1`` are not
 inverted).  It reproduces ``A`` exactly precisely when every ``U_i`` has rank
 equal to the mode-i rank of ``A``.  The pseudoinverses are kept factored, with
-``k_i <= r_i`` columns, from the Gram matrix of ``U_i`` and a Rayleigh-Ritz
-step or its thin SVD (:func:`~tensorcur.linalg.rank_r_pinv_factors`).  A
-decomposition factors each intersection once, on first use, and its rank
-gate, mode maps, Tucker form and reconstruction all read those factors.
+``k_i <= r_i`` columns (:func:`~tensorcur.linalg.rank_r_pinv_factors`): the
+leading left subspace of ``U_i`` comes from the kernel the Tucker baselines
+use, the Gram matrix of ``U_i`` refined by a Rayleigh-Ritz step or its thin
+SVD.  A decomposition factors each intersection once, on first use, and its
+rank gate, mode maps, Tucker form and reconstruction all read those factors.
 """
 
 from dataclasses import dataclass, replace

@@ -337,7 +337,7 @@ def convert_factors(in_dir, out_dir):
     fibers = tuple(read_finite(f) for f in files["fibers"])
     inters = tuple(read_finite(f) for f in files["intersections"])
     dims = tuple(int(d) for d in manifest["dims"])
-    ranks = tuple(int(r) for r in manifest["ranks"])
+    ranks = check_ranks(manifest["ranks"], dims)
     n = len(dims)
     row_sets, fiber_sets = manifest["row_indices"], manifest["fiber_indices"]
     if not (len(fibers) == len(inters) == core.ndim == len(row_sets) == len(fiber_sets) == n):

@@ -1,5 +1,7 @@
 """Matrix factorization primitives: pseudoinverses, the factored rank-``r``
-pseudoinverse of a sampled intersection, numerical rank.
+pseudoinverse of a sampled intersection, numerical rank, and the leading
+left subspace of an unfolding, which the pseudoinverse and the Tucker
+baselines share.
 
 All factorizations are dense and delegate to LAPACK through ``numpy.linalg``.
 The default rank cutoff is the conventional ``max(rows, cols) * eps`` relative
@@ -8,7 +10,7 @@ to the largest singular value.
 
 import numpy as np
 
-from .tensor import unfold
+from .tensor import gram, unfold
 
 __all__ = [
     "pinv",
@@ -65,6 +67,38 @@ def pinv(m) -> np.ndarray:
     return (vt[:k].T / s[:k]) @ w[:, :k].T
 
 
+def _leading_left_vectors(t, k: int, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """``(w, s, vt)``: the leading ``q = min(r, d, p)`` left singular vectors
+    ``w`` of the ``d x p`` unfolding ``unfold(t, k)`` and all its singular
+    values ``s``, descending; the one kernel behind the Tucker factors and
+    the intersection pseudoinverses.
+
+    A wide unfolding takes them from ``eigh`` of its Gram matrix, formed by
+    :func:`~tensorcur.tensor.gram` from a view of ``t``, and ``vt`` is
+    ``None``.  A tall unfolding (its Gram would take ``O(d^2)`` memory), a
+    Gram diagonal that is not finite or below ``tiny / eps`` (a non-finite
+    entry, overflow, a zero ``t`` or underflow), and ``lambda_q < 1e-6 *
+    lambda_1`` take the thin SVD ``W S vt`` of the unfolding instead, which
+    rejects a non-finite entry with a ``ValueError``.
+    """
+    d = t.shape[k]
+    p = t.size // d
+    q = min(r, d, p)
+    if d <= p:
+        g = gram(t, k)
+        diagonal = np.diagonal(g)
+        if np.isfinite(diagonal).all() and diagonal.max() >= _TINY / _EPS:
+            lam, v = np.linalg.eigh(g)
+            if lam[-q] >= _GRAM_MIN_RATIO * lam[-1]:
+                return v[:, -q:][:, ::-1], np.sqrt(np.maximum(lam[::-1], 0.0)), None
+    m = unfold(t, k)
+    # an infinite entry can stall the SVD, so its operand is checked first
+    if not np.isfinite(m).all():
+        raise ValueError("the tensor holds non-finite values")
+    w, s, vt = np.linalg.svd(m, full_matrices=False)
+    return w[:, :q], s, vt
+
+
 def rank_r_pinv_factors(m, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The pseudoinverse of the best rank-``r`` approximation of ``m``, ``V_r
     diag(1/sigma_1..1/sigma_r) W_r.T``, as ``left @ right.T``, each factor
@@ -73,20 +107,19 @@ def rank_r_pinv_factors(m, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     inverted: ``k`` is then silently below ``r``, which avoids dividing by
     numerically-zero values when ``r`` exceeds the numerical rank.
 
-    A wide ``m`` (rows <= cols) takes no SVD of ``m``.  With ``q = min(r,
-    rows)``, ``eigh`` of the Gram ``m @ m.T`` gives the leading left
-    directions ``W_q``, tilted towards the trailing ones by up to ``eps *
-    kappa^2`` (``kappa = sigma_1 / sigma_q``); each pass through ``m``
-    shrinks the tilt by ``rho = sigma_{q+1} / sigma_q``.  One subspace
-    iteration, ``Y = qr(m.T @ qr(m @ qr(m.T @ W_q)))`` (just ``qr(m.T @
-    W_q)`` when ``q == rows``), and a Rayleigh-Ritz step, the thin SVD ``m @
-    Y = W' S' Z'.T``, give ``left = Y Z' / S'`` and ``right = W'`` within
-    ``eps * kappa^2 * rho^3`` of the SVD's result; ``s`` is ``S'`` followed
-    by the square roots of the other Gram eigenvalues.  A tall ``m``, a Gram
-    whose diagonal overflows or underflows, and ``sigma_q / sigma_1 < 1e-3``
-    take the thin SVD of ``m``.  Gram-path values sit far above the ``1e-14``
-    floor and a ``1e-6`` rank gate, so both paths invert the same rank and
-    pass the same gates.
+    The leading ``q = min(r, rows, cols)`` left directions ``W_q`` come from
+    :func:`_leading_left_vectors`.  When they come from the Gram ``m @ m.T``
+    they are tilted towards the trailing ones by up to ``eps * kappa^2``
+    (``kappa = sigma_1 / sigma_q``); each pass through ``m`` shrinks the tilt
+    by ``rho = sigma_{q+1} / sigma_q``.  One subspace iteration, ``Y =
+    qr(m.T @ qr(m @ qr(m.T @ W_q)))`` (just ``qr(m.T @ W_q)`` when ``q ==
+    rows``), and a Rayleigh-Ritz step, the thin SVD ``m @ Y = W' S' Z'.T``,
+    give ``left = Y Z' / S'`` and ``right = W'`` within ``eps * kappa^2 *
+    rho^3`` of the SVD's result; ``s`` is ``S'`` followed by the square roots
+    of the other Gram eigenvalues.  When they come from the thin SVD of
+    ``m``, its factors are used as they are.  Gram-path values sit far above
+    the ``1e-14`` floor and a ``1e-6`` rank gate, so both paths invert the
+    same rank and pass the same gates.
     """
     m = _as_matrix(m)
     if r < 0:
@@ -94,34 +127,18 @@ def rank_r_pinv_factors(m, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     rows, cols = m.shape
     if r == 0 or min(rows, cols) == 0:
         return np.zeros((cols, 0)), np.zeros((rows, 0)), np.zeros(0)
-    q = min(int(r), rows)
-    with np.errstate(over="ignore", invalid="ignore"):  # _gram_eigh checks the diagonal
-        eig = _gram_eigh(m @ m.T, q) if rows <= cols else None
-    if eig is not None:
-        lam, v = eig
-        y = np.linalg.qr(m.T @ v[:, -q:][:, ::-1])[0]
+    w, s, vt = _leading_left_vectors(m, 0, int(r))
+    if vt is None:
+        q = w.shape[1]
+        y = np.linalg.qr(m.T @ w)[0]
         if q < rows:  # at q == rows, y spans the whole row space already
             y = np.linalg.qr(m.T @ np.linalg.qr(m @ y)[0])[0]
-        w, s, zt = np.linalg.svd(m @ y, full_matrices=False)
-        left, right = y @ zt.T, w
-        s = np.concatenate([s, np.sqrt(np.maximum(lam[-q - 1::-1], 0.0))])
+        w, s_q, zt = np.linalg.svd(m @ y, full_matrices=False)
+        left, s = y @ zt.T, np.concatenate([s_q, s[q:]])
     else:
-        w, s, vt = np.linalg.svd(m, full_matrices=False)
-        left, right = vt.T, w
+        left = vt.T
     k = min(int(r), _count_above(s, _PINV_FLOOR))
-    return left[:, :k] / s[:k], right[:, :k], s
-
-
-def _gram_eigh(g: np.ndarray, q: int):
-    """``eigh`` of the Gram matrix ``g = m @ m.T``, or ``None`` when the leading
-    ``q`` directions must come from the thin SVD of ``m``: ``g``'s diagonal is
-    not finite (a non-finite ``m``, or overflow) or below ``tiny / eps`` (a
-    zero ``m``, or underflow), or ``lambda_q < 1e-6 * lambda_1``."""
-    diagonal = np.diagonal(g)
-    if not (np.isfinite(diagonal).all() and diagonal.max() >= _TINY / _EPS):
-        return None
-    lam, v = np.linalg.eigh(g)
-    return (lam, v) if lam[-q] >= _GRAM_MIN_RATIO * lam[-1] else None
+    return left[:, :k] / s[:k], w[:, :k], s
 
 
 def multilinear_rank(t, tol: float | None = None) -> tuple[int, ...]:

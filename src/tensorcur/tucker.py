@@ -1,25 +1,17 @@
 """Orthogonal Tucker-format baselines: truncated HOSVD, sequentially
-truncated HOSVD, and HOOI.  Factors are the leading eigenvectors of each
-unfolding's Gram matrix, formed from a view of the tensor by
-:func:`~tensorcur.tensor.gram`, or its thin SVD's when the unfolding is
-taller than wide, the Gram's diagonal over- or underflows, or ``sigma_k /
-sigma_1 < 1e-3``.  A tensor with a non-finite entry is rejected with a
-``ValueError``."""
+truncated HOSVD, and HOOI.  Every factor is the leading left subspace of an
+unfolding, from the kernel the intersection pseudoinverses also use,
+:func:`~tensorcur.linalg._leading_left_vectors`: the leading eigenvectors of
+the unfolding's Gram matrix, or its thin SVD's when the unfolding is taller
+than wide, the Gram's diagonal over- or underflows, or ``sigma_k / sigma_1 <
+1e-3``.  A tensor with a non-finite entry is rejected with a ``ValueError``."""
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _gram_eigh
-from .tensor import (
-    _contiguous,
-    check_ranks,
-    frobenius_norm,
-    gram,
-    mode_product,
-    multi_mode_product,
-    unfold,
-)
+from .linalg import _leading_left_vectors
+from .tensor import _contiguous, check_ranks, frobenius_norm, mode_product, multi_mode_product
 
 __all__ = ["HosvdDecomposition", "hosvd", "st_hosvd", "hooi"]
 
@@ -41,30 +33,6 @@ class HosvdDecomposition:
     @property
     def ranks(self) -> tuple[int, ...]:
         return self.core.shape
-
-
-def _reject_non_finite(t: np.ndarray) -> None:
-    if not np.isfinite(t).all():
-        raise ValueError("the tensor holds non-finite values")
-
-
-def _leading_left_vectors(t: np.ndarray, k: int, r: int) -> tuple[np.ndarray, np.ndarray]:
-    """The leading ``r`` left singular vectors of ``unfold(t, k)`` and all its
-    singular values, descending (the square roots of the Gram eigenvalues)."""
-    d = t.shape[k]
-    p = t.size // d
-    # a d x p unfolding has at most min(d, p) singular vectors
-    q = min(r, d, p)
-    # a tall unfolding keeps its thin SVD: the d x d Gram would cost O(d^2) memory
-    eig = _gram_eigh(gram(t, k), q) if d <= p else None
-    if eig is not None:
-        lam, v = eig
-        return v[:, -q:][:, ::-1], np.sqrt(np.maximum(lam[::-1], 0.0))
-    m = unfold(t, k)
-    # an infinite entry can stall the SVD, so its operand is checked first
-    _reject_non_finite(m)
-    w, s, _ = np.linalg.svd(m, full_matrices=False)
-    return w[:, :q], s
 
 
 def hosvd(t, ranks) -> HosvdDecomposition:

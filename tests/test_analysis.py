@@ -24,7 +24,7 @@ from tensorcur import (
     unfold,
 )
 from tensorcur import tensor
-from tensorcur.tucker import _leading_left_vectors
+from tensorcur.linalg import _leading_left_vectors
 
 from conftest import random_low_rank, tensor_with_layout
 
@@ -244,7 +244,7 @@ def projector(w):
 
 class TestUnfoldingSpectrum:
     # coherence and the bounds read each unfolding's leading subspace and
-    # singular values from the Tucker kernel, which forms the Gram matrix
+    # singular values from the shared kernel, which forms the Gram matrix
     # from a view of a wide unfolding and takes the thin SVD of a tall one
     @pytest.mark.parametrize("layout", ["C", "F", "strided"])
     @pytest.mark.parametrize("dims", [(12, 10, 9), (7, 6, 5, 4), (90, 5, 4)])
@@ -252,7 +252,7 @@ class TestUnfoldingSpectrum:
         t = tensor_with_layout(dims, layout, seed=20)
         r = 3
         for k in range(t.ndim):
-            w, s = _leading_left_vectors(t, k, r)
+            w, s, _ = _leading_left_vectors(t, k, r)
             w_ref, s_ref, _ = np.linalg.svd(unfold(t, k), full_matrices=False)
             if dims[k] > t.size // dims[k]:  # a tall mode takes the SVD itself
                 assert np.array_equal(w, w_ref[:, :r]) and np.array_equal(s, s_ref)

@@ -270,6 +270,32 @@ def test_convert_of_a_non_finite_factor_names_the_file(tmp_path, capsys, name):
     assert_input_error(code, capsys, f"{cur_dir / name} holds non-finite values")
 
 
+@pytest.mark.parametrize("ranks, message", [
+    ([0, 2, 2], "rank 0 out of range for extent 12 at mode 0"),
+    ([2, 2, 99], "rank 99 out of range for extent 12 at mode 2"),
+    ([2, 2], "expected 3 ranks, got 2"),
+], ids=["zero", "beyond-extent", "too-few"])
+def test_convert_rejects_manifest_ranks_out_of_range(tmp_path, capsys, ranks, message):
+    _, noisy, _ = generate_synthetic(12, 2, 1e-3, np.random.default_rng(8))
+    src = tmp_path / "t.tnsr"
+    write_tensor(src, noisy)
+    cur_dir = tmp_path / "cur"
+    main(["compress", "--input", str(src), "--method", "chidori", "--ranks", "2,2,2",
+          "--out-dir", str(cur_dir)])
+    capsys.readouterr()
+    manifest = json.loads((cur_dir / "manifest.json").read_text())
+    (cur_dir / "manifest.json").write_text(json.dumps({**manifest, "ranks": ranks}))
+    code = main(["convert", "--in-dir", str(cur_dir), "--out-dir", str(tmp_path / "out")])
+    assert_input_error(code, capsys, message)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("dims", ["", ","], ids=["empty", "comma"])
+def test_check_bounds_without_dims_is_an_input_error(capsys, dims):
+    code = main(["check-bounds", "--dims", dims, "--rank", "2", "--sigma", "0"])
+    assert_input_error(code, capsys, "tensor must have at least one mode")
+
+
 @pytest.mark.parametrize("argv", [
     ["synthetic", "--dims", "8", "--rank", "2", "--sigma", "0,nan"],
     ["synthetic", "--dims", "8", "--rank", "2", "--sigma", "inf", "--methods", "hosvd"],

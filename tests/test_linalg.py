@@ -98,6 +98,19 @@ def planted_singular_values(shape, ratio, noise, r=4, seed=0):
     return (u * s) @ v.T, (v[:, top] / s[top]) @ u[:, top].T
 
 
+def with_layout(m, layout):
+    """``m`` stored C-ordered, F-ordered, or as a strided view of a larger array."""
+    if layout == "C":
+        return np.ascontiguousarray(m)
+    if layout == "F":
+        return np.asfortranarray(m)
+    base = np.zeros((2 * m.shape[0], 2 * m.shape[1]))
+    base[::2, ::2] = m
+    view = base[::2, ::2]
+    assert not (view.flags.c_contiguous or view.flags.f_contiguous)
+    return view
+
+
 def svd_pinv_factors(m, r):
     """The reference kernel: the factored rank-``r`` pseudoinverse from the thin
     SVD of ``m``."""
@@ -113,13 +126,17 @@ def gate_count(s):
 class TestFactoredPinvAgainstSvd:
     # a wide matrix takes its pseudoinverse from eigh of its Gram matrix, which
     # squares the condition number; the reference is the thin SVD of the same
-    # matrix, and both are measured against the planted pinv_r
+    # matrix, and both are measured against the planted pinv_r.  The Gram is
+    # formed by tensor.gram, which reads an F-ordered matrix as its transpose
+    # and copies a strided one
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
     @pytest.mark.parametrize("noise", [0.0, 1e-10, 1e-4])
     @pytest.mark.parametrize("ratio", [1.0, 1e-1, 1e-2, 1.1e-3, 1e-3, 1e-5, 1e-8])
     @pytest.mark.parametrize("shape", [(12, 40), (16, 16), (40, 12)])
-    def test_error_rank_and_gate_match_the_svd_reference(self, shape, ratio, noise):
+    def test_error_rank_and_gate_match_the_svd_reference(self, shape, ratio, noise, layout):
         for seed in range(3):
             m, pinv_r = planted_singular_values(shape, ratio, noise, seed=seed)
+            m = with_layout(m, layout)
             left, right, s = rank_r_pinv_factors(m, 4)
             left_ref, right_ref, s_ref = svd_pinv_factors(m, 4)
             got, ref = left @ right.T, left_ref @ right_ref.T
