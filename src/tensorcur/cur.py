@@ -251,6 +251,8 @@ def check_characterization(a, dec: CurDecomposition, tol: float = 1e-8) -> Chara
     """Evaluate every rank condition of the exactness characterization on one
     instance, at relative tolerance ``tol`` for both ranks and reconstruction."""
     a = np.asarray(a, dtype=np.float64)
+    if a.shape != dec.dims:
+        raise ValueError("decomposition dims do not match the tensor")
     ranks = dec.ranks
     inter = tuple(numerical_rank(u, tol) for u in dec.intersections)
     fib = tuple(numerical_rank(c, tol) for c in dec.fibers)

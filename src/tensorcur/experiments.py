@@ -295,21 +295,17 @@ def compress(
     )
 
 
-def _require_keys(obj, keys, where: str) -> None:
-    if not isinstance(obj, dict):
-        raise ValueError(f"{where} is not a JSON object")
-    for key in keys:
-        if key not in obj:
-            raise ValueError(f"{where} lacks the key {key!r}")
-
-
 def convert_factors(in_dir, out_dir):
     """Convert stored CUR factors to orthonormal Tucker factors on disk.
 
     Reads the manifest and factor files written by :func:`compress` for a
     CUR method, runs the CUR-to-Tucker conversion, and writes the resulting
-    core and factors with a Tucker-style manifest.  A factor file holding a
-    non-finite value is rejected by name.
+    core and factors with a Tucker-style manifest.  A manifest that lacks a
+    key or holds a value of the wrong JSON type is rejected as such, a
+    factor file holding a non-finite value is rejected by name, and so is
+    one whose shape differs from the one its manifest's index sets give it
+    (core ``|I_0| x ... x |I_{n-1}|``, fiber ``d_i x |J_i|``, intersection
+    ``|I_i| x |J_i|``).  Nothing is written for a rejected directory.
     """
     in_dir = Path(in_dir)
     out_dir = Path(out_dir)
@@ -317,14 +313,6 @@ def convert_factors(in_dir, out_dir):
     if not manifest_path.exists():
         raise ValueError(f"no {_MANIFEST_NAME} in {in_dir}")
     manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    _require_keys(manifest, ("method",), _MANIFEST_NAME)
-    method = manifest["method"]
-    if method not in CUR_METHODS:
-        raise ValueError(f"conversion requires CUR factors, found method {method!r}")
-    _require_keys(manifest, ("files", "dims", "ranks", "row_indices", "fiber_indices"),
-                  _MANIFEST_NAME)
-    files = manifest["files"]
-    _require_keys(files, ("core", "fibers", "intersections"), f"{_MANIFEST_NAME} 'files'")
 
     def read_finite(name):
         path = in_dir / name
@@ -333,29 +321,36 @@ def convert_factors(in_dir, out_dir):
             raise ValueError(f"{path} holds non-finite values")
         return a
 
-    core = read_finite(files["core"])
-    fibers = tuple(read_finite(f) for f in files["fibers"])
-    inters = tuple(read_finite(f) for f in files["intersections"])
-    dims = tuple(int(d) for d in manifest["dims"])
-    ranks = check_ranks(manifest["ranks"], dims)
-    n = len(dims)
-    row_sets, fiber_sets = manifest["row_indices"], manifest["fiber_indices"]
-    if not (len(fibers) == len(inters) == core.ndim == len(row_sets) == len(fiber_sets) == n):
-        raise ValueError("inconsistent factor shapes: mode count mismatch")
-    rows = tuple(as_index_array(idx, d) for idx, d in zip(row_sets, dims))
-    cols = tuple(as_index_array(idx, math.prod(dims) // d) for idx, d in zip(fiber_sets, dims))
-    for i in range(n):
-        if fibers[i].ndim != 2 or inters[i].ndim != 2:
-            raise ValueError("inconsistent factor shapes: factors must be matrices")
-        if fibers[i].shape[0] != dims[i]:
-            raise ValueError(f"inconsistent factor shapes: fiber {i} has {fibers[i].shape[0]} rows")
-        if fibers[i].shape[1] != inters[i].shape[1]:
-            raise ValueError(f"inconsistent factor shapes: column mismatch at mode {i}")
-        if inters[i].shape[0] != core.shape[i]:
-            raise ValueError(f"inconsistent factor shapes: core extent mismatch at mode {i}")
-        if rows[i].size != core.shape[i] or cols[i].size != fibers[i].shape[1]:
-            raise ValueError(f"inconsistent factor shapes: manifest index count at mode {i}")
-    dec = CurDecomposition(method, core, fibers, inters, rows, cols, ranks)
+    try:
+        method = manifest["method"]
+        if method not in CUR_METHODS:
+            raise ValueError(f"conversion requires CUR factors, found method {method!r}")
+        files = manifest["files"]
+        dims = tuple(int(d) for d in manifest["dims"])
+        ranks = check_ranks(manifest["ranks"], dims)
+        row_sets, fiber_sets = manifest["row_indices"], manifest["fiber_indices"]
+        n = len(dims)
+        if {len(s) for s in (files["fibers"], files["intersections"], row_sets, fiber_sets)} != {n}:
+            raise ValueError("inconsistent factor shapes: mode count mismatch")
+        rows = tuple(as_index_array(idx, d) for idx, d in zip(row_sets, dims))
+        cols = tuple(as_index_array(idx, math.prod(dims) // d) for idx, d in zip(fiber_sets, dims))
+        names = [files["core"], *files["fibers"], *files["intersections"]]
+        arrays = [read_finite(name) for name in names]
+    except KeyError as exc:
+        raise ValueError(f"{_MANIFEST_NAME} lacks the key {exc.args[0]!r}") from None
+    except (TypeError, OverflowError) as exc:  # a wrong JSON type, or an integer beyond int64
+        raise ValueError(f"{manifest_path} is malformed: {exc}") from None
+    # the shapes cur_with_indices gives the core, the fibers and the intersections
+    shapes = [tuple(i.size for i in rows), *((d, j.size) for d, j in zip(dims, cols)),
+              *((i.size, j.size) for i, j in zip(rows, cols))]
+    for name, a, want in zip(names, arrays, shapes):
+        if a.shape != want:
+            raise ValueError(
+                f"inconsistent factor shapes: {name} has shape {a.shape}, the manifest gives {want}"
+            )
+    dec = CurDecomposition(
+        method, arrays[0], tuple(arrays[1 : n + 1]), tuple(arrays[n + 1 :]), rows, cols, ranks
+    )
     converted = cur_to_hosvd(dec)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_factors(out_dir, "hosvd", dims, converted.ranks, converted.core,

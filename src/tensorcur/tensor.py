@@ -171,9 +171,10 @@ def gram(t, k: int) -> np.ndarray:
     """The Gram matrix ``unfold(t, k) @ unfold(t, k).T`` of the mode-k unfolding.
 
     The Gram does not depend on the column order, so no unfolding is built.
-    For the first and last mode of the C-contiguous view it is one product
-    on a reshape.  A middle mode sums the slab products ``X_p @ X_p.T`` over
-    chunks of slabs, each chunk at most an eighth of the tensor and 4 MB.
+    For the last mode of the C-contiguous view it is one product on a
+    reshape.  Any other mode sums the slab products ``X_p @ X_p.T`` over
+    chunks of slabs, each chunk at most an eighth of the tensor and 4 MB or
+    else one slab; the first mode is a single slab, so a single product.
     """
     t = _as_tensor(t)
     _check_mode(t, k)
@@ -181,8 +182,6 @@ def gram(t, k: int) -> np.ndarray:
     v = _slab_view(c, j)
     p, d, s = v.shape
     with np.errstate(over="ignore", invalid="ignore"):  # callers check the diagonal
-        if p == 1:
-            return v[0] @ v[0].T
         if s == 1:
             return v[:, :, 0].T @ v[:, :, 0]
         step = max(1, min(-(-p // 8), _GRAM_CHUNK_BYTES // v[0].nbytes))
@@ -230,23 +229,20 @@ def composite_index(index_sets, k: int, dims) -> np.ndarray:
     satisfies ``select_fibers(t, k, composite_index(I, k, t.shape)) ==
     unfold(subtensor(t with mode k full), k)``.  Only the index sets are
     used, never the tensor, so the linearization costs ``O(prod |I_j|)``
-    and :func:`select_fibers` then reads just those fibers.
+    and :func:`select_fibers` then reads just those fibers.  It is the
+    inverse of that function's ``unravel_index``: ``ravel_multi_index`` over
+    the index grid, read first index fastest.
     """
     dims = tuple(int(d) for d in dims)
     if not 0 <= k < len(dims):
         raise ValueError(f"mode {k} out of range for dims {dims}")
     if len(index_sets) != len(dims):
         raise ValueError(f"expected {len(dims)} index-set entries, got {len(index_sets)}")
-    offsets = np.zeros(1, dtype=np.intp)
-    stride = 1
-    for m, d in enumerate(dims):
-        if m == k:
-            continue
-        im = as_index_array(index_sets[m], d)
-        # offsets so far are < stride, so iterating im slowest keeps ascending order
-        offsets = (stride * im[:, None] + offsets[None, :]).ravel()
-        stride *= d
-    return offsets
+    other = [m for m in range(len(dims)) if m != k]
+    if not other:  # a 1-mode tensor is its own single fiber
+        return np.zeros(1, dtype=np.intp)
+    grid = np.ix_(*(as_index_array(index_sets[m], dims[m]) for m in other))
+    return np.ravel_multi_index(grid, [dims[m] for m in other], order="F").ravel(order="F")
 
 
 def frobenius_norm(t) -> float:

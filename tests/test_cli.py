@@ -226,6 +226,52 @@ def test_convert_of_a_manifest_without_files_is_an_input_error(tmp_path, capsys)
     assert_input_error(code, capsys, "manifest.json lacks the key 'files'")
 
 
+def _set(*path_and_value):
+    *path, key, value = path_and_value
+
+    def mutate(manifest):
+        for step in path:
+            manifest = manifest[step]
+        manifest[key] = value
+
+    return mutate
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        _set("ranks", None),
+        _set("ranks", 2),
+        _set("dims", None),
+        _set("dims", 2, None),
+        _set("row_indices", None),
+        _set("row_indices", 0, None),
+        _set("fiber_indices", 5),
+        _set("files", "fibers", None),
+        _set("files", "core", 5),
+        _set("dims", 0, float("inf")),
+        _set("row_indices", 1, [0, 2**70]),
+    ],
+    ids=["ranks=null", "ranks=2", "dims=null", "dims[2]=null", "row_indices=null",
+         "row_indices[0]=null", "fiber_indices=5", "files.fibers=null", "files.core=5",
+         "dims[0]=Infinity", "row_indices[1]=[0,2**70]"],
+)
+def test_convert_of_a_manifest_with_a_wrong_type_is_an_input_error(tmp_path, capsys, mutate):
+    _, noisy, _ = generate_synthetic(9, 2, 0.0, np.random.default_rng(4))
+    src = tmp_path / "t.tnsr"
+    write_tensor(src, noisy)
+    cur_dir = tmp_path / "cur"
+    main(["compress", "--input", str(src), "--method", "fiber", "--ranks", "2,2,2",
+          "--out-dir", str(cur_dir)])
+    capsys.readouterr()
+    manifest = json.loads((cur_dir / "manifest.json").read_text())
+    mutate(manifest)
+    (cur_dir / "manifest.json").write_text(json.dumps(manifest))
+    code = main(["convert", "--in-dir", str(cur_dir), "--out-dir", str(tmp_path / "out")])
+    assert_input_error(code, capsys, f"{cur_dir / 'manifest.json'} is malformed: ")
+    assert not (tmp_path / "out").exists()
+
+
 def test_compress_of_a_truncated_file_is_an_input_error(tmp_path, capsys):
     _, noisy, _ = generate_synthetic(8, 2, 0.0, np.random.default_rng(3))
     src = tmp_path / "cut.tnsr"

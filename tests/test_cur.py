@@ -151,6 +151,14 @@ class TestCharacterization:
         proj = projection_reconstruct(t, dec)
         assert relative_error(t, proj) < 1e-9
 
+    @pytest.mark.parametrize("shape", [(12, 20, 20), (20, 20), (30, 30, 30)])
+    def test_tensor_of_other_dims_is_rejected(self, shape):
+        rng = np.random.default_rng(14)
+        dec = chidori_cur(random_low_rank((20, 20, 20), (2, 2, 2), rng),
+                          SamplingPlan((6, 6, 6), seed=0), (2, 2, 2))
+        with pytest.raises(ValueError, match="decomposition dims do not match the tensor"):
+            check_characterization(rng.standard_normal(shape), dec)
+
     def test_full_index_sets_trivially_pass(self):
         rng = np.random.default_rng(13)
         t = random_low_rank((6, 6, 6), (2, 2, 2), rng)

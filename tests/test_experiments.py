@@ -534,10 +534,14 @@ class TestConvert:
     @pytest.mark.parametrize(
         "name,clobber,message",
         [
-            ("fiber_0.tnsr", lambda a: a[..., None], "factors must be matrices"),
-            ("fiber_0.tnsr", lambda a: a[1:], "fiber 0 has 8 rows"),
-            ("fiber_1.tnsr", lambda a: a[:, 1:], "column mismatch at mode 1"),
-            ("intersection_2.tnsr", lambda a: a[1:], "core extent mismatch at mode 2"),
+            ("fiber_0.tnsr", lambda a: a[..., None],
+             r"fiber_0\.tnsr has shape \(9, 25, 1\), the manifest gives \(9, 25\)"),
+            ("fiber_0.tnsr", lambda a: a[1:],
+             r"fiber_0\.tnsr has shape \(8, 25\), the manifest gives \(9, 25\)"),
+            ("fiber_1.tnsr", lambda a: a[:, 1:],
+             r"fiber_1\.tnsr has shape \(9, 24\), the manifest gives \(9, 25\)"),
+            ("intersection_2.tnsr", lambda a: a[1:],
+             r"intersection_2\.tnsr has shape \(4, 25\), the manifest gives \(5, 25\)"),
         ],
     )
     def test_inconsistent_factor_shapes_rejected(self, tmp_path, name, clobber, message):
@@ -553,10 +557,14 @@ class TestConvert:
         [
             (lambda m: m["row_indices"].__setitem__(1, [0, 9]), "out of range"),
             (lambda m: m["row_indices"].__setitem__(0, [3, 1]), "increasing"),
-            (lambda m: m["row_indices"].__setitem__(2, [0]), "index count"),
+            (lambda m: m["row_indices"].__setitem__(2, [0]),
+             r"inconsistent factor shapes: core\.tnsr has shape \(5, 5, 5\), "
+             r"the manifest gives \(5, 5, 1\)"),
             (lambda m: m["fiber_indices"].__setitem__(0, [0, 81]), "out of range"),
             (lambda m: m["fiber_indices"].__setitem__(1, [5, 5]), "increasing"),
-            (lambda m: m["fiber_indices"].__setitem__(2, [0, 1, 2]), "index count"),
+            (lambda m: m["fiber_indices"].__setitem__(2, [0, 1, 2]),
+             r"inconsistent factor shapes: fiber_2\.tnsr has shape \(9, 18\), "
+             r"the manifest gives \(9, 3\)"),
             (lambda m: m["row_indices"].pop(), "mode count"),
         ],
     )
