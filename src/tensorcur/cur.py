@@ -20,6 +20,7 @@ SVD.  A decomposition factors each intersection once, on first use, and its
 rank gate, mode maps, Tucker form and reconstruction all read those factors.
 """
 
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -34,6 +35,7 @@ from .linalg import (
 )
 from .sampling import SamplingPlan, mode_length_distributions, sample_without_replacement
 from .tensor import (
+    _is_slab_source,
     as_index_array,
     check_ranks,
     composite_index,
@@ -41,7 +43,6 @@ from .tensor import (
     multi_mode_product,
     residual,
     select_fibers,
-    subtensor,
     unfold,
 )
 from .tucker import HosvdDecomposition, hosvd
@@ -127,58 +128,114 @@ class CurDecomposition:
         return multi_mode_product(self.core, self.mode_maps())
 
 
+def _gather(chunks, dims, rows, cols) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """The core ``A[I_0, ..., I_{n-1}]`` and the fibers ``unfold(A, i)[:, J_i]``
+    of a tensor of ``dims`` given as ``(start, chunk)`` pairs of its last-mode
+    slabs, in order.
+
+    A chunk of every slab, such as a whole tensor, gives the pieces its
+    indexing gives, without a copy.  Smaller chunks fill outputs laid out as
+    those pieces are: the core F (C if that is F-contiguous too), a fiber
+    matrix the transpose of C.  The last-mode index is the slowest digit of
+    a column of ``unfold(A, i)`` for ``i < n-1``, so each chunk holds a run
+    of the sorted ``J_i``.  The last mode's fibers take one row per slab,
+    read from the chunk's ``(m, prod(d_<n-1))`` view into a C buffer that is
+    transposed once at the end.
+    """
+    n = len(dims)
+    core = None
+    for start, chunk in chunks:
+        stop = start + chunk.shape[-1]
+        if stop - start == dims[-1]:
+            # F is the package's storage order; an F core gives F reconstructions
+            core = np.asfortranarray(chunk[np.ix_(*rows)])
+            return core, tuple(select_fibers(chunk, i, j) for i, j in enumerate(cols))
+        if core is None:  # allocated only here, so a whole chunk leaves the heap as it was
+            shape = tuple(r.size for r in rows)
+            core = np.empty(shape, order="F" if sum(t > 1 for t in shape) > 1 else "C")
+            fibers = [np.empty((j.size, d)).T for j, d in zip(cols[:-1], dims)]
+            last = np.empty((dims[-1], cols[-1].size))
+        lo, hi = np.searchsorted(rows[-1], (start, stop))
+        if lo < hi:
+            core[..., lo:hi] = chunk[np.ix_(*rows[:-1], rows[-1][lo:hi] - start)]
+        for i, out in enumerate(fibers):
+            w = math.prod(dims[:-1]) // dims[i]  # columns of unfold(A, i) per last-mode index
+            lo, hi = np.searchsorted(cols[i], (start * w, stop * w))
+            if lo < hi:
+                out[:, lo:hi] = select_fibers(chunk, i, cols[i][lo:hi] - start * w)
+        # the indices are checked, so "clip" only spares take a buffered copy
+        slabs = chunk.reshape(-1, stop - start, order="F").T
+        np.take(slabs, cols[-1], axis=1, out=last[start:stop], mode="clip")
+    return core, (*fibers, last.copy(order="F"))
+
+
 def cur_with_indices(a, row_indices, ranks, fiber_indices=None) -> CurDecomposition:
     """Deterministic CUR construction from explicit index sets.
 
     With ``fiber_indices=None`` the Chidori variant is built (fiber columns
     are the composite of the other modes' row indices); otherwise the Fiber
-    variant uses the given mode-i unfolding column sets.  Either way only
-    the core and the selected fibers are read from ``a``, and only they are
-    checked for non-finite values.
+    variant uses the given mode-i unfolding column sets.  ``a`` is a tensor
+    or a source of its last-mode slabs (an object with the tensor's
+    ``shape`` whose iteration yields ``(start, chunk)`` pairs in order, such
+    as :class:`~tensorcur.tensorfile.SlabReader`), iterated once.  Either
+    way only the core and the selected fibers are kept, and only they are
+    checked for non-finite values.  A Chidori intersection ``U_i`` is the
+    mode-i unfolding of the core, a Fiber one the rows ``I_i`` of ``C_i``.
     """
-    a = np.asarray(a, dtype=np.float64)
-    n = a.ndim
+    if _is_slab_source(a):
+        chunks = a
+    else:
+        a = np.asarray(a, dtype=np.float64)
+        chunks = ((0, a),)
+    dims = tuple(a.shape)
+    n = len(dims)
     if len(row_indices) != n:
         raise ValueError(f"expected {n} row index sets, got {len(row_indices)}")
-    rows = tuple(as_index_array(idx, a.shape[k]) for k, idx in enumerate(row_indices))
-    ranks = check_ranks(ranks, a.shape)
+    rows = tuple(as_index_array(idx, d) for idx, d in zip(row_indices, dims))
+    ranks = check_ranks(ranks, dims)
     if fiber_indices is None:
         variant = "chidori"
-        cols = tuple(composite_index(rows, i, a.shape) for i in range(n))
+        cols = tuple(composite_index(rows, i, dims) for i in range(n))
     else:
         variant = "fiber"
         if len(fiber_indices) != n:
             raise ValueError(f"expected {n} fiber index sets, got {len(fiber_indices)}")
         cols = tuple(
-            as_index_array(j, a.size // a.shape[i]) for i, j in enumerate(fiber_indices)
+            as_index_array(j, math.prod(dims) // d) for j, d in zip(fiber_indices, dims)
         )
-    # F is the package's storage order; an F core gives F reconstructions
-    core = np.asfortranarray(subtensor(a, rows))
-    fibers = tuple(select_fibers(a, i, j) for i, j in enumerate(cols))
+    core, fibers = _gather(chunks, dims, rows, cols)
     if not (np.isfinite(core).all() and all(np.isfinite(c).all() for c in fibers)):
         raise ValueError("the sampled core or fibers hold non-finite values")
-    intersections = tuple(c[r, :] for c, r in zip(fibers, rows))
+    if variant == "chidori":
+        intersections = tuple(np.ascontiguousarray(unfold(core, i)) for i in range(n))
+    else:
+        intersections = tuple(c[r, :] for c, r in zip(fibers, rows))
     return CurDecomposition(variant, core, fibers, intersections, rows, cols, ranks)
 
 
-def draw_indices(a: np.ndarray, plan: SamplingPlan):
+def draw_indices(a, plan: SamplingPlan):
     """Draw ``plan``'s per-mode row index sets and, if it has ``fiber_counts``,
-    its per-mode fiber column sets (else ``None``), all from ``plan.rng()``."""
-    if len(plan.row_counts) != a.ndim:
-        raise ValueError(f"plan has {len(plan.row_counts)} row counts for a {a.ndim}-mode tensor")
+    its per-mode fiber column sets (else ``None``), all from ``plan.rng()``.
+    A uniform plan reads only ``a.shape``, so ``a`` may also be a source of
+    the tensor's slabs."""
+    dims = tuple(a.shape)
+    if len(plan.row_counts) != len(dims):
+        raise ValueError(
+            f"plan has {len(plan.row_counts)} row counts for a {len(dims)}-mode tensor"
+        )
     fibers = plan.fiber_counts is not None
-    p = q = (None,) * a.ndim
+    p = q = (None,) * len(dims)
     if plan.distribution == "length":
         p, q = mode_length_distributions(a, fibers)
     rng = plan.rng()
     rows = tuple(
-        sample_without_replacement(d, t, rng, pi) for d, t, pi in zip(a.shape, plan.row_counts, p)
+        sample_without_replacement(d, t, rng, pi) for d, t, pi in zip(dims, plan.row_counts, p)
     )
     if not fibers:
         return rows, None
     cols = tuple(
-        sample_without_replacement(a.size // d, s, rng, qi)
-        for d, s, qi in zip(a.shape, plan.fiber_counts, q)
+        sample_without_replacement(math.prod(dims) // d, s, rng, qi)
+        for d, s, qi in zip(dims, plan.fiber_counts, q)
     )
     return rows, cols
 

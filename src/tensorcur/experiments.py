@@ -19,7 +19,7 @@ import numpy as np
 from .cur import CurDecomposition, cur_to_hosvd, cur_with_indices, draw_indices
 from .sampling import SamplingPlan, chidori_sample_sizes, fiber_sample_sizes
 from .tensor import as_index_array, check_ranks, frobenius_norm, multi_mode_product, residual
-from .tensorfile import SlabWriter, read_tensor, write_tensor
+from .tensorfile import SlabReader, SlabWriter, read_tensor, write_tensor
 from .tucker import hooi, hosvd, st_hosvd
 
 __all__ = [
@@ -114,11 +114,13 @@ class ExperimentConfig:
 def _decompose(method, x, ranks, seeds, row_samples, fiber_samples):
     """Decompose ``x`` with ``method``, timed.
 
-    A CUR method draws, extracts and gates one decomposition per seed of
-    ``seeds`` until the rank gate passes; a Tucker method takes no seed.  Its
-    plan has the default sizes of :mod:`~tensorcur.sampling` unless
-    ``row_samples`` or ``fiber_samples`` is given for every mode; the plan
-    and the draw reject sizes out of range.
+    A Tucker method takes no seed.  A CUR method draws, extracts and gates
+    one decomposition per seed of ``seeds`` until the rank gate passes; its
+    ``x`` may be a source of the tensor's slabs, which each attempt reads
+    afresh, the reading timed as extraction.  Its plan has the default
+    sizes of :mod:`~tensorcur.sampling` unless ``row_samples`` or
+    ``fiber_samples`` is given for every mode; the plan and the draw reject
+    sizes out of range.
     Returns ``(dec, runtime_s, extract_s, rank_ok, resamples)``.  The
     runtime covers the Tucker decomposition, or for CUR the drawing, the
     extraction and the pseudoinverses with their rank gate, summed over
@@ -128,7 +130,7 @@ def _decompose(method, x, ranks, seeds, row_samples, fiber_samples):
         t0 = time.perf_counter()
         dec = {"hosvd": hosvd, "st-hosvd": st_hosvd, "hooi": hooi}[method](x, ranks)
         return dec, time.perf_counter() - t0, 0.0, True, 0
-    n = x.ndim
+    n = len(x.shape)
     t = chidori_sample_sizes(x.shape, ranks) if row_samples is None else (row_samples,) * n
     s = None  # Chidori takes its fibers at the rows' composite
     if method == "fiber":
@@ -206,6 +208,11 @@ def write_csv(rows, path) -> None:
 
 @dataclass(frozen=True)
 class CompressionResult:
+    """What :func:`compress` did.  ``runtime_ms`` covers the decomposition:
+    for CUR the draw, the gather pass over the file (reading included) and
+    the rank gate, for Tucker the decomposition of the loaded tensor.
+    ``extract_ms`` is the CUR gather pass, 0 for Tucker."""
+
     method: str
     ranks: tuple[int, ...]
     snr_db: float | None  # None marks an exact reconstruction
@@ -214,6 +221,23 @@ class CompressionResult:
     rank_ok: bool
     out_dir: str
     files: dict
+
+
+class _CheckedSlabs:
+    """The chunks of a slab source, each passed on once it is found finite;
+    ``norms`` keeps their Frobenius norms, those of the latest pass."""
+
+    def __init__(self, source, name):
+        self.shape, self.norms = source.shape, []
+        self._source, self._name = source, name
+
+    def __iter__(self):
+        self.norms = []
+        for start, chunk in self._source:
+            self.norms.append(frobenius_norm(chunk))
+            if not math.isfinite(self.norms[-1]):
+                raise ValueError(f"{self._name} holds non-finite values")
+            yield start, chunk
 
 
 def _write_factors(out_dir: Path, method: str, dims, ranks, core, matrices: dict, **extra) -> dict:
@@ -249,28 +273,43 @@ def compress(
     row_samples: int | None = None,
     fiber_samples: int | None = None,
 ) -> CompressionResult:
-    """Load a tensor file, decompose it, and write the factors.
+    """Decompose a tensor file and write the factors.
 
-    The SNR compares the loaded tensor against the method's reconstruction;
-    an exact reconstruction is reported as ``snr_db=None`` (the "exact"
-    sentinel).  The reconstruction is never held whole: it is streamed from
-    the Tucker form by :func:`~tensorcur.tensor.residual`, which writes it
-    when ``write_reconstruction`` is set.  Timing covers the decomposition
-    only, not I/O.  An input with a non-finite value or a negative seed is
-    rejected before it is decomposed.
+    A CUR method never holds the input whole: it reads the file in chunks of
+    last-mode slabs (:class:`~tensorcur.tensorfile.SlabReader`), twice.  Its
+    indices are drawn from the dims alone; the first pass checks every
+    chunk, takes ``||x||_F`` as the ``hypot`` of the chunk norms and gathers
+    the core and fibers; the second, after the rank gate and the factor
+    files, streams the residual.  A Tucker method needs every entry and
+    loads the file.  The SNR compares the input against the method's
+    reconstruction; an exact reconstruction is reported as ``snr_db=None``
+    (the "exact" sentinel).  The reconstruction is never held whole either:
+    it is streamed from the Tucker form by
+    :func:`~tensorcur.tensor.residual`, which writes it when
+    ``write_reconstruction`` is set.  Timing covers the decomposition (see
+    :class:`CompressionResult`), not the factor files or the residual pass.
+    An input with a non-finite value or a negative seed is rejected before
+    anything is written.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
     if seed < 0:  # a Tucker method draws nothing, so no plan would check it
         raise ValueError(f"seed {seed} must be nonnegative")
-    x = read_tensor(input_path)
+    if method in CUR_METHODS:
+        x = SlabReader(input_path)
+        source = _CheckedSlabs(x, input_path)  # the gather's pass checks every chunk
+    else:
+        x = source = read_tensor(input_path)
     ranks = check_ranks(ranks, x.shape)
-    norm = frobenius_norm(x)
-    if not math.isfinite(norm):
-        raise ValueError(f"{input_path} holds non-finite values")
+    if source is x:
+        norm = frobenius_norm(x)
+        if not math.isfinite(norm):
+            raise ValueError(f"{input_path} holds non-finite values")
     dec, runtime, extract, rank_ok, _ = _decompose(
-        method, x, ranks, [int(seed)], row_samples, fiber_samples
+        method, source, ranks, [int(seed)], row_samples, fiber_samples
     )
+    if source is not x:
+        norm = math.hypot(*source.norms)
     out_dir = Path(out_dir) if out_dir is not None else Path(str(input_path) + ".factors")
     out_dir.mkdir(parents=True, exist_ok=True)
     if method in CUR_METHODS:
@@ -301,7 +340,8 @@ def convert_factors(in_dir, out_dir):
     Reads the manifest and factor files written by :func:`compress` for a
     CUR method, runs the CUR-to-Tucker conversion, and writes the resulting
     core and factors with a Tucker-style manifest.  A manifest that lacks a
-    key or holds a value of the wrong JSON type is rejected as such, a
+    key or holds a value of the wrong JSON type (``dims``, ``ranks`` and each
+    index set must be lists of integers) is rejected as such, a
     factor file holding a non-finite value is rejected by name, and so is
     one whose shape differs from the one its manifest's index sets give it
     (core ``|I_0| x ... x |I_{n-1}|``, fiber ``d_i x |J_i|``, intersection
@@ -321,19 +361,27 @@ def convert_factors(in_dir, out_dir):
             raise ValueError(f"{path} holds non-finite values")
         return a
 
+    def ints(value):
+        # a JSON list of integers, or a wrong JSON type (bool is an int to Python, not to JSON)
+        if not isinstance(value, list) or any(type(v) is not int for v in value):
+            raise TypeError(f"{value!r} is not a list of integers")
+        return value
+
     try:
         method = manifest["method"]
         if method not in CUR_METHODS:
             raise ValueError(f"conversion requires CUR factors, found method {method!r}")
         files = manifest["files"]
-        dims = tuple(int(d) for d in manifest["dims"])
-        ranks = check_ranks(manifest["ranks"], dims)
+        dims = tuple(ints(manifest["dims"]))
+        ranks = check_ranks(ints(manifest["ranks"]), dims)
         row_sets, fiber_sets = manifest["row_indices"], manifest["fiber_indices"]
         n = len(dims)
         if {len(s) for s in (files["fibers"], files["intersections"], row_sets, fiber_sets)} != {n}:
             raise ValueError("inconsistent factor shapes: mode count mismatch")
-        rows = tuple(as_index_array(idx, d) for idx, d in zip(row_sets, dims))
-        cols = tuple(as_index_array(idx, math.prod(dims) // d) for idx, d in zip(fiber_sets, dims))
+        rows = tuple(as_index_array(ints(idx), d) for idx, d in zip(row_sets, dims))
+        cols = tuple(
+            as_index_array(ints(idx), math.prod(dims) // d) for idx, d in zip(fiber_sets, dims)
+        )
         names = [files["core"], *files["fibers"], *files["intersections"]]
         arrays = [read_finite(name) for name in names]
     except KeyError as exc:

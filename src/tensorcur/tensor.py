@@ -263,38 +263,58 @@ def frobenius_norm(t) -> float:
     return norm
 
 
-# bytes of last-mode slabs reconstructed, written and differenced at a time
+# bytes of last-mode slabs reconstructed, written and differenced at a time,
+# and of the chunks a tensor file is read in
 _STREAM_CHUNK_BYTES = 1 << 22
+
+
+def _slab_step(shape) -> int:
+    """Last-mode slabs of a float64 tensor of ``shape`` per stream chunk: as
+    many as fit in ``_STREAM_CHUNK_BYTES``, and at least one."""
+    return max(1, _STREAM_CHUNK_BYTES // (8 * math.prod(shape[:-1])))
+
+
+def _is_slab_source(x) -> bool:
+    """Whether ``x`` is a source of a tensor's last-mode slabs rather than a
+    tensor: an object with the tensor's ``shape`` whose iteration yields
+    ``(start, chunk)`` pairs in order, ``chunk`` holding slabs ``start,
+    start + 1, ...`` (e.g. :class:`~tensorcur.tensorfile.SlabReader`)."""
+    return hasattr(x, "shape") and not isinstance(x, np.ndarray)
 
 
 def residual(x, core, factors, writer=None) -> float:
     """``frobenius_norm(x - multi_mode_product(core, factors))``, streamed.
 
-    The head ``core x_0 F_0 ... x_{n-2} F_{n-2}`` is formed once as a matrix
+    ``x`` is a tensor or a source of its last-mode slabs, read once.  The
+    head ``core x_0 F_0 ... x_{n-2} F_{n-2}`` is formed once as a matrix
     ``H``.  Each chunk of last-mode slabs is ``H @ F_{n-1}[l]`` slab by slab
     (so its bytes do not depend on the chunk size), passed to ``writer.write``
-    if given and differenced in place; the chunk norms combine by ``hypot``.
-    Without a writer a C-contiguous ``x`` is read as ``x.T`` against the
-    reversed form, so its chunks are contiguous.
+    if given and differenced in place from the chunk of ``x``; the chunk
+    norms combine by ``hypot``.  A tensor is cut into chunks of
+    ``_STREAM_CHUNK_BYTES``; without a writer a C-contiguous one is read as
+    ``x.T`` against the reversed form, so its chunks are contiguous.
     """
-    x = _as_tensor(x)
-    if tuple(len(f) for f in factors) != x.shape:
-        raise ValueError(f"the Tucker form does not have the tensor's dims {x.shape}")
-    if writer is None and x.flags.c_contiguous:
+    source = _is_slab_source(x)
+    x = x if source else _as_tensor(x)
+    if tuple(len(f) for f in factors) != tuple(x.shape):
+        raise ValueError(f"the Tucker form does not have the tensor's dims {tuple(x.shape)}")
+    if not source and writer is None and x.flags.c_contiguous:
         x, core, factors = x.T, np.transpose(core), factors[::-1]
+    shape = tuple(x.shape)
+    step = _slab_step(shape)
+    chunks = x if source else ((s, x[..., s : s + step]) for s in range(0, shape[-1], step))
     head = multi_mode_product(core, [*factors[:-1], None])
-    h = head.reshape(math.prod(x.shape[:-1]), head.shape[-1], order="F")
+    h = head.reshape(math.prod(shape[:-1]), head.shape[-1], order="F")
     # a reversed-column view would send the batched product down numpy's non-BLAS loop
     last = np.ascontiguousarray(factors[-1], dtype=np.float64)
-    step = max(1, _STREAM_CHUNK_BYTES // x[..., 0].nbytes)
     norms = []
-    for start in range(0, x.shape[-1], step):
+    for start, part in chunks:
         # (m, prod(d_<n-1), 1): slab by slab, each slab first index fastest
-        slabs = np.matmul(h, last[start : start + step, :, None])
-        chunk = slabs[:, :, 0].T.reshape(x.shape[:-1] + (-1,), order="F")
+        slabs = np.matmul(h, last[start : start + part.shape[-1], :, None])
+        chunk = slabs[:, :, 0].T.reshape(shape[:-1] + (-1,), order="F")
         if writer is not None:
             writer.write(chunk)
-        np.subtract(chunk, x[..., start : start + step], out=chunk)
+        np.subtract(chunk, part, out=chunk)
         norms.append(frobenius_norm(chunk))
         del slabs, chunk  # one chunk at a time
     return math.hypot(*norms)

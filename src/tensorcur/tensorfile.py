@@ -11,7 +11,9 @@ Layout (all integers little-endian):
     then         prod(dims) payload values, first index varying fastest
 
 float32 payloads are widened to float64 on load; float64 round trips are
-bit-exact.
+bit-exact.  The last-mode slabs follow one another in the payload, so
+:class:`SlabWriter` and :class:`SlabReader` write and read a tensor in
+chunks of them without holding it whole.
 """
 
 import math
@@ -19,6 +21,8 @@ import os
 import struct
 
 import numpy as np
+
+from .tensor import _slab_step
 
 __all__ = ["TensorFileError", "SlabWriter", "read_tensor", "write_tensor"]
 
@@ -92,38 +96,79 @@ class SlabWriter:
             self._fh.close()
 
 
+def _read_header(fh, path) -> tuple[tuple[int, ...], np.dtype]:
+    """Check the header and the payload length of the open tensor file ``fh``,
+    leaving it at the payload, and return ``(shape, payload dtype)``; a
+    malformed file raises :class:`TensorFileError` naming ``path``."""
+
+    def bad(reason):
+        return TensorFileError(f"{os.fspath(path)}: {reason}")
+
+    head = fh.read(_HEADER.size)
+    if len(head) < _HEADER.size:
+        raise bad("file too short for a tensor header")
+    magic, version, code, ndims, _reserved = _HEADER.unpack(head)
+    if magic != MAGIC:
+        raise bad(f"bad magic {magic!r}")
+    if version != VERSION:
+        raise bad(f"unsupported version {version}")
+    if code not in _DTYPES:
+        raise bad(f"unknown dtype code {code}")
+    if ndims < 1:
+        raise bad("tensor must have at least one mode")
+    extents = fh.read(8 * ndims)
+    if len(extents) < 8 * ndims:
+        raise bad("file truncated in the extents block")
+    dims = np.frombuffer(extents, dtype="<u8")
+    if np.any(dims == 0):
+        raise bad("zero extent in tensor header")
+    shape = tuple(int(d) for d in dims)
+    want = math.prod(shape) * _DTYPES[code].itemsize
+    got = os.fstat(fh.fileno()).st_size - fh.tell()
+    if got != want:
+        raise bad(f"payload length mismatch: file has {got} bytes, expected {want}")
+    return shape, _DTYPES[code]
+
+
 def read_tensor(path) -> np.ndarray:
     """Load a tensor written by :func:`write_tensor` as float64; a malformed
     file raises :class:`TensorFileError` naming the file."""
-    try:
-        with open(path, "rb") as fh:
-            head = fh.read(_HEADER.size)
-            if len(head) < _HEADER.size:
-                raise TensorFileError("file too short for a tensor header")
-            magic, version, code, ndims, _reserved = _HEADER.unpack(head)
-            if magic != MAGIC:
-                raise TensorFileError(f"bad magic {magic!r}")
-            if version != VERSION:
-                raise TensorFileError(f"unsupported version {version}")
-            if code not in _DTYPES:
-                raise TensorFileError(f"unknown dtype code {code}")
-            if ndims < 1:
-                raise TensorFileError("tensor must have at least one mode")
-            extents = fh.read(8 * ndims)
-            if len(extents) < 8 * ndims:
-                raise TensorFileError("file truncated in the extents block")
-            dims = np.frombuffer(extents, dtype="<u8")
-            if np.any(dims == 0):
-                raise TensorFileError("zero extent in tensor header")
-            shape = tuple(int(d) for d in dims)
-            count = math.prod(shape)
-            want = count * _DTYPES[code].itemsize
-            got = os.fstat(fh.fileno()).st_size - fh.tell()
-            if got != want:
-                raise TensorFileError(
-                    f"payload length mismatch: file has {got} bytes, expected {want}"
-                )
-            payload = np.fromfile(fh, dtype=_DTYPES[code], count=count)
-    except TensorFileError as exc:
-        raise TensorFileError(f"{os.fspath(path)}: {exc}") from None
+    with open(path, "rb") as fh:
+        shape, dtype = _read_header(fh, path)
+        payload = np.fromfile(fh, dtype=dtype, count=math.prod(shape))
     return payload.astype(np.float64, copy=False).reshape(shape, order="F")
+
+
+class SlabReader:
+    """Read a tensor file in chunks of last-mode slabs, never holding it whole.
+
+    The header is checked on construction, which raises
+    :class:`TensorFileError` naming a malformed file.  Each iteration reads
+    the file once and yields ``(start, chunk)``: ``chunk`` is the float64
+    ``shape[:-1] + (m,)`` tensor of slabs ``start`` to ``start + m - 1``, an
+    F-ordered view of one buffer of at most ``tensor._STREAM_CHUNK_BYTES``
+    that the next chunk overwrites.  The payload is first index fastest, so
+    each chunk is one contiguous read; a float32 payload is widened one chunk
+    at a time.
+    """
+
+    def __init__(self, path):
+        self.path = path
+        with open(path, "rb") as fh:
+            self.shape, self._dtype = _read_header(fh, path)
+
+    def __iter__(self):
+        with open(self.path, "rb") as fh:
+            if _read_header(fh, self.path) != (self.shape, self._dtype):
+                raise TensorFileError(f"{os.fspath(self.path)}: header changed while reading")
+            slab = math.prod(self.shape[:-1])
+            step = _slab_step(self.shape)
+            buf = np.empty(step * slab)
+            raw = buf if self._dtype == buf.dtype else np.empty(step * slab, self._dtype)
+            for start in range(0, self.shape[-1], step):
+                m = min(step, self.shape[-1] - start)
+                if fh.readinto(raw[: m * slab]) != m * slab * raw.itemsize:
+                    raise TensorFileError(f"{os.fspath(self.path)}: file truncated while reading")
+                if raw is not buf:
+                    buf[: m * slab] = raw[: m * slab]
+                yield start, buf[: m * slab].reshape(self.shape[:-1] + (m,), order="F")

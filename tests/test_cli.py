@@ -251,10 +251,14 @@ def _set(*path_and_value):
         _set("files", "core", 5),
         _set("dims", 0, float("inf")),
         _set("row_indices", 1, [0, 2**70]),
+        _set("dims", "abc"),
+        _set("row_indices", 0, [[0], [1, 2]]),
+        _set("ranks", "222"),
     ],
     ids=["ranks=null", "ranks=2", "dims=null", "dims[2]=null", "row_indices=null",
          "row_indices[0]=null", "fiber_indices=5", "files.fibers=null", "files.core=5",
-         "dims[0]=Infinity", "row_indices[1]=[0,2**70]"],
+         "dims[0]=Infinity", "row_indices[1]=[0,2**70]", "dims=abc",
+         "row_indices[0]=[[0],[1,2]]", "ranks=222"],
 )
 def test_convert_of_a_manifest_with_a_wrong_type_is_an_input_error(tmp_path, capsys, mutate):
     _, noisy, _ = generate_synthetic(9, 2, 0.0, np.random.default_rng(4))

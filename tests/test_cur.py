@@ -21,10 +21,13 @@ from tensorcur import (
     multilinear_rank,
     numerical_rank,
     projection_reconstruct,
+    read_tensor,
     relative_error,
     unfold,
+    write_tensor,
 )
-from tensorcur import cur
+from tensorcur import cur, tensor
+from tensorcur.tensorfile import SlabReader
 from tensorcur.cur import draw_indices
 
 from conftest import random_low_rank
@@ -324,6 +327,46 @@ class TestReadsOnlySampledEntries:
         finally:
             tracemalloc.stop()
         assert peak < 0.25 * a.nbytes
+
+
+class TestSlabSourceGather:
+    """``cur_with_indices`` over a file's chunks of last-mode slabs gives what
+    it gives for the loaded tensor: the same bits in the same layout."""
+
+    @pytest.mark.parametrize("variant", ["chidori", "fiber"])
+    @pytest.mark.parametrize("dims", [(13, 11, 9), (7, 6, 5, 9), (41,), (12, 10), (1, 1, 9),
+                                      (7, 1, 9)])
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_matches_the_loaded_tensor(self, tmp_path, monkeypatch, variant, dims, dtype):
+        path = tmp_path / "x.tnsr"
+        write_tensor(path, np.random.default_rng(5).standard_normal(dims), dtype=dtype)
+        x = read_tensor(path)
+        t = tuple(min(d, 4) for d in dims)
+        s = tuple(min(x.size // d, 5) for d in dims) if variant == "fiber" else None
+        rows, cols = draw_indices(x, SamplingPlan(t, s, seed=6))
+        ranks = tuple(min(d, 2) for d in dims)
+        reference = cur_with_indices(x, rows, ranks, cols)
+        # four slabs a chunk: the last extent is not a multiple of it
+        monkeypatch.setattr(tensor, "_STREAM_CHUNK_BYTES", 4 * 8 * x[..., 0].size)
+        source = SlabReader(path)
+        assert len(list(source)) == -(-dims[-1] // 4) > 1
+        dec = cur_with_indices(source, rows, ranks, cols)
+        assert dec.variant == reference.variant
+        got = [dec.core, *dec.fibers, *dec.intersections]
+        want = [reference.core, *reference.fibers, *reference.intersections]
+        for a, b in zip(got, want):
+            assert a.shape == b.shape and a.strides == b.strides
+            assert a.tobytes(order="A") == b.tobytes(order="A")
+        for a, b in zip(dec.fiber_indices, reference.fiber_indices):
+            assert np.array_equal(a, b)
+
+    def test_chidori_intersections_are_the_core_unfoldings_in_c_order(self):
+        a = np.random.default_rng(7).standard_normal((9, 8, 7))
+        rows = ([0, 2, 5], [1, 3, 4, 7], [0, 6])
+        dec = cur_with_indices(a, rows, (2, 2, 2))
+        for i, (u, c, r) in enumerate(zip(dec.intersections, dec.fibers, dec.row_indices)):
+            assert u.flags.c_contiguous and np.array_equal(u, unfold(dec.core, i))
+            assert u.tobytes() == c[r, :].tobytes()
 
 
 class TestNonFiniteInput:

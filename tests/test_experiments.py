@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -23,9 +24,11 @@ from tensorcur import (
     write_csv,
     write_tensor,
 )
-from tensorcur import experiments, tensor
+from tensorcur import TensorFileError, experiments, tensor
 from tensorcur.cur import draw_indices
 from tensorcur.experiments import CSV_HEADER, rows_to_csv
+from tensorcur.tensor import residual
+from tensorcur.tensorfile import SlabWriter
 
 # non-timing columns (all but runtime_ms and extract_ms) of a sweep whose
 # fiber rows all exhaust their 10 resamples, which shifts the chidori seeds
@@ -429,6 +432,75 @@ class TestStreamedReconstruction:
             tracemalloc.stop()
         # the whole reconstruction next to the input peaked at 2.2x
         assert peak < 1.5 * nbytes
+
+
+class TestStreamedCurCompress:
+    """A CUR ``compress`` reads the file in chunks of last-mode slabs, twice,
+    and writes what it writes for the loaded tensor, byte for byte."""
+
+    @pytest.mark.parametrize("method", ["chidori", "fiber"])
+    @pytest.mark.parametrize("dims,ranks", [((26, 22, 9), (2, 2, 2)), ((9, 8, 7, 9), (2, 2, 2, 2))])
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_files_match_the_loaded_tensor(self, tmp_path, monkeypatch, method, dims, ranks,
+                                           dtype):
+        path = tmp_path / "x.tnsr"
+        write_tensor(path, generate_synthetic(dims, ranks, 1e-3, np.random.default_rng(19))[1],
+                     dtype=dtype)
+        x = read_tensor(path)
+        # four slabs a chunk: the last extent is not a multiple of it
+        monkeypatch.setattr(tensor, "_STREAM_CHUNK_BYTES", 4 * 8 * x[..., 0].size)
+        out = tmp_path / "out"
+        result = compress(path, method, ranks, seed=6, out_dir=out, write_reconstruction=True)
+
+        t, s = fiber_sample_sizes(dims, ranks)
+        rows, cols = draw_indices(x, SamplingPlan(t, s if method == "fiber" else None, seed=6))
+        dec = cur_with_indices(x, rows, ranks, cols)
+        ref = tmp_path / "ref"
+        ref.mkdir()
+        write_tensor(ref / "core.tnsr", dec.core)
+        for i, (c, u) in enumerate(zip(dec.fibers, dec.intersections)):
+            write_tensor(ref / f"fiber_{i}.tnsr", c)
+            write_tensor(ref / f"intersection_{i}.tnsr", u)
+        with SlabWriter(ref / "reconstruction.tnsr", dims) as writer:
+            res = residual(x, *dec.tucker_form(), writer)
+        for f in ref.iterdir():
+            assert (out / f.name).read_bytes() == f.read_bytes(), f.name
+        assert result.snr_db == pytest.approx(20 * np.log10(frobenius_norm(x) / res), rel=1e-12)
+
+    @pytest.mark.parametrize("method", ["chidori", "fiber"])
+    def test_nan_in_the_last_slab_is_rejected_before_any_output(self, tmp_path, monkeypatch,
+                                                                method):
+        monkeypatch.setattr(tensor, "_STREAM_CHUNK_BYTES", 1)  # one slab a chunk
+        x = generate_synthetic((12, 10, 8), (2, 2, 2), 1e-3, np.random.default_rng(20))[1]
+        x[5, 4, -1] = np.nan
+        path = tmp_path / "nan.tnsr"
+        write_tensor(path, x)
+        with pytest.raises(ValueError, match=re.escape(f"{path} holds non-finite values")):
+            compress(path, method, (2, 2, 2), out_dir=tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("method", ["chidori", "fiber"])
+    def test_truncated_file_is_rejected_by_name(self, tmp_path, method):
+        path, _ = make_tensor_file(tmp_path, (12, 10, 8), (2, 2, 2), 1e-3, 21)
+        path.write_bytes(path.read_bytes()[:-8])
+        with pytest.raises(TensorFileError, match=re.escape(str(path))):
+            compress(path, method, (2, 2, 2), out_dir=tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
+    def test_peak_memory_is_a_fraction_of_the_input(self, tmp_path, monkeypatch):
+        path, x = make_tensor_file(tmp_path, (128, 128, 32), (4, 4, 4), 1e-3, 17)
+        nbytes = x.nbytes
+        del x
+        monkeypatch.setattr(tensor, "_STREAM_CHUNK_BYTES", 1 << 16)
+        tracemalloc.start()
+        try:
+            compress(path, "chidori", (4, 4, 4), out_dir=tmp_path / "out",
+                     write_reconstruction=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # loading the file put the whole input next to the fibers: above 1x
+        assert peak < 0.5 * nbytes
 
 
 class TestOneSvdPerIntersection:

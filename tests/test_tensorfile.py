@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tensorcur import TensorFileError, read_tensor, write_tensor
-from tensorcur.tensorfile import SlabWriter
+from tensorcur import tensor
+from tensorcur.tensorfile import SlabReader, SlabWriter
 
 
 def test_round_trip_bit_exact_random_shapes(tmp_path):
@@ -215,3 +216,44 @@ def test_slab_writer_rejects_shapes_write_tensor_rejects(tmp_path, shape):
     for write in (lambda p: write_tensor(p, np.ones(shape)), lambda p: SlabWriter(p, shape)):
         with pytest.raises(ValueError, match="mode|extent"):
             write(tmp_path / "t.tnsr")
+
+
+@pytest.mark.parametrize("dims", [(7,), (5, 9), (4, 3, 11), (3, 2, 2, 5)])
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+@pytest.mark.parametrize("chunk_bytes", [1, 200, 1 << 30])  # one slab, some, all
+def test_slab_reader_yields_the_file_chunk_by_chunk(tmp_path, monkeypatch, dims, dtype,
+                                                    chunk_bytes):
+    monkeypatch.setattr(tensor, "_STREAM_CHUNK_BYTES", chunk_bytes)
+    path = tmp_path / "t.tnsr"
+    write_tensor(path, np.random.default_rng(4).standard_normal(dims), dtype=dtype)
+    whole = read_tensor(path)
+    reader = SlabReader(path)
+    assert reader.shape == dims
+    for _ in range(2):  # every iteration reads the file afresh
+        starts, buffers = [], set()
+        for start, chunk in reader:
+            assert chunk.dtype == np.float64 and chunk.flags.f_contiguous
+            assert np.array_equal(chunk, whole[..., start : start + chunk.shape[-1]])
+            starts.append(start)
+            buffers.add(chunk.base.ctypes.data)
+        step = max(1, chunk_bytes // (8 * int(np.prod(dims[:-1]))))
+        assert starts == list(range(0, dims[-1], step))
+        assert len(buffers) == 1  # one buffer, refilled
+
+
+@pytest.mark.parametrize("cut", [8, 1])
+def test_slab_reader_rejects_a_truncated_file_by_name(tmp_path, cut):
+    path = tmp_path / "cut.tnsr"
+    write_tensor(path, np.ones((4, 3, 5)))
+    path.write_bytes(path.read_bytes()[:-cut])
+    with pytest.raises(TensorFileError, match=f"{path}: payload length mismatch"):
+        SlabReader(path)
+
+
+def test_slab_reader_rejects_a_file_changed_between_passes(tmp_path):
+    path = tmp_path / "t.tnsr"
+    write_tensor(path, np.ones((4, 3, 5)))
+    reader = SlabReader(path)
+    write_tensor(path, np.ones((4, 3, 6)))
+    with pytest.raises(TensorFileError, match="header changed"):
+        list(reader)
