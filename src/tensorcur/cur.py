@@ -36,6 +36,7 @@ from .linalg import (
 from .sampling import SamplingPlan, mode_length_distributions, sample_without_replacement
 from .tensor import (
     _is_slab_source,
+    _source_slabs,
     as_index_array,
     check_ranks,
     composite_index,
@@ -177,13 +178,14 @@ def cur_with_indices(a, row_indices, ranks, fiber_indices=None) -> CurDecomposit
     variant uses the given mode-i unfolding column sets.  ``a`` is a tensor
     or a source of its last-mode slabs (an object with the tensor's
     ``shape`` whose iteration yields ``(start, chunk)`` pairs in order, such
-    as :class:`~tensorcur.tensorfile.SlabReader`), iterated once.  Either
+    as :class:`~tensorcur.tensorfile.SlabReader`), iterated once; chunks
+    that do not tile the last mode in order raise ``ValueError``.  Either
     way only the core and the selected fibers are kept, and only they are
     checked for non-finite values.  A Chidori intersection ``U_i`` is the
     mode-i unfolding of the core, a Fiber one the rows ``I_i`` of ``C_i``.
     """
     if _is_slab_source(a):
-        chunks = a
+        chunks = _source_slabs(a)
     else:
         a = np.asarray(a, dtype=np.float64)
         chunks = ((0, a),)

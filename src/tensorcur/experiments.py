@@ -210,7 +210,7 @@ def write_csv(rows, path) -> None:
 class CompressionResult:
     """What :func:`compress` did.  ``runtime_ms`` covers the decomposition:
     for CUR the draw, the gather pass over the file (reading included) and
-    the rank gate, for Tucker the decomposition of the loaded tensor.
+    the rank gate, for Tucker the decomposition of the array read from it.
     ``extract_ms`` is the CUR gather pass, 0 for Tucker."""
 
     method: str
@@ -221,23 +221,6 @@ class CompressionResult:
     rank_ok: bool
     out_dir: str
     files: dict
-
-
-class _CheckedSlabs:
-    """The chunks of a slab source, each passed on once it is found finite;
-    ``norms`` keeps their Frobenius norms, those of the latest pass."""
-
-    def __init__(self, source, name):
-        self.shape, self.norms = source.shape, []
-        self._source, self._name = source, name
-
-    def __iter__(self):
-        self.norms = []
-        for start, chunk in self._source:
-            self.norms.append(frobenius_norm(chunk))
-            if not math.isfinite(self.norms[-1]):
-                raise ValueError(f"{self._name} holds non-finite values")
-            yield start, chunk
 
 
 def _write_factors(out_dir: Path, method: str, dims, ranks, core, matrices: dict, **extra) -> dict:
@@ -275,41 +258,35 @@ def compress(
 ) -> CompressionResult:
     """Decompose a tensor file and write the factors.
 
-    A CUR method never holds the input whole: it reads the file in chunks of
-    last-mode slabs (:class:`~tensorcur.tensorfile.SlabReader`), twice.  Its
-    indices are drawn from the dims alone; the first pass checks every
-    chunk, takes ``||x||_F`` as the ``hypot`` of the chunk norms and gathers
-    the core and fibers; the second, after the rank gate and the factor
-    files, streams the residual.  A Tucker method needs every entry and
-    loads the file.  The SNR compares the input against the method's
+    The file is read through one :class:`~tensorcur.tensorfile.SlabReader`
+    in chunks of last-mode slabs.  Its first pass checks that every chunk is
+    finite and gives ``||x||_F``.  A CUR method never holds the input whole:
+    its indices are drawn from the dims alone and that pass gathers the core
+    and fibers.  A Tucker method needs every entry and fills one F-ordered
+    array from that pass.  The SNR compares the input against the method's
     reconstruction; an exact reconstruction is reported as ``snr_db=None``
     (the "exact" sentinel).  The reconstruction is never held whole either:
     it is streamed from the Tucker form by
-    :func:`~tensorcur.tensor.residual`, which writes it when
-    ``write_reconstruction`` is set.  Timing covers the decomposition (see
-    :class:`CompressionResult`), not the factor files or the residual pass.
-    An input with a non-finite value or a negative seed is rejected before
-    anything is written.
+    :func:`~tensorcur.tensor.residual`, after the rank gate and the factor
+    files, against what was decomposed (for CUR a second pass over the
+    file), and written when ``write_reconstruction`` is set.  Timing covers
+    the decomposition (see :class:`CompressionResult`), not the factor files
+    or the residual pass.  An input with a non-finite value or a negative
+    seed is rejected before anything is written.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
     if seed < 0:  # a Tucker method draws nothing, so no plan would check it
         raise ValueError(f"seed {seed} must be nonnegative")
-    if method in CUR_METHODS:
-        x = SlabReader(input_path)
-        source = _CheckedSlabs(x, input_path)  # the gather's pass checks every chunk
-    else:
-        x = source = read_tensor(input_path)
+    reader = x = SlabReader(input_path)
     ranks = check_ranks(ranks, x.shape)
-    if source is x:
-        norm = frobenius_norm(x)
-        if not math.isfinite(norm):
-            raise ValueError(f"{input_path} holds non-finite values")
+    if method not in CUR_METHODS:  # Tucker needs every entry: one array from the checked pass
+        x = np.empty(reader.shape, order="F")
+        for start, chunk in reader:
+            x[..., start : start + chunk.shape[-1]] = chunk
     dec, runtime, extract, rank_ok, _ = _decompose(
-        method, source, ranks, [int(seed)], row_samples, fiber_samples
+        method, x, ranks, [int(seed)], row_samples, fiber_samples
     )
-    if source is not x:
-        norm = math.hypot(*source.norms)
     out_dir = Path(out_dir) if out_dir is not None else Path(str(input_path) + ".factors")
     out_dir.mkdir(parents=True, exist_ok=True)
     if method in CUR_METHODS:
@@ -328,7 +305,7 @@ def compress(
         res = residual(x, *dec.tucker_form(), out)
     # a reconstruction exact to machine precision (e.g. ranks == dims) has a
     # roundoff-dominated SNR; report the exact sentinel instead of a number
-    snr = None if res <= 1e-12 * norm else 20.0 * math.log10(norm / res)
+    snr = None if res <= 1e-12 * reader.norm else 20.0 * math.log10(reader.norm / res)
     return CompressionResult(
         method, ranks, snr, runtime * 1e3, extract * 1e3, rank_ok, str(out_dir), files
     )

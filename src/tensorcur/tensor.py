@@ -278,8 +278,26 @@ def _is_slab_source(x) -> bool:
     """Whether ``x`` is a source of a tensor's last-mode slabs rather than a
     tensor: an object with the tensor's ``shape`` whose iteration yields
     ``(start, chunk)`` pairs in order, ``chunk`` holding slabs ``start,
-    start + 1, ...`` (e.g. :class:`~tensorcur.tensorfile.SlabReader`)."""
-    return hasattr(x, "shape") and not isinstance(x, np.ndarray)
+    start + 1, ...`` (e.g. :class:`~tensorcur.tensorfile.SlabReader`).  An
+    object numpy converts (one with ``__array__``, an ndarray too) is a
+    tensor."""
+    return hasattr(x, "shape") and not hasattr(x, "__array__")
+
+
+def _source_slabs(source):
+    """The ``(start, chunk)`` pairs of a slab source, checked to tile its
+    last mode in order with chunks of ``shape[:-1]`` slabs; a skipped,
+    repeated, reordered or misshapen chunk raises ``ValueError``."""
+    shape, stop = tuple(source.shape), 0
+    for start, chunk in source:
+        m = chunk.shape[-1]
+        if start != stop or chunk.shape[:-1] != shape[:-1] or start + m > shape[-1]:
+            raise ValueError(f"a chunk of shape {chunk.shape} at slab {start} does not "
+                             f"continue slab {stop} of a tensor of shape {shape}")
+        stop = start + m
+        yield start, chunk
+    if stop != shape[-1]:
+        raise ValueError(f"{stop} of {shape[-1]} slabs read")
 
 
 def residual(x, core, factors, writer=None) -> float:
@@ -292,7 +310,8 @@ def residual(x, core, factors, writer=None) -> float:
     if given and differenced in place from the chunk of ``x``; the chunk
     norms combine by ``hypot``.  A tensor is cut into chunks of
     ``_STREAM_CHUNK_BYTES``; without a writer a C-contiguous one is read as
-    ``x.T`` against the reversed form, so its chunks are contiguous.
+    ``x.T`` against the reversed form, so its chunks are contiguous.  A
+    source whose chunks do not tile the last mode in order raises ``ValueError``.
     """
     source = _is_slab_source(x)
     x = x if source else _as_tensor(x)
@@ -302,7 +321,10 @@ def residual(x, core, factors, writer=None) -> float:
         x, core, factors = x.T, np.transpose(core), factors[::-1]
     shape = tuple(x.shape)
     step = _slab_step(shape)
-    chunks = x if source else ((s, x[..., s : s + step]) for s in range(0, shape[-1], step))
+    if source:
+        chunks = _source_slabs(x)
+    else:
+        chunks = ((s, x[..., s : s + step]) for s in range(0, shape[-1], step))
     head = multi_mode_product(core, [*factors[:-1], None])
     h = head.reshape(math.prod(shape[:-1]), head.shape[-1], order="F")
     # a reversed-column view would send the batched product down numpy's non-BLAS loop

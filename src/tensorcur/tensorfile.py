@@ -13,7 +13,8 @@ Layout (all integers little-endian):
 float32 payloads are widened to float64 on load; float64 round trips are
 bit-exact.  The last-mode slabs follow one another in the payload, so
 :class:`SlabWriter` and :class:`SlabReader` write and read a tensor in
-chunks of them without holding it whole.
+chunks of them without holding it whole; the reader's first pass also
+checks that every value is finite and measures ``||x||_F``.
 """
 
 import math
@@ -22,7 +23,7 @@ import struct
 
 import numpy as np
 
-from .tensor import _slab_step
+from .tensor import _slab_step, frobenius_norm
 
 __all__ = ["TensorFileError", "SlabWriter", "read_tensor", "write_tensor"]
 
@@ -150,10 +151,16 @@ class SlabReader:
     that the next chunk overwrites.  The payload is first index fastest, so
     each chunk is one contiguous read; a float32 payload is widened one chunk
     at a time.
+
+    Until a pass reaches the last chunk, each chunk is checked before it is
+    yielded (a non-finite value raises ``ValueError``: ``<path> holds
+    non-finite values``); that pass sets ``norm``, ``||x||_F`` as the
+    ``hypot`` of the chunk norms, and later ones check only the header.
     """
 
     def __init__(self, path):
         self.path = path
+        self.norm = None
         with open(path, "rb") as fh:
             self.shape, self._dtype = _read_header(fh, path)
 
@@ -165,10 +172,18 @@ class SlabReader:
             step = _slab_step(self.shape)
             buf = np.empty(step * slab)
             raw = buf if self._dtype == buf.dtype else np.empty(step * slab, self._dtype)
+            norms = []
             for start in range(0, self.shape[-1], step):
                 m = min(step, self.shape[-1] - start)
                 if fh.readinto(raw[: m * slab]) != m * slab * raw.itemsize:
                     raise TensorFileError(f"{os.fspath(self.path)}: file truncated while reading")
                 if raw is not buf:
                     buf[: m * slab] = raw[: m * slab]
-                yield start, buf[: m * slab].reshape(self.shape[:-1] + (m,), order="F")
+                chunk = buf[: m * slab].reshape(self.shape[:-1] + (m,), order="F")
+                if self.norm is None:
+                    norms.append(frobenius_norm(chunk))
+                    if not math.isfinite(norms[-1]):
+                        raise ValueError(f"{os.fspath(self.path)} holds non-finite values")
+                    if start + m == self.shape[-1]:  # set before a consumer can stop
+                        self.norm = math.hypot(*norms)
+                yield start, chunk

@@ -29,6 +29,7 @@ from tensorcur import (
 from tensorcur import cur, tensor
 from tensorcur.tensorfile import SlabReader
 from tensorcur.cur import draw_indices
+from tensorcur.tensor import residual
 
 from conftest import random_low_rank
 
@@ -359,6 +360,56 @@ class TestSlabSourceGather:
             assert a.tobytes(order="A") == b.tobytes(order="A")
         for a, b in zip(dec.fiber_indices, reference.fiber_indices):
             assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("variant", ["chidori", "fiber"])
+    def test_an_array_like_is_a_tensor(self, variant):
+        class ArrayLike:  # as pandas, xarray, h5py or torch objects expose themselves
+            def __init__(self, a):
+                self.shape, self._a = a.shape, a
+
+            def __array__(self, dtype=None, copy=None):
+                return self._a
+
+        a = np.random.default_rng(8).standard_normal((9, 8, 7))
+        rows = ([0, 2, 5], [1, 3, 4, 7], [0, 6])
+        cols = ([3, 10, 40], [1, 20, 50], [5, 30, 71]) if variant == "fiber" else None
+        want, got = (cur_with_indices(x, rows, (2, 2, 2), cols) for x in (a, ArrayLike(a)))
+        for g, w in zip([got.core, *got.fibers, *got.intersections],
+                        [want.core, *want.fibers, *want.intersections]):
+            assert g.strides == w.strides and g.tobytes(order="A") == w.tobytes(order="A")
+        form = want.tucker_form()
+        assert residual(ArrayLike(a), *form) == residual(a, *form)
+
+    @pytest.mark.parametrize("consumer", ["gather", "residual"])
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda c: c[:1] + c[2:], "does not continue slab 2"),
+            (lambda c: c[:-1], "6 of 8 slabs read"),
+            (lambda c: c[:2] + c[1:], "does not continue slab 4"),
+            (lambda c: c[1:2] + c[:1] + c[2:], "does not continue slab 0"),
+            (lambda c: [(0, c[0][1][:5])] + c[1:], "does not continue slab 0"),
+            (lambda c: c[:3] + [(6, c[3][1][..., :1]), (7, c[3][1])], "does not continue slab 7"),
+        ],
+        ids=["dropped", "last-dropped", "repeated", "reordered", "wrong-shape", "overrun"],
+    )
+    def test_a_source_that_does_not_tile_the_slabs_is_rejected(self, consumer, edit, message):
+        a = np.random.default_rng(9).standard_normal((6, 5, 8))
+        chunks = edit([(s, a[..., s : s + 2]) for s in range(0, 8, 2)])
+
+        class Source:
+            shape = a.shape
+
+            def __iter__(self):
+                return iter(chunks)
+
+        rows = ([0, 2, 5], [1, 3], [0, 3, 6])
+        dec = cur_with_indices(a, rows, (2, 2, 2))
+        with pytest.raises(ValueError, match=message):
+            if consumer == "gather":
+                cur_with_indices(Source(), rows, (2, 2, 2))
+            else:
+                residual(Source(), *dec.tucker_form())
 
     def test_chidori_intersections_are_the_core_unfoldings_in_c_order(self):
         a = np.random.default_rng(7).standard_normal((9, 8, 7))

@@ -24,7 +24,7 @@ from tensorcur import (
     write_csv,
     write_tensor,
 )
-from tensorcur import TensorFileError, experiments, tensor
+from tensorcur import TensorFileError, experiments, tensor, tensorfile
 from tensorcur.cur import draw_indices
 from tensorcur.experiments import CSV_HEADER, rows_to_csv
 from tensorcur.tensor import residual
@@ -449,8 +449,13 @@ class TestStreamedCurCompress:
         x = read_tensor(path)
         # four slabs a chunk: the last extent is not a multiple of it
         monkeypatch.setattr(tensor, "_STREAM_CHUNK_BYTES", 4 * 8 * x[..., 0].size)
+        measured = []
+        monkeypatch.setattr(tensorfile, "frobenius_norm",
+                            lambda t: measured.append(t.shape[-1]) or frobenius_norm(t))
         out = tmp_path / "out"
         result = compress(path, method, ranks, seed=6, out_dir=out, write_reconstruction=True)
+        # one norm per chunk, all in the gather pass; the residual pass takes none
+        assert measured == [min(4, dims[-1] - s) for s in range(0, dims[-1], 4)]
 
         t, s = fiber_sample_sizes(dims, ranks)
         rows, cols = draw_indices(x, SamplingPlan(t, s if method == "fiber" else None, seed=6))
@@ -467,7 +472,7 @@ class TestStreamedCurCompress:
             assert (out / f.name).read_bytes() == f.read_bytes(), f.name
         assert result.snr_db == pytest.approx(20 * np.log10(frobenius_norm(x) / res), rel=1e-12)
 
-    @pytest.mark.parametrize("method", ["chidori", "fiber"])
+    @pytest.mark.parametrize("method", ["chidori", "fiber", "hosvd"])
     def test_nan_in_the_last_slab_is_rejected_before_any_output(self, tmp_path, monkeypatch,
                                                                 method):
         monkeypatch.setattr(tensor, "_STREAM_CHUNK_BYTES", 1)  # one slab a chunk

@@ -48,6 +48,13 @@ def skewed_weights(n, zero_frac, seed):
     return p
 
 
+def unfolding_lengths(t, k, axis):
+    """The length-squared distribution over the rows or columns of
+    ``unfold(t, k)``, by plain numpy rather than the package's kernel."""
+    u = unfold(t, k)
+    return (u * u).sum(1 if axis == "rows" else 0) / (u * u).sum()
+
+
 class TestLengthDistribution:
     def test_identity_rows_uniform(self):
         assert np.allclose(length_distribution(np.eye(3), "rows"), 1.0 / 3.0)
@@ -99,7 +106,7 @@ class TestLengthDistribution:
         t = tensor_with_layout(tuple(dims), layout, seed)
         k = mode % t.ndim
         got = length_distribution(t, axis, mode=k)
-        np.testing.assert_allclose(got, length_distribution(unfold(t, k), axis), rtol=1e-12)
+        np.testing.assert_allclose(got, unfolding_lengths(t, k, axis), rtol=1e-12)
 
 
 # numpy functions through which a pass could read the whole tensor
@@ -120,13 +127,13 @@ class TestModeLengthDistributions:
         rows, cols = mode_length_distributions(t, fibers)
         assert len(rows) == t.ndim
         for k, p in enumerate(rows):
-            np.testing.assert_allclose(p, length_distribution(unfold(t, k), "rows"), rtol=1e-12)
+            np.testing.assert_allclose(p, unfolding_lengths(t, k, "rows"), rtol=1e-12)
         if not fibers:
             assert cols is None
             return
         assert len(cols) == t.ndim
         for k, q in enumerate(cols):
-            np.testing.assert_allclose(q, length_distribution(unfold(t, k), "cols"), rtol=1e-12)
+            np.testing.assert_allclose(q, unfolding_lengths(t, k, "cols"), rtol=1e-12)
 
     @pytest.mark.parametrize("dims", [(4,), (3, 4), (2, 3, 4), (2, 2, 3, 2)])
     @pytest.mark.parametrize("fibers", [False, True])
@@ -145,9 +152,9 @@ class TestModeLengthDistributions:
         monkeypatch.setattr(sampling, "_NORM_CHUNK_BYTES", slabs * (t.nbytes // lead))
         rows, cols = mode_length_distributions(t, fibers)
         for k, p in enumerate(rows):
-            np.testing.assert_allclose(p, length_distribution(unfold(t, k), "rows"), rtol=1e-12)
+            np.testing.assert_allclose(p, unfolding_lengths(t, k, "rows"), rtol=1e-12)
         for k, q in enumerate(cols or []):
-            np.testing.assert_allclose(q, length_distribution(unfold(t, k), "cols"), rtol=1e-12)
+            np.testing.assert_allclose(q, unfolding_lengths(t, k, "cols"), rtol=1e-12)
 
     @pytest.mark.parametrize(
         "distribution,variant,passes",

@@ -1,3 +1,4 @@
+import re
 import struct
 import tracemalloc
 
@@ -6,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tensorcur import TensorFileError, read_tensor, write_tensor
-from tensorcur import tensor
+from tensorcur import TensorFileError, frobenius_norm, read_tensor, write_tensor
+from tensorcur import tensor, tensorfile
 from tensorcur.tensorfile import SlabReader, SlabWriter
 
 
@@ -224,13 +225,17 @@ def test_slab_writer_rejects_shapes_write_tensor_rejects(tmp_path, shape):
 def test_slab_reader_yields_the_file_chunk_by_chunk(tmp_path, monkeypatch, dims, dtype,
                                                     chunk_bytes):
     monkeypatch.setattr(tensor, "_STREAM_CHUNK_BYTES", chunk_bytes)
+    measured = []
+    monkeypatch.setattr(tensorfile, "frobenius_norm",
+                        lambda t: measured.append(t.shape[-1]) or frobenius_norm(t))
     path = tmp_path / "t.tnsr"
     write_tensor(path, np.random.default_rng(4).standard_normal(dims), dtype=dtype)
     whole = read_tensor(path)
     reader = SlabReader(path)
-    assert reader.shape == dims
-    for _ in range(2):  # every iteration reads the file afresh
+    assert reader.shape == dims and reader.norm is None
+    for first in (True, False):  # every iteration reads the file afresh
         starts, buffers = [], set()
+        measured.clear()
         for start, chunk in reader:
             assert chunk.dtype == np.float64 and chunk.flags.f_contiguous
             assert np.array_equal(chunk, whole[..., start : start + chunk.shape[-1]])
@@ -239,6 +244,27 @@ def test_slab_reader_yields_the_file_chunk_by_chunk(tmp_path, monkeypatch, dims,
         step = max(1, chunk_bytes // (8 * int(np.prod(dims[:-1]))))
         assert starts == list(range(0, dims[-1], step))
         assert len(buffers) == 1  # one buffer, refilled
+        # the first pass measures every chunk once, a later pass none
+        assert len(measured) == (len(starts) if first else 0)
+        assert reader.norm == pytest.approx(frobenius_norm(whole), rel=1e-14, abs=0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_slab_reader_rejects_non_finite_values_before_yielding_them(tmp_path, monkeypatch, bad):
+    monkeypatch.setattr(tensor, "_STREAM_CHUNK_BYTES", 1)  # one slab a chunk
+    t = np.ones((4, 3, 5))
+    t[2, 1, -1] = bad
+    path = tmp_path / "t.tnsr"
+    write_tensor(path, t)
+    reader = SlabReader(path)
+    assert next(iter(reader))[0] == 0  # a pass that stops early checks only what it read
+    for _ in range(2):  # so every later pass checks until one reaches the last slab
+        starts = []
+        with pytest.raises(ValueError, match=re.escape(f"{path} holds non-finite values")):
+            for start, _ in reader:
+                starts.append(start)
+        assert starts == [0, 1, 2, 3]
+    assert reader.norm is None
 
 
 @pytest.mark.parametrize("cut", [8, 1])
