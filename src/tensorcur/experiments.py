@@ -19,7 +19,7 @@ import numpy as np
 from .cur import CurDecomposition, cur_to_hosvd, cur_with_indices, draw_indices
 from .sampling import SamplingPlan, chidori_sample_sizes, fiber_sample_sizes
 from .tensor import as_index_array, check_ranks, frobenius_norm, multi_mode_product, residual
-from .tensorfile import SlabReader, SlabWriter, read_tensor, write_tensor
+from .tensorfile import SlabReader, SlabWriter, _create, read_tensor, write_tensor
 from .tucker import hooi, hosvd, st_hosvd
 
 __all__ = [
@@ -223,15 +223,20 @@ class CompressionResult:
     files: dict
 
 
+def _factor_files(n: int, kinds) -> dict:
+    """The manifest's file names: ``core.tnsr``, and for each kind the list of
+    its ``n`` files ``{kind}_{i}.tnsr`` under ``kind + "s"``."""
+    return {"core": "core.tnsr", **{k + "s": [f"{k}_{i}.tnsr" for i in range(n)] for k in kinds}}
+
+
 def _write_factors(out_dir: Path, method: str, dims, ranks, core, matrices: dict, **extra) -> dict:
     """Write ``core.tnsr``, each matrix ``matrices[name][i]`` to ``{name}_{i}.tnsr``
     and the manifest: format, method, dims, ranks, the ``extra`` entries and the
     file names, the list for ``name`` under ``files[name + "s"]``.  Returns
     ``files``."""
-    files = {"core": "core.tnsr"}
-    write_tensor(out_dir / "core.tnsr", core)
+    files = _factor_files(len(dims), matrices)
+    write_tensor(out_dir / files["core"], core)
     for name, mats in matrices.items():
-        files[name + "s"] = [f"{name}_{i}.tnsr" for i in range(len(mats))]
         for file, m in zip(files[name + "s"], mats):
             write_tensor(out_dir / file, m)
     manifest = {
@@ -242,7 +247,8 @@ def _write_factors(out_dir: Path, method: str, dims, ranks, core, matrices: dict
         **extra,
         "files": files,
     }
-    (out_dir / _MANIFEST_NAME).write_text(json.dumps(manifest, indent=1), encoding="utf-8")
+    with _create(out_dir / _MANIFEST_NAME) as fh:
+        fh.write(json.dumps(manifest, indent=1).encode("utf-8"))
     return files
 
 
@@ -272,7 +278,10 @@ def compress(
     file), and written when ``write_reconstruction`` is set.  Timing covers
     the decomposition (see :class:`CompressionResult`), not the factor files
     or the residual pass.  An input with a non-finite value or a negative
-    seed is rejected before anything is written.
+    seed is rejected before anything is written, and so is an input that is
+    one of the files ``compress`` would write (the same file by
+    :meth:`pathlib.Path.samefile`).  Each output replaces a regular file of its
+    name in ``out_dir`` (see :mod:`~tensorcur.tensorfile`).
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
@@ -280,6 +289,14 @@ def compress(
         raise ValueError(f"seed {seed} must be nonnegative")
     reader = x = SlabReader(input_path)
     ranks = check_ranks(ranks, x.shape)
+    out_dir = Path(out_dir) if out_dir is not None else Path(str(input_path) + ".factors")
+    kinds = ("fiber", "intersection") if method in CUR_METHODS else ("factor",)
+    core, *lists = _factor_files(len(x.shape), kinds).values()
+    outputs = [_MANIFEST_NAME, core, *sum(lists, [])]
+    outputs += ["reconstruction.tnsr"] * bool(write_reconstruction)
+    for path in (out_dir / name for name in outputs):
+        if path.exists() and path.samefile(input_path):
+            raise ValueError(f"{path} is the input; compress would overwrite it")
     if method not in CUR_METHODS:  # Tucker needs every entry: one array from the checked pass
         x = np.empty(reader.shape, order="F")
         for start, chunk in reader:
@@ -287,7 +304,6 @@ def compress(
     dec, runtime, extract, rank_ok, _ = _decompose(
         method, x, ranks, [int(seed)], row_samples, fiber_samples
     )
-    out_dir = Path(out_dir) if out_dir is not None else Path(str(input_path) + ".factors")
     out_dir.mkdir(parents=True, exist_ok=True)
     if method in CUR_METHODS:
         matrices = {"fiber": dec.fibers, "intersection": dec.intersections}
@@ -322,13 +338,18 @@ def convert_factors(in_dir, out_dir):
     factor file holding a non-finite value is rejected by name, and so is
     one whose shape differs from the one its manifest's index sets give it
     (core ``|I_0| x ... x |I_{n-1}|``, fiber ``d_i x |J_i|``, intersection
-    ``|I_i| x |J_i|``).  Nothing is written for a rejected directory.
+    ``|I_i| x |J_i|``).  An ``out_dir`` that is ``in_dir`` is rejected too,
+    since the Tucker files would replace the CUR ones.  Nothing is written for
+    a rejected directory.  Each output replaces a regular file of its name in
+    ``out_dir`` (see :mod:`~tensorcur.tensorfile`).
     """
     in_dir = Path(in_dir)
     out_dir = Path(out_dir)
     manifest_path = in_dir / _MANIFEST_NAME
     if not manifest_path.exists():
         raise ValueError(f"no {_MANIFEST_NAME} in {in_dir}")
+    if out_dir.exists() and out_dir.samefile(in_dir):
+        raise ValueError(f"out_dir {out_dir} is in_dir; convert would replace the CUR factors")
     manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
 
     def read_finite(name):

@@ -15,10 +15,17 @@ bit-exact.  The last-mode slabs follow one another in the payload, so
 :class:`SlabWriter` and :class:`SlabReader` write and read a tensor in
 chunks of them without holding it whole; the reader's first pass also
 checks that every value is finite and measures ``||x||_F``.
+
+Writing replaces a regular file at the path: it is unlinked and a new file
+created, never truncated, because ext4 (default ``auto_da_alloc``) flushes a
+truncated file's delayed blocks to disk first.  A hard link to the old file
+keeps the old bytes, and the new file takes its mode from the umask; a
+symlink, FIFO or device at the path is written through.
 """
 
 import math
 import os
+import stat
 import struct
 
 import numpy as np
@@ -38,8 +45,19 @@ class TensorFileError(ValueError):
     """Raised for malformed tensor files: bad magic, version, dtype, or length."""
 
 
+def _create(path):
+    """Open ``path`` for binary writing; a regular file there is unlinked, not truncated."""
+    try:
+        if stat.S_ISREG(os.lstat(path).st_mode):
+            os.unlink(path)
+    except FileNotFoundError:
+        pass
+    return open(path, "wb")
+
+
 def write_tensor(path, array, dtype: str = "float64") -> None:
-    """Write ``array`` to ``path``; ``dtype`` selects the payload precision."""
+    """Write ``array`` to ``path``, replacing a regular file there (a hard
+    link to it keeps the old bytes); ``dtype`` selects the payload precision."""
     array = np.asarray(array, dtype=np.float64)
     with SlabWriter(path, array.shape, dtype) as out:
         out.write(array)
@@ -52,7 +70,9 @@ class SlabWriter:
     slabs; the payload is first index fastest, so the slabs follow one
     another in the file.  Closing after fewer or more than ``shape[-1]``
     slabs raises ``ValueError``.  The file is the one :func:`write_tensor`
-    writes for the assembled tensor, byte for byte.
+    writes for the assembled tensor, byte for byte.  A regular file at
+    ``path`` is unlinked before the new one is created, so a hard link to it
+    keeps the old bytes; a symlink, FIFO or device is written through.
     """
 
     def __init__(self, path, shape, dtype: str = "float64"):
@@ -68,7 +88,7 @@ class SlabWriter:
         self.shape = shape
         self._dtype = _DTYPES[code]
         self._slabs = 0
-        self._fh = open(path, "wb")
+        self._fh = _create(path)
         self._fh.write(_HEADER.pack(MAGIC, VERSION, code, len(shape), b"\x00\x00"))
         self._fh.write(np.asarray(shape, dtype="<u8").tobytes())
 

@@ -390,3 +390,46 @@ def test_compress_rejects_a_negative_seed_with_every_method(tmp_path, capsys, me
                  "--seed", "-1", "--out-dir", str(tmp_path / "out")])
     assert_input_error(code, capsys, "seed -1 must be nonnegative")
     assert not (tmp_path / "out").exists()
+
+
+def _dir_bytes(d):
+    return {f.name: f.read_bytes() for f in sorted(d.iterdir())}
+
+
+def test_compress_and_convert_rerun_into_their_directories(tmp_path, capsys):
+    _, noisy, _ = generate_synthetic(12, 2, 1e-3, np.random.default_rng(8))
+    src = tmp_path / "x.tnsr"
+    write_tensor(src, noisy)
+    compress_argv = ["compress", "--input", str(src), "--method", "chidori", "--ranks", "2,2,2",
+                     "--seed", "3", "--out-dir", str(tmp_path / "cur"), "--reconstruct"]
+    convert_argv = ["convert", "--in-dir", str(tmp_path / "cur"),
+                    "--out-dir", str(tmp_path / "tucker")]
+    assert main(compress_argv) == 0 and main(convert_argv) == 0
+    first = _dir_bytes(tmp_path / "cur"), _dir_bytes(tmp_path / "tucker")
+    assert main(compress_argv) == 0 and main(convert_argv) == 0
+    assert (_dir_bytes(tmp_path / "cur"), _dir_bytes(tmp_path / "tucker")) == first
+
+
+def test_compress_over_its_own_input_is_an_input_error(tmp_path, capsys):
+    _, noisy, _ = generate_synthetic((12, 10, 8), 2, 1e-3, np.random.default_rng(9))
+    src = tmp_path / "core.tnsr"
+    write_tensor(src, noisy)
+    before = src.read_bytes()
+    code = main(["compress", "--input", str(src), "--method", "chidori", "--ranks", "2,2,2",
+                 "--out-dir", str(tmp_path), "--reconstruct"])
+    assert_input_error(code, capsys, f"{src} is the input")
+    assert _dir_bytes(tmp_path) == {"core.tnsr": before}
+
+
+def test_convert_into_its_own_directory_is_an_input_error(tmp_path, capsys):
+    _, noisy, _ = generate_synthetic(12, 2, 1e-3, np.random.default_rng(10))
+    src = tmp_path / "x.tnsr"
+    write_tensor(src, noisy)
+    cur_dir = tmp_path / "cur"
+    main(["compress", "--input", str(src), "--method", "fiber", "--ranks", "2,2,2",
+          "--out-dir", str(cur_dir)])
+    capsys.readouterr()
+    before = _dir_bytes(cur_dir)
+    code = main(["convert", "--in-dir", str(cur_dir), "--out-dir", str(cur_dir)])
+    assert_input_error(code, capsys, "is in_dir")
+    assert _dir_bytes(cur_dir) == before

@@ -688,3 +688,73 @@ class TestConvert:
     def test_missing_manifest_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="manifest"):
             convert_factors(tmp_path, tmp_path / "out")
+
+
+def dir_bytes(d):
+    return {f.name: f.read_bytes() for f in sorted(d.iterdir())}
+
+
+class TestOutputsReplaced:
+    """A rerun into the same directory replaces every output with the same
+    bytes, and no output may be the input."""
+
+    @pytest.mark.parametrize("method", ["chidori", "fiber", "hooi"])
+    def test_compress_twice_gives_identical_files(self, tmp_path, method):
+        path, _ = make_tensor_file(tmp_path, (12, 10, 8), (2, 2, 2), 1e-3, 30)
+        out = tmp_path / "out"
+        compress(path, method, (2, 2, 2), seed=3, out_dir=out, write_reconstruction=True)
+        first = dir_bytes(out)
+        compress(path, method, (2, 2, 2), seed=3, out_dir=out, write_reconstruction=True)
+        assert dir_bytes(out) == first
+        assert "reconstruction.tnsr" in first and len(first) > 3
+
+    def test_convert_twice_gives_identical_files(self, tmp_path):
+        path, _ = make_tensor_file(tmp_path, (12, 10, 8), (2, 2, 2), 1e-3, 31)
+        compress(path, "chidori", (2, 2, 2), seed=3, out_dir=tmp_path / "cur")
+        convert_factors(tmp_path / "cur", tmp_path / "tucker")
+        first = dir_bytes(tmp_path / "tucker")
+        convert_factors(tmp_path / "cur", tmp_path / "tucker")
+        assert dir_bytes(tmp_path / "tucker") == first
+
+    @pytest.mark.parametrize(
+        "method,name",
+        [("chidori", "core.tnsr"), ("chidori", "manifest.json"), ("fiber", "fiber_1.tnsr"),
+         ("fiber", "intersection_2.tnsr"), ("chidori", "reconstruction.tnsr"),
+         ("hosvd", "factor_0.tnsr")],
+    )
+    def test_an_input_among_the_outputs_is_rejected(self, tmp_path, method, name):
+        d = tmp_path / "d"
+        d.mkdir()
+        path, _ = make_tensor_file(d, (12, 10, 8), (2, 2, 2), 1e-3, 32, name=name)
+        before = path.read_bytes()
+        with pytest.raises(ValueError, match=re.escape(f"{path} is the input")):
+            compress(path, method, (2, 2, 2), out_dir=d, write_reconstruction=True)
+        assert dir_bytes(d) == {name: before}
+
+    def test_an_output_linked_to_the_input_is_rejected(self, tmp_path):
+        path, _ = make_tensor_file(tmp_path, (12, 10, 8), (2, 2, 2), 1e-3, 33)
+        before = path.read_bytes()
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "core.tnsr").symlink_to(path)
+        with pytest.raises(ValueError, match="is the input"):
+            compress(path, "chidori", (2, 2, 2), out_dir=out)
+        assert path.read_bytes() == before and [f.name for f in out.iterdir()] == ["core.tnsr"]
+
+    def test_an_unwritten_reconstruction_may_be_the_input(self, tmp_path):
+        path, _ = make_tensor_file(tmp_path, (12, 10, 8), (2, 2, 2), 1e-3, 34,
+                                   name="reconstruction.tnsr")
+        before = path.read_bytes()
+        compress(path, "chidori", (2, 2, 2), out_dir=tmp_path)
+        assert path.read_bytes() == before and (tmp_path / "core.tnsr").exists()
+
+    @pytest.mark.parametrize("spell", [lambda d: d, lambda d: d / ".", lambda d: d / ".." / "cur"])
+    def test_convert_into_its_own_directory_is_rejected(self, tmp_path, spell):
+        path, _ = make_tensor_file(tmp_path, (12, 10, 8), (2, 2, 2), 1e-3, 35)
+        cur = tmp_path / "cur"
+        compress(path, "chidori", (2, 2, 2), seed=3, out_dir=cur, write_reconstruction=True)
+        before = dir_bytes(cur)
+        with pytest.raises(ValueError, match="is in_dir"):
+            convert_factors(cur, spell(cur))
+        assert dir_bytes(cur) == before
+        convert_factors(cur, tmp_path / "tucker")  # the CUR directory still converts

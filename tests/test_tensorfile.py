@@ -1,5 +1,8 @@
+import os
 import re
+import stat
 import struct
+import threading
 import tracemalloc
 
 import numpy as np
@@ -283,3 +286,48 @@ def test_slab_reader_rejects_a_file_changed_between_passes(tmp_path):
     write_tensor(path, np.ones((4, 3, 6)))
     with pytest.raises(TensorFileError, match="header changed"):
         list(reader)
+
+
+def test_a_rewrite_over_a_longer_file_is_a_fresh_write(tmp_path):
+    small = np.random.default_rng(5).standard_normal((3, 4, 2))
+    fresh, reused = tmp_path / "fresh.tnsr", tmp_path / "reused.tnsr"
+    write_tensor(fresh, small)
+    write_tensor(reused, np.ones((9, 8, 7)))
+    write_tensor(reused, small)
+    assert reused.read_bytes() == fresh.read_bytes()
+
+
+def test_a_symlink_is_written_through(tmp_path):
+    target, link = tmp_path / "target.tnsr", tmp_path / "link.tnsr"
+    write_tensor(target, np.ones((5, 5)))
+    link.symlink_to(target)
+    t = np.random.default_rng(6).standard_normal((2, 3))
+    write_tensor(link, t)
+    assert link.is_symlink() and link.resolve() == target.resolve()
+    assert np.array_equal(read_tensor(target), t)
+
+
+def test_a_fifo_is_written_through_and_kept(tmp_path):
+    t = np.random.default_rng(7).standard_normal((3, 2, 2))
+    fresh, fifo = tmp_path / "fresh.tnsr", tmp_path / "pipe"
+    write_tensor(fresh, t)
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    write_tensor(fifo, t)
+    reader.join(timeout=10)
+    assert received == [fresh.read_bytes()]
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+
+
+def test_a_hard_link_to_the_old_file_keeps_the_old_bytes(tmp_path):
+    path, link = tmp_path / "t.tnsr", tmp_path / "old.tnsr"
+    write_tensor(path, np.ones((4, 3)))
+    old = path.read_bytes()
+    os.link(path, link)
+    t = np.random.default_rng(8).standard_normal((4, 3))
+    with SlabWriter(path, t.shape) as out:
+        out.write(t)
+    assert link.read_bytes() == old
+    assert np.array_equal(read_tensor(path), t)
