@@ -41,6 +41,7 @@ CUR_METHODS = ("fiber", "chidori")
 CSV_HEADER = "method,d,r,sigma,trial,seed,rel_err,runtime_ms,rank_ok,resamples,extract_ms"
 
 _MANIFEST_NAME = "manifest.json"
+_RECONSTRUCTION_NAME = "reconstruction.tnsr"
 
 # draws after the first that a sweep's CUR method takes until its rank gate passes
 _MAX_RESAMPLES = 10
@@ -229,12 +230,11 @@ def _factor_files(n: int, kinds) -> dict:
     return {"core": "core.tnsr", **{k + "s": [f"{k}_{i}.tnsr" for i in range(n)] for k in kinds}}
 
 
-def _write_factors(out_dir: Path, method: str, dims, ranks, core, matrices: dict, **extra) -> dict:
-    """Write ``core.tnsr``, each matrix ``matrices[name][i]`` to ``{name}_{i}.tnsr``
-    and the manifest: format, method, dims, ranks, the ``extra`` entries and the
-    file names, the list for ``name`` under ``files[name + "s"]``.  Returns
-    ``files``."""
-    files = _factor_files(len(dims), matrices)
+def _write_factors(out_dir: Path, files: dict, method: str, dims, ranks, core, matrices: dict,
+                   **extra) -> None:
+    """Write ``core`` to ``files["core"]``, each matrix ``matrices[name][i]`` to
+    ``files[name + "s"][i]`` (names from :func:`_factor_files`) and the
+    manifest: format, method, dims, ranks, the ``extra`` entries and ``files``."""
     write_tensor(out_dir / files["core"], core)
     for name, mats in matrices.items():
         for file, m in zip(files[name + "s"], mats):
@@ -249,7 +249,6 @@ def _write_factors(out_dir: Path, method: str, dims, ranks, core, matrices: dict
     }
     with _create(out_dir / _MANIFEST_NAME) as fh:
         fh.write(json.dumps(manifest, indent=1).encode("utf-8"))
-    return files
 
 
 def compress(
@@ -291,10 +290,11 @@ def compress(
     ranks = check_ranks(ranks, x.shape)
     out_dir = Path(out_dir) if out_dir is not None else Path(str(input_path) + ".factors")
     kinds = ("fiber", "intersection") if method in CUR_METHODS else ("factor",)
-    core, *lists = _factor_files(len(x.shape), kinds).values()
-    outputs = [_MANIFEST_NAME, core, *sum(lists, [])]
-    outputs += ["reconstruction.tnsr"] * bool(write_reconstruction)
-    for path in (out_dir / name for name in outputs):
+    files = _factor_files(len(x.shape), kinds)
+    names = [_MANIFEST_NAME, _RECONSTRUCTION_NAME] if write_reconstruction else [_MANIFEST_NAME]
+    for entry in files.values():  # a file name or a list of them
+        names += [entry] if isinstance(entry, str) else entry
+    for path in (out_dir / name for name in names):
         if path.exists() and path.samefile(input_path):
             raise ValueError(f"{path} is the input; compress would overwrite it")
     if method not in CUR_METHODS:  # Tucker needs every entry: one array from the checked pass
@@ -311,11 +311,11 @@ def compress(
                  "fiber_indices": [j.tolist() for j in dec.fiber_indices]}
     else:
         matrices, extra = {"factor": dec.factors}, {}
-    files = _write_factors(out_dir, method, x.shape, dec.ranks, dec.core, matrices, **extra)
+    _write_factors(out_dir, files, method, x.shape, dec.ranks, dec.core, matrices, **extra)
 
     writer = nullcontext()
     if write_reconstruction:
-        files["reconstruction"] = "reconstruction.tnsr"
+        files["reconstruction"] = _RECONSTRUCTION_NAME
         writer = SlabWriter(out_dir / files["reconstruction"], x.shape)
     with writer as out:
         res = residual(x, *dec.tucker_form(), out)
@@ -399,6 +399,6 @@ def convert_factors(in_dir, out_dir):
     )
     converted = cur_to_hosvd(dec)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_factors(out_dir, "hosvd", dims, converted.ranks, converted.core,
-                   {"factor": converted.factors})
+    _write_factors(out_dir, _factor_files(n, ("factor",)), "hosvd", dims, converted.ranks,
+                   converted.core, {"factor": converted.factors})
     return converted

@@ -16,10 +16,15 @@ bit-exact.  The last-mode slabs follow one another in the payload, so
 chunks of them without holding it whole; the reader's first pass also
 checks that every value is finite and measures ``||x||_F``.
 
-Writing replaces a regular file at the path: it is unlinked and a new file
-created, never truncated, because ext4 (default ``auto_da_alloc``) flushes a
-truncated file's delayed blocks to disk first.  A hard link to the old file
-keeps the old bytes, and the new file takes its mode from the umask; a
+Writing replaces a regular file at the path that the writer may write: it
+is unlinked and a new file created, not truncated, because ext4 (default
+``auto_da_alloc``) flushes a truncated file's delayed blocks to disk first and
+starts writing the new ones back when it is closed.  The new file has the
+writer's owner and group and its mode from the umask, whatever the old one's
+were, and none of its ACLs or extended attributes; a hard link to the old file
+keeps the old bytes.  A file the writer may not write is opened in place, so
+that it raises ``PermissionError`` as before, and so is one that it may not
+unlink (another user's file in a sticky directory such as ``/tmp``).  A
 symlink, FIFO or device at the path is written through.
 """
 
@@ -46,18 +51,20 @@ class TensorFileError(ValueError):
 
 
 def _create(path):
-    """Open ``path`` for binary writing; a regular file there is unlinked, not truncated."""
+    """Open ``path`` for binary writing; a writable regular file there is
+    unlinked, not truncated, unless it may not be unlinked."""
     try:
-        if stat.S_ISREG(os.lstat(path).st_mode):
+        if stat.S_ISREG(os.lstat(path).st_mode) and os.access(path, os.W_OK):
             os.unlink(path)
-    except FileNotFoundError:
+    except (FileNotFoundError, PermissionError):  # gone meanwhile, or a sticky directory
         pass
     return open(path, "wb")
 
 
 def write_tensor(path, array, dtype: str = "float64") -> None:
     """Write ``array`` to ``path``, replacing a regular file there (a hard
-    link to it keeps the old bytes); ``dtype`` selects the payload precision."""
+    link to it keeps the old bytes; see the module docstring); ``dtype``
+    selects the payload precision."""
     array = np.asarray(array, dtype=np.float64)
     with SlabWriter(path, array.shape, dtype) as out:
         out.write(array)
@@ -70,9 +77,11 @@ class SlabWriter:
     slabs; the payload is first index fastest, so the slabs follow one
     another in the file.  Closing after fewer or more than ``shape[-1]``
     slabs raises ``ValueError``.  The file is the one :func:`write_tensor`
-    writes for the assembled tensor, byte for byte.  A regular file at
-    ``path`` is unlinked before the new one is created, so a hard link to it
-    keeps the old bytes; a symlink, FIFO or device is written through.
+    writes for the assembled tensor, byte for byte.  A writable regular file
+    at ``path`` is unlinked before the new one is created, so a hard link to
+    it keeps the old bytes and the new file takes the writer's owner and
+    umask mode; a symlink, FIFO or device is written through (see the module
+    docstring).
     """
 
     def __init__(self, path, shape, dtype: str = "float64"):

@@ -331,3 +331,35 @@ def test_a_hard_link_to_the_old_file_keeps_the_old_bytes(tmp_path):
         out.write(t)
     assert link.read_bytes() == old
     assert np.array_equal(read_tensor(path), t)
+
+
+def test_a_file_the_writer_may_not_write_is_opened_in_place(tmp_path, monkeypatch):
+    path = tmp_path / "t.tnsr"
+    write_tensor(path, np.ones((4, 3)))
+    old, inode = path.read_bytes(), path.stat().st_ino
+    path.chmod(0o444)
+    monkeypatch.setattr(tensorfile.os, "access", lambda p, mode: False)
+    t = np.random.default_rng(9).standard_normal((2, 2))
+    try:
+        write_tensor(path, t)
+    except PermissionError:  # without write access: the file is left as it was
+        assert path.read_bytes() == old
+    else:  # a superuser writes through the mode bits
+        assert np.array_equal(read_tensor(path), t)
+    assert path.stat().st_ino == inode and stat.S_IMODE(path.stat().st_mode) == 0o444
+
+
+def test_a_file_that_may_not_be_unlinked_is_truncated(tmp_path, monkeypatch):
+    path, fresh = tmp_path / "t.tnsr", tmp_path / "fresh.tnsr"
+    write_tensor(path, np.ones((9, 8, 7)))
+    inode = path.stat().st_ino
+
+    def refuse(p):
+        raise PermissionError(1, "Operation not permitted", str(p))
+
+    monkeypatch.setattr(tensorfile.os, "unlink", refuse)
+    t = np.random.default_rng(10).standard_normal((3, 2))
+    write_tensor(path, t)
+    monkeypatch.undo()
+    write_tensor(fresh, t)
+    assert path.stat().st_ino == inode and path.read_bytes() == fresh.read_bytes()
