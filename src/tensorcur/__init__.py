@@ -38,18 +38,14 @@ from .sampling import (
     SamplingPlan,
     chidori_sample_sizes,
     fiber_sample_sizes,
-    length_distribution,
     sample_without_replacement,
 )
 from .tensor import (
     composite_index,
-    fold,
     frobenius_norm,
     mode_product,
     multi_mode_product,
     select_fibers,
-    spectral_norm,
-    subtensor,
     unfold,
 )
 from .tensorfile import TensorFileError, read_tensor, write_tensor
@@ -79,12 +75,10 @@ __all__ = [
     "evaluate_error_bounds",
     "fiber_cur",
     "fiber_sample_sizes",
-    "fold",
     "frobenius_norm",
     "generate_synthetic",
     "hooi",
     "hosvd",
-    "length_distribution",
     "mode_product",
     "multi_mode_product",
     "multilinear_rank",
@@ -96,9 +90,7 @@ __all__ = [
     "run_sweep",
     "sample_without_replacement",
     "select_fibers",
-    "spectral_norm",
     "st_hosvd",
-    "subtensor",
     "tensor_coherence",
     "unfold",
     "write_csv",

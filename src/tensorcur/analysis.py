@@ -15,7 +15,7 @@ import numpy as np
 
 from .cur import CurDecomposition, cur_with_indices
 from .linalg import _EPS, _count_above, _leading_left_vectors
-from .tensor import _contiguous, check_ranks, frobenius_norm, residual, spectral_norm, unfold
+from .tensor import _contiguous, check_ranks, frobenius_norm, residual, unfold
 
 __all__ = [
     "CoherenceReport",
@@ -142,7 +142,7 @@ def evaluate_error_bounds(exact, noise, dec: CurDecomposition) -> BoundReport:
     sampled_noise = cur_with_indices(noise, dec.row_indices, ranks, dec.fiber_indices)
 
     core_noise = frobenius_norm(sampled_noise.core)
-    core_spectral = tuple(spectral_norm(unfold(clean.core, j)) for j in range(n))
+    core_spectral = tuple(float(np.linalg.norm(unfold(clean.core, j), 2)) for j in range(n))
 
     w_pinv = []
     u_pinv = []
@@ -166,7 +166,7 @@ def evaluate_error_bounds(exact, noise, dec: CurDecomposition) -> BoundReport:
 
         e_fiber.append(frobenius_norm(sampled_noise.fibers[i]))
         e_inter.append(frobenius_norm(sampled_noise.intersections[i]))
-        premise.append(sigma_r_u > 8.0 * spectral_norm(sampled_noise.intersections[i]))
+        premise.append(sigma_r_u > 8.0 * float(np.linalg.norm(sampled_noise.intersections[i], 2)))
 
     general = chidori = (9.0 / 4.0) ** n * math.prod(w_pinv) * core_noise
     for j in range(n):
@@ -199,9 +199,12 @@ def evaluate_error_bounds(exact, noise, dec: CurDecomposition) -> BoundReport:
 
 
 def relative_error(a, approx) -> float:
-    """``||a - approx||_F / ||a||_F``; the reference must be nonzero."""
+    """``||a - approx||_F / ||a||_F``; the reference must be nonzero and
+    ``approx`` of its shape."""
     a = np.asarray(a, dtype=np.float64)
     approx = np.asarray(approx, dtype=np.float64)
+    if a.shape != approx.shape:
+        raise ValueError(f"approximation shape {approx.shape} differs from the reference's {a.shape}")
     norm = frobenius_norm(a)
     if norm == 0.0:
         raise ValueError("relative error undefined for a zero reference tensor")

@@ -73,6 +73,13 @@ def generate_synthetic(dims, ranks, sigma, rng: np.random.Generator):
     return exact, exact + noise, noise
 
 
+def _check_sample_sizes(row_samples, fiber_samples) -> None:
+    """Reject an override below 1 before any method runs, as the plan would."""
+    for kind, size in (("row", row_samples), ("fiber", fiber_samples)):
+        if size is not None and size < 1:
+            raise ValueError(f"{kind} sample sizes must be positive")
+
+
 @dataclass
 class ExperimentConfig:
     """Sweep over cubic 3-mode synthetic tensors.
@@ -103,6 +110,7 @@ class ExperimentConfig:
                 raise ValueError(f"noise level {s} must be finite and nonnegative")
         if self.seed < 0:
             raise ValueError(f"seed {self.seed} must be nonnegative")
+        _check_sample_sizes(self.row_samples, self.fiber_samples)
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         if not self.methods:
@@ -276,16 +284,17 @@ def compress(
     files, against what was decomposed (for CUR a second pass over the
     file), and written when ``write_reconstruction`` is set.  Timing covers
     the decomposition (see :class:`CompressionResult`), not the factor files
-    or the residual pass.  An input with a non-finite value or a negative
-    seed is rejected before anything is written, and so is an input that is
-    one of the files ``compress`` would write (the same file by
-    :meth:`pathlib.Path.samefile`).  Each output replaces a regular file of its
-    name in ``out_dir`` (see :mod:`~tensorcur.tensorfile`).
+    or the residual pass.  An input with a non-finite value, a negative seed
+    or a sample size below 1 is rejected before anything is written, and so
+    is an input that is one of the files ``compress`` would write (the same
+    file by :meth:`pathlib.Path.samefile`).  Each output replaces a regular
+    file of its name in ``out_dir`` (see :mod:`~tensorcur.tensorfile`).
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
     if seed < 0:  # a Tucker method draws nothing, so no plan would check it
         raise ValueError(f"seed {seed} must be nonnegative")
+    _check_sample_sizes(row_samples, fiber_samples)
     reader = x = SlabReader(input_path)
     ranks = check_ranks(ranks, x.shape)
     out_dir = Path(out_dir) if out_dir is not None else Path(str(input_path) + ".factors")
@@ -330,13 +339,13 @@ def compress(
 def convert_factors(in_dir, out_dir):
     """Convert stored CUR factors to orthonormal Tucker factors on disk.
 
-    Reads the manifest and factor files written by :func:`compress` for a
-    CUR method, runs the CUR-to-Tucker conversion, and writes the resulting
-    core and factors with a Tucker-style manifest.  A manifest that lacks a
-    key or holds a value of the wrong JSON type (``dims``, ``ranks`` and each
-    index set must be lists of integers) is rejected as such, a
-    factor file holding a non-finite value is rejected by name, and so is
-    one whose shape differs from the one its manifest's index sets give it
+    Reads the manifest and factor files written by :func:`compress` for a CUR
+    method, runs the CUR-to-Tucker conversion, and writes the resulting core
+    and factors with a Tucker-style manifest.  A manifest that is not UTF-8
+    JSON, lacks a key or holds a value of the wrong JSON type (``dims``,
+    ``ranks`` and each index set must be lists of integers) is rejected as
+    such, a factor file holding a non-finite value is rejected by name, and so
+    is one whose shape differs from the one its manifest's index sets give it
     (core ``|I_0| x ... x |I_{n-1}|``, fiber ``d_i x |J_i|``, intersection
     ``|I_i| x |J_i|``).  An ``out_dir`` that is ``in_dir`` is rejected too,
     since the Tucker files would replace the CUR ones.  Nothing is written for
@@ -350,7 +359,6 @@ def convert_factors(in_dir, out_dir):
         raise ValueError(f"no {_MANIFEST_NAME} in {in_dir}")
     if out_dir.exists() and out_dir.samefile(in_dir):
         raise ValueError(f"out_dir {out_dir} is in_dir; convert would replace the CUR factors")
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
 
     def read_finite(name):
         path = in_dir / name
@@ -366,6 +374,7 @@ def convert_factors(in_dir, out_dir):
         return value
 
     try:
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
         method = manifest["method"]
         if method not in CUR_METHODS:
             raise ValueError(f"conversion requires CUR factors, found method {method!r}")
@@ -384,7 +393,8 @@ def convert_factors(in_dir, out_dir):
         arrays = [read_finite(name) for name in names]
     except KeyError as exc:
         raise ValueError(f"{_MANIFEST_NAME} lacks the key {exc.args[0]!r}") from None
-    except (TypeError, OverflowError) as exc:  # a wrong JSON type, or an integer beyond int64
+    # not JSON, not UTF-8, a wrong JSON type, or an integer beyond int64
+    except (json.JSONDecodeError, UnicodeDecodeError, TypeError, OverflowError) as exc:
         raise ValueError(f"{manifest_path} is malformed: {exc}") from None
     # the shapes cur_with_indices gives the core, the fibers and the intersections
     shapes = [tuple(i.size for i in rows), *((d, j.size) for d, j in zip(dims, cols)),

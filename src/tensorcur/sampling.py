@@ -24,7 +24,6 @@ import numpy as np
 
 __all__ = [
     "SamplingPlan",
-    "length_distribution",
     "sample_without_replacement",
     "chidori_sample_sizes",
     "fiber_sample_sizes",
@@ -41,7 +40,8 @@ class SamplingPlan:
     the per-mode fiber counts s_i and are required only for Fiber plans.
     ``distribution`` is ``"uniform"`` or ``"length"``; length-based plans
     weight mode-index draws by squared row norms of the mode unfolding and
-    fiber draws by squared column norms (see :func:`length_distribution`).
+    fiber draws by squared column norms (see
+    :func:`mode_length_distributions`).
     """
 
     row_counts: tuple[int, ...]
@@ -71,31 +71,12 @@ class SamplingPlan:
         return np.random.default_rng(self.seed)
 
 
-def length_distribution(t, axis: str = "rows", mode: int = 0) -> np.ndarray:
-    """Probability vector proportional to squared row (or column) norms of
-    the mode-``mode`` unfolding ``m`` of ``t``.
-
-    ``p_j = ||m[j, :]||^2 / ||m||_F^2`` for ``axis="rows"`` and the column
-    analogue for ``axis="cols"``; columns follow the unfolding's order (first
-    remaining index fastest).  For a matrix and ``mode=0``, ``m`` is ``t``
-    itself.  The squared norms come from the one chunked pass of
-    :func:`mode_length_distributions`, so neither the unfolding nor a squared
-    copy of ``t`` is ever built.
-    """
-    t = np.asarray(t, dtype=np.float64)
-    if not 0 <= mode < t.ndim:
-        raise ValueError(f"mode {mode} out of range for a {t.ndim}-mode tensor")
-    if axis not in ("rows", "cols"):
-        raise ValueError("axis must be 'rows' or 'cols'")
-    rows, cols = mode_length_distributions(t, fibers=axis == "cols")
-    return (rows if axis == "rows" else cols)[mode]
-
-
 def mode_length_distributions(t, fibers: bool = False):
     """Row length distributions of every mode unfolding of ``t`` and, with
     ``fibers=True``, the column ones, as ``(rows, cols)`` lists
-    (``cols is None`` otherwise); entry ``i`` equals
-    ``length_distribution(unfold(t, i), axis)`` up to rounding.
+    (``cols is None`` otherwise).  Entry ``i`` of ``rows`` is
+    ``p_j = ||m[j, :]||^2 / ||m||_F^2`` for ``m = unfold(t, i)``, and of
+    ``cols`` the column analogue in the unfolding's column order.
 
     The tensor is read once, in chunks (see :func:`_length_norms`).  When the
     sum of squares of a nonzero finite ``t`` overflows or falls below the

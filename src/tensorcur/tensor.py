@@ -1,5 +1,5 @@
-"""Dense tensor algebra: unfolding, folding, mode products, Gram matrices,
-subtensor extraction, and the residual norm of a Tucker form.
+"""Dense tensor algebra: unfolding, mode products, Gram matrices, fiber
+extraction, and the residual norm of a Tucker form.
 
 Conventions used throughout the package:
 
@@ -13,8 +13,8 @@ Conventions used throughout the package:
   with stride ``s_m = prod_{l < m, l != k} d_l`` (remaining indices,
   first varying fastest).  ``composite_index`` linearizes per-mode index
   sets with exactly this column convention.
-* ``unfold`` and ``fold`` are reference operations: they copy.  The hot path
-  never builds an unfolding.  :func:`mode_product` and :func:`gram` view a
+* ``unfold`` is a reference operation: it copies.  The hot path never
+  builds an unfolding.  :func:`mode_product` and :func:`gram` view a
   C-contiguous tensor as ``(prod(d_<k), d_k, prod(d_>k))`` (an F-contiguous
   one through its transpose, whose modes are reversed) and multiply on
   that view; only other layouts are copied, once per call.
@@ -26,16 +26,13 @@ import numpy as np
 
 __all__ = [
     "unfold",
-    "fold",
     "mode_product",
     "multi_mode_product",
     "gram",
-    "subtensor",
     "select_fibers",
     "composite_index",
     "frobenius_norm",
     "residual",
-    "spectral_norm",
 ]
 
 
@@ -100,21 +97,6 @@ def unfold(t, k: int) -> np.ndarray:
     t = _as_tensor(t)
     _check_mode(t, k)
     return np.reshape(np.moveaxis(t, k, 0), (t.shape[k], -1), order="F")
-
-
-def fold(m, k: int, dims) -> np.ndarray:
-    """Inverse of :func:`unfold`: ``fold(unfold(t, k), k, t.shape) == t``."""
-    m = np.asarray(m, dtype=np.float64)
-    dims = tuple(int(d) for d in dims)
-    if m.ndim != 2:
-        raise ValueError("fold expects a matrix")
-    if not 0 <= k < len(dims):
-        raise ValueError(f"mode {k} out of range for dims {dims}")
-    rest = tuple(d for j, d in enumerate(dims) if j != k)
-    expected = (dims[k], int(np.prod(rest)) if rest else 1)
-    if m.shape != expected:
-        raise ValueError(f"matrix shape {m.shape} does not match dims {dims} at mode {k}")
-    return np.moveaxis(np.reshape(m, (dims[k],) + rest, order="F"), 0, k)
 
 
 def mode_product(t, a, k: int) -> np.ndarray:
@@ -193,15 +175,6 @@ def gram(t, k: int) -> np.ndarray:
     return g
 
 
-def subtensor(t, index_sets) -> np.ndarray:
-    """Extract ``t[I_0, I_1, ..., I_{n-1}]`` for per-mode index sets."""
-    t = _as_tensor(t)
-    if len(index_sets) != t.ndim:
-        raise ValueError(f"expected {t.ndim} index sets, got {len(index_sets)}")
-    idx = [as_index_array(ind, t.shape[m]) for m, ind in enumerate(index_sets)]
-    return t[np.ix_(*idx)]
-
-
 def select_fibers(t, k: int, cols) -> np.ndarray:
     """Columns ``cols`` of ``unfold(t, k)``; each column is a mode-k fiber.
 
@@ -227,7 +200,7 @@ def composite_index(index_sets, k: int, dims) -> np.ndarray:
     ``index_sets`` has one entry per mode; the entry at position ``k`` is
     ignored (``None`` is accepted).  The output is sorted ascending and
     satisfies ``select_fibers(t, k, composite_index(I, k, t.shape)) ==
-    unfold(subtensor(t with mode k full), k)``.  Only the index sets are
+    unfold(t[np.ix_(*I with mode k full)], k)``.  Only the index sets are
     used, never the tensor, so the linearization costs ``O(prod |I_j|)``
     and :func:`select_fibers` then reads just those fibers.  It is the
     inverse of that function's ``unravel_index``: ``ravel_multi_index`` over
@@ -340,13 +313,3 @@ def residual(x, core, factors, writer=None) -> float:
         norms.append(frobenius_norm(chunk))
         del slabs, chunk  # one chunk at a time
     return math.hypot(*norms)
-
-
-def spectral_norm(m) -> float:
-    """Largest singular value of a matrix."""
-    m = np.asarray(m, dtype=np.float64)
-    if m.ndim != 2:
-        raise ValueError("spectral_norm expects a matrix")
-    if min(m.shape) == 0:
-        return 0.0
-    return float(np.linalg.norm(m, 2))

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from dataclasses import astuple
 
@@ -345,6 +346,12 @@ class TestMetrics:
     def test_relative_error_zero_reference(self):
         with pytest.raises(ValueError):
             relative_error(np.zeros((2, 2)), np.ones((2, 2)))
+
+    @pytest.mark.parametrize("approx", [np.ones(4), 1.0, np.ones((4, 3)), np.ones((3, 4, 1))])
+    def test_relative_error_rejects_a_shape_that_would_broadcast(self, approx):
+        message = f"approximation shape {np.shape(approx)} differs from the reference's (3, 4)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            relative_error(np.ones((3, 4)), approx)
 
     def test_relative_error_is_scale_invariant_where_squares_overflow(self):
         rng = np.random.default_rng(10)

@@ -276,6 +276,16 @@ def test_convert_of_a_manifest_with_a_wrong_type_is_an_input_error(tmp_path, cap
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("text", [b"{not json", b"{", b"\xff\xfe"], ids=["not-json", "{", "not-utf8"])
+def test_convert_of_a_manifest_that_is_not_utf8_json_names_it(tmp_path, capsys, text):
+    cur_dir = tmp_path / "cur"
+    cur_dir.mkdir()
+    (cur_dir / "manifest.json").write_bytes(text)
+    code = main(["convert", "--in-dir", str(cur_dir), "--out-dir", str(tmp_path / "out")])
+    assert_input_error(code, capsys, f"{cur_dir / 'manifest.json'} is malformed: ")
+    assert not (tmp_path / "out").exists()
+
+
 def test_compress_of_a_truncated_file_is_an_input_error(tmp_path, capsys):
     _, noisy, _ = generate_synthetic(8, 2, 0.0, np.random.default_rng(3))
     src = tmp_path / "cut.tnsr"
@@ -378,6 +388,22 @@ def test_a_negative_seed_is_an_input_error(tmp_path, capsys, command):
     assert_input_error(code, capsys, "seed -3 must be nonnegative")
     assert not (tmp_path / "out").exists() and not (tmp_path / "sweep.csv").exists()
 
+
+
+@pytest.mark.parametrize("command", ["synthetic", "compress"])
+def test_a_sample_size_below_one_is_an_input_error_with_a_tucker_method(tmp_path, capsys, command):
+    _, noisy, _ = generate_synthetic(8, 2, 0.0, np.random.default_rng(6))
+    src = tmp_path / "t.tnsr"
+    write_tensor(src, noisy)
+    argv = {
+        "synthetic": ["synthetic", "--dims", "8", "--rank", "2", "--methods", "hosvd",
+                      "--out", str(tmp_path / "sweep.csv")],
+        "compress": ["compress", "--input", str(src), "--method", "hosvd", "--ranks", "2,2,2",
+                     "--out-dir", str(tmp_path / "out")],
+    }[command]
+    code = main(argv + ["--row-samples", "0"])
+    assert_input_error(code, capsys, "row sample sizes must be positive")
+    assert not (tmp_path / "out").exists() and not (tmp_path / "sweep.csv").exists()
 
 
 @pytest.mark.parametrize("method", ["chidori", "fiber", "hosvd", "st-hosvd", "hooi"])

@@ -147,6 +147,14 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="^seed -3 must be nonnegative$"):
             ExperimentConfig([10], 2, [0.0], 1, -3)
 
+    @pytest.mark.parametrize("kind", ["row", "fiber"])
+    @pytest.mark.parametrize("size", [0, -2])
+    def test_rejects_a_sample_size_below_one(self, kind, size):
+        # before any method runs: the Tucker methods take no sample and come first
+        with pytest.raises(ValueError, match=f"^{kind} sample sizes must be positive$"):
+            ExperimentConfig([120], 3, [0.0], 1, 0, methods=["hosvd", "st-hosvd", "fiber"],
+                             **{f"{kind}_samples": size})
+
 
 class TestRunSweep:
     def test_noiseless_parity_and_schema(self):
@@ -283,7 +291,11 @@ class TestCompress:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
-        "method, sizes", [("chidori", {"row_samples": 0}), ("fiber", {"fiber_samples": 100000})]
+        "method, sizes",
+        [("chidori", {"row_samples": 0}), ("fiber", {"fiber_samples": 100000}),
+         # a Tucker method takes no sample, and Chidori no fiber count, yet both reject them
+         ("chidori", {"fiber_samples": 0}), ("hosvd", {"row_samples": 0}),
+         ("st-hosvd", {"fiber_samples": -1}), ("hooi", {"row_samples": -2})],
     )
     def test_bad_sample_sizes_leave_no_output_directory(self, tmp_path, method, sizes):
         path, _ = make_tensor_file(tmp_path, (6, 6, 6), (2, 2, 2), 0.0, 4)

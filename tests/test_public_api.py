@@ -1,0 +1,31 @@
+import importlib
+import pkgutil
+
+import tensorcur
+
+# the package's public names; the export count is a design metric, so a name
+# is added or removed here on purpose, never as a leftover
+EXPORTS = [
+    "BoundReport", "CharacterizationReport", "CoherenceReport", "CompressionResult",
+    "CurDecomposition", "ExperimentConfig", "HosvdDecomposition", "SamplingPlan",
+    "TensorFileError", "check_characterization", "chidori_cur", "chidori_sample_sizes",
+    "coherence", "composite_index", "compress", "convert_factors", "cur_to_hosvd",
+    "cur_with_indices", "evaluate_error_bounds", "fiber_cur", "fiber_sample_sizes",
+    "frobenius_norm", "generate_synthetic", "hooi", "hosvd", "mode_product",
+    "multi_mode_product", "multilinear_rank", "numerical_rank", "pinv",
+    "projection_reconstruct", "read_tensor", "relative_error", "run_sweep",
+    "sample_without_replacement", "select_fibers", "st_hosvd", "tensor_coherence", "unfold",
+    "write_csv", "write_tensor",
+]
+
+
+def test_public_surface_is_pinned_and_every_export_resolves():
+    assert len(EXPORTS) == 41
+    assert sorted(tensorcur.__all__) == EXPORTS
+    for info in pkgutil.iter_modules(tensorcur.__path__):
+        module = importlib.import_module(f"tensorcur.{info.name}")
+        missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+        assert missing == [], f"tensorcur.{info.name}.__all__ names {missing}"
+    namespace = {}
+    exec("from tensorcur import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == EXPORTS

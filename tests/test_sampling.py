@@ -10,7 +10,6 @@ from tensorcur import (
     fiber_cur,
     fiber_sample_sizes,
     generate_synthetic,
-    length_distribution,
     sample_without_replacement,
     unfold,
 )
@@ -55,66 +54,32 @@ def unfolding_lengths(t, k, axis):
     return (u * u).sum(1 if axis == "rows" else 0) / (u * u).sum()
 
 
-class TestLengthDistribution:
-    def test_identity_rows_uniform(self):
-        assert np.allclose(length_distribution(np.eye(3), "rows"), 1.0 / 3.0)
-
-    def test_diagonal_row_weights(self):
-        p = length_distribution(np.diag([1.0, 2.0]), "rows")
-        assert np.allclose(p, [0.2, 0.8])
-
-    def test_sums_to_one_and_tracks_norms(self):
-        rng = np.random.default_rng(0)
-        m = rng.standard_normal((6, 9))
-        p = length_distribution(m, "rows")
-        q = length_distribution(m, "cols")
-        assert abs(p.sum() - 1.0) < 1e-12
-        assert abs(q.sum() - 1.0) < 1e-12
-        total = np.sum(m * m)
-        for j in range(6):
-            assert p[j] == pytest.approx(np.sum(m[j] ** 2) / total, rel=1e-12)
-        for j in range(9):
-            assert q[j] == pytest.approx(np.sum(m[:, j] ** 2) / total, rel=1e-12)
-
-    def test_zero_matrix_is_degenerate(self):
-        with pytest.raises(ValueError, match="degenerate"):
-            length_distribution(np.zeros((3, 3)), "rows")
-
-    def test_bad_axis(self):
-        with pytest.raises(ValueError):
-            length_distribution(np.eye(2), "diag")
-
-    def test_zero_tensor_is_degenerate_in_every_mode(self):
-        for k in range(3):
-            for axis in ("rows", "cols"):
-                with pytest.raises(ValueError, match="degenerate"):
-                    length_distribution(np.zeros((2, 3, 4)), axis, mode=k)
-
-    def test_mode_out_of_range(self):
-        with pytest.raises(ValueError, match="mode"):
-            length_distribution(np.ones((2, 3, 4)), "rows", mode=3)
-
-    @settings(max_examples=100, deadline=None)
-    @given(
-        st.lists(st.integers(1, 6), min_size=2, max_size=4),
-        st.sampled_from(["C", "F", "strided"]),
-        st.sampled_from(["rows", "cols"]),
-        st.integers(0, 3),
-        st.integers(0, 2**32 - 1),
-    )
-    def test_tensor_norms_match_the_unfolding(self, dims, layout, axis, mode, seed):
-        t = tensor_with_layout(tuple(dims), layout, seed)
-        k = mode % t.ndim
-        got = length_distribution(t, axis, mode=k)
-        np.testing.assert_allclose(got, unfolding_lengths(t, k, axis), rtol=1e-12)
-
-
 # numpy functions through which a pass could read the whole tensor
 READERS = ("einsum", "square", "multiply", "divide", "abs", "isfinite", "sum", "dot",
            "matmul", "tensordot", "copyto", "ascontiguousarray", "asfortranarray")
 
 
+def worked_matrices():
+    m = np.random.default_rng(0).standard_normal((6, 9))
+    total = np.sum(m * m)
+    return [
+        (np.eye(3), np.full(3, 1.0 / 3.0), np.full(3, 1.0 / 3.0)),
+        (np.diag([1.0, 2.0]), [0.2, 0.8], [0.2, 0.8]),
+        (m, np.sum(m * m, axis=1) / total, np.sum(m * m, axis=0) / total),
+    ]
+
+
 class TestModeLengthDistributions:
+    @pytest.mark.parametrize("m,rows,cols", worked_matrices(), ids=["eye3", "diag12", "6x9"])
+    def test_worked_examples(self, m, rows, cols):
+        # mode 0 of a matrix is the matrix itself; mode 1 is its transpose
+        (p, q), (p_cols, q_cols) = mode_length_distributions(m, fibers=True)
+        np.testing.assert_allclose(p, rows, rtol=1e-12)
+        np.testing.assert_allclose(p_cols, cols, rtol=1e-12)
+        np.testing.assert_allclose(q, cols, rtol=1e-12)
+        np.testing.assert_allclose(q_cols, rows, rtol=1e-12)
+        assert abs(p.sum() - 1.0) < 1e-12 and abs(p_cols.sum() - 1.0) < 1e-12
+
     @settings(max_examples=100, deadline=None)
     @given(
         st.lists(st.integers(1, 6), min_size=1, max_size=4),
@@ -218,8 +183,6 @@ class TestModeLengthDistributions:
         a[3, 2, 5] = value
         with pytest.raises(ValueError, match="the tensor holds non-finite values"):
             mode_length_distributions(a, fibers)
-        with pytest.raises(ValueError, match="the tensor holds non-finite values"):
-            length_distribution(a, "cols" if fibers else "rows", mode=1)
         plan = SamplingPlan((3, 3, 3), (5, 5, 5) if fibers else None, "length")
         decompose = fiber_cur if fibers else chidori_cur
         with pytest.raises(ValueError, match="the tensor holds non-finite values"):

@@ -7,14 +7,11 @@ from hypothesis import strategies as st
 
 from tensorcur import (
     composite_index,
-    fold,
     frobenius_norm,
     mode_product,
     multi_mode_product,
     numerical_rank,
     select_fibers,
-    spectral_norm,
-    subtensor,
     unfold,
 )
 
@@ -49,25 +46,6 @@ class TestUnfold:
     def test_mode_out_of_range(self):
         with pytest.raises(ValueError):
             unfold(storage_order_cube(), 3)
-
-
-class TestFold:
-    def test_round_trip_all_modes_random_shapes(self):
-        rng = np.random.default_rng(42)
-        for _ in range(100):
-            n = rng.integers(1, 5)
-            dims = tuple(int(d) for d in rng.integers(1, 6, size=n))
-            t = rng.standard_normal(dims)
-            for k in range(n):
-                assert np.array_equal(fold(unfold(t, k), k, dims), t)
-
-    def test_fold_reproduces_storage_order_cube(self):
-        m = np.array([[1.0, 3, 5, 7], [2, 4, 6, 8]])
-        assert np.array_equal(fold(m, 0, (2, 2, 2)), storage_order_cube())
-
-    def test_wrong_column_count(self):
-        with pytest.raises(ValueError):
-            fold(np.zeros((2, 3)), 0, (2, 2, 2))
 
 
 class TestModeProduct:
@@ -165,16 +143,6 @@ class TestCheckRanks:
 
 
 class TestSubtensorAndFibers:
-    def test_full_ranges_identity(self):
-        t = storage_order_cube()
-        full = [range(2)] * 3
-        assert np.array_equal(subtensor(t, full), t)
-
-    def test_core_slices_of_fixture(self, slices_3x3x2):
-        r = subtensor(slices_3x3x2, [[0, 1]] * 3)
-        assert np.array_equal(r[:, :, 0], [[1, 2], [2, 4]])
-        assert np.array_equal(r[:, :, 1], [[2, 5], [4, 10]])
-
     def test_composite_matches_brute_force_enumeration(self):
         rng = np.random.default_rng(33)
         for _ in range(25):
@@ -200,11 +168,9 @@ class TestSubtensorAndFibers:
                 assert sorted(expected_cols) == cols.tolist()
                 gathered = select_fibers(t, k, cols)
                 slab_sets = [np.arange(dims[m]) if m == k else sets[m] for m in range(3)]
-                assert np.array_equal(gathered, unfold(subtensor(t, slab_sets), k))
+                assert np.array_equal(gathered, unfold(t[np.ix_(*slab_sets)], k))
 
     def test_out_of_range_indices(self):
-        with pytest.raises(ValueError):
-            subtensor(storage_order_cube(), [[0, 2], [0], [0]])
         with pytest.raises(ValueError):
             select_fibers(storage_order_cube(), 0, [4])
 
@@ -259,7 +225,7 @@ class TestCompositeIndexProperty:
         cols = composite_index(sets, k, t.shape)
         slab_sets = [np.arange(d) if m == k else sets[m] for m, d in enumerate(t.shape)]
         got = select_fibers(t, k, cols)
-        ref = unfold(subtensor(t, slab_sets), k)
+        ref = unfold(t[np.ix_(*slab_sets)], k)
         assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
 
 
@@ -286,8 +252,9 @@ class TestViewKernels:
         t, k, seed = case
         a = np.random.default_rng(seed).standard_normal((rows, t.shape[k]))
         got = mode_product(t, a, k)
-        dims = t.shape[:k] + (rows,) + t.shape[k + 1 :]
-        ref = fold(a @ unfold(t, k), k, dims)
+        # fold: the unfolding's rows back to mode k, its columns to the other modes
+        rest = t.shape[:k] + t.shape[k + 1 :]
+        ref = np.moveaxis(np.reshape(a @ unfold(t, k), (rows,) + rest, order="F"), 0, k)
         assert_close(got, ref, (np.abs(a) @ np.abs(unfold(t, k))).max())
         if t.flags.c_contiguous:
             assert got.flags.c_contiguous
@@ -306,14 +273,6 @@ class TestViewKernels:
             shuffled = mode_product(shuffled, mats[k], k)
         scale = multi_mode_product(np.abs(t), [np.abs(a) for a in mats]).max()
         assert_close(shuffled, multi_mode_product(t, mats), scale)
-
-    @settings(max_examples=100, deadline=None)
-    @given(layout_cases())
-    def test_fold_inverts_unfold_bit_for_bit(self, case):
-        t, k, _ = case
-        back = fold(unfold(t, k), k, t.shape)
-        assert back.shape == t.shape
-        assert np.ascontiguousarray(back).tobytes() == np.ascontiguousarray(t).tobytes()
 
     @settings(max_examples=200, deadline=None)
     @given(layout_cases())
@@ -378,11 +337,6 @@ class TestNorms:
         np.testing.assert_allclose(frobenius_norm(a * scale), scale * frobenius_norm(a), rtol=1e-12)
         assert frobenius_norm(np.zeros((20, 20))) == 0.0
         assert frobenius_norm(np.zeros((0, 3))) == 0.0
-
-    def test_spectral_norm_is_largest_singular_value(self):
-        rng = np.random.default_rng(56)
-        m = rng.standard_normal((6, 4))
-        assert spectral_norm(m) == pytest.approx(np.linalg.svd(m, compute_uv=False)[0])
 
 
 def tucker_form(dims, ks, seed):
