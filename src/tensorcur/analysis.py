@@ -15,7 +15,7 @@ import numpy as np
 
 from .cur import CurDecomposition, cur_with_indices
 from .linalg import _EPS, _count_above, _leading_left_vectors
-from .tensor import _contiguous, check_ranks, frobenius_norm, residual, unfold
+from .tensor import _contiguous, _difference_norm, check_ranks, frobenius_norm, residual, unfold
 
 __all__ = [
     "CoherenceReport",
@@ -200,12 +200,18 @@ def evaluate_error_bounds(exact, noise, dec: CurDecomposition) -> BoundReport:
 
 def relative_error(a, approx) -> float:
     """``||a - approx||_F / ||a||_F``; the reference must be nonzero and
-    ``approx`` of its shape."""
-    a = np.asarray(a, dtype=np.float64)
+    ``approx`` of its shape.  The difference is streamed, never held whole, by
+    the kernel of :func:`~tensorcur.tensor.residual`, in chunks along the last
+    mode of ``a``'s storage, or its middle mode against an opposite layout."""
+    a = _contiguous(a)  # a strided reference is copied once, as its norm would copy it
     approx = np.asarray(approx, dtype=np.float64)
     if a.shape != approx.shape:
         raise ValueError(f"approximation shape {approx.shape} differs from the reference's {a.shape}")
     norm = frobenius_norm(a)
     if norm == 0.0:
         raise ValueError("relative error undefined for a zero reference tensor")
-    return frobenius_norm(a - approx) / norm
+    (a, approx), order = np.atleast_1d(a.T, approx.T) if a.flags.c_contiguous else (a, approx), "F"
+    if a.flags.f_contiguous and approx.flags.c_contiguous:
+        k = a.ndim // 2
+        a, approx, order = np.moveaxis(a, k, -1), np.moveaxis(approx, k, -1), "C"
+    return _difference_norm(a, lambda start, m: approx[..., start : start + m], order) / norm

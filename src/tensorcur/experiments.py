@@ -73,11 +73,13 @@ def generate_synthetic(dims, ranks, sigma, rng: np.random.Generator):
     return exact, exact + noise, noise
 
 
-def _check_sample_sizes(row_samples, fiber_samples) -> None:
-    """Reject an override below 1 before any method runs, as the plan would."""
-    for kind, size in (("row", row_samples), ("fiber", fiber_samples)):
-        if size is not None and size < 1:
-            raise ValueError(f"{kind} sample sizes must be positive")
+def _check_sample_sizes(row_samples, fiber_samples, dims) -> None:
+    """Reject, before any method runs, an override the plan or the draw would."""
+    populations = (min(dims), min(math.prod(dims) // d for d in dims))
+    for kind, size, n in zip(("row", "fiber"), (row_samples, fiber_samples), populations):
+        if size is not None and not 1 <= size <= n:
+            raise ValueError(f"{kind} sample size {size} exceeds the population of {n}" if size > n
+                             else f"{kind} sample sizes must be positive")
 
 
 @dataclass
@@ -110,7 +112,7 @@ class ExperimentConfig:
                 raise ValueError(f"noise level {s} must be finite and nonnegative")
         if self.seed < 0:
             raise ValueError(f"seed {self.seed} must be nonnegative")
-        _check_sample_sizes(self.row_samples, self.fiber_samples)
+        _check_sample_sizes(self.row_samples, self.fiber_samples, (min(self.dims),) * 3)
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         if not self.methods:
@@ -279,23 +281,23 @@ def compress(
     array from that pass.  The SNR compares the input against the method's
     reconstruction; an exact reconstruction is reported as ``snr_db=None``
     (the "exact" sentinel).  The reconstruction is never held whole either:
-    it is streamed from the Tucker form by
-    :func:`~tensorcur.tensor.residual`, after the rank gate and the factor
-    files, against what was decomposed (for CUR a second pass over the
-    file), and written when ``write_reconstruction`` is set.  Timing covers
-    the decomposition (see :class:`CompressionResult`), not the factor files
-    or the residual pass.  An input with a non-finite value, a negative seed
-    or a sample size below 1 is rejected before anything is written, and so
-    is an input that is one of the files ``compress`` would write (the same
-    file by :meth:`pathlib.Path.samefile`).  Each output replaces a regular
-    file of its name in ``out_dir`` (see :mod:`~tensorcur.tensorfile`).
+    it is streamed from the Tucker form by :func:`~tensorcur.tensor.residual`,
+    after the rank gate and the factor files, against what was decomposed
+    (for CUR a second pass over the file), and written when
+    ``write_reconstruction`` is set.  Timing covers the decomposition (see
+    :class:`CompressionResult`), not the factor files or the residual pass.
+    An input with a non-finite value, a negative seed or a sample size below 1
+    or above a mode's population, for any method, is rejected before anything
+    is written, and so is an input that is one of the files ``compress`` would
+    write (the same file by :meth:`pathlib.Path.samefile`).  Each output
+    replaces a regular file of its name in ``out_dir`` (see :mod:`~tensorcur.tensorfile`).
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
     if seed < 0:  # a Tucker method draws nothing, so no plan would check it
         raise ValueError(f"seed {seed} must be nonnegative")
-    _check_sample_sizes(row_samples, fiber_samples)
     reader = x = SlabReader(input_path)
+    _check_sample_sizes(row_samples, fiber_samples, x.shape)
     ranks = check_ranks(ranks, x.shape)
     out_dir = Path(out_dir) if out_dir is not None else Path(str(input_path) + ".factors")
     kinds = ("fiber", "intersection") if method in CUR_METHODS else ("factor",)

@@ -273,6 +273,26 @@ def _source_slabs(source):
         raise ValueError(f"{stop} of {shape[-1]} slabs read")
 
 
+def _difference_norm(x, slabs, order=None) -> float:
+    """``||x - y||_F`` over chunks of last-mode slabs of ``x``, a tensor or a
+    slab source, where ``slabs(start, m)`` gives ``y``'s ``m`` slabs from
+    ``start``: each chunk's difference, taken in place into ``y``'s or into one
+    buffer of ``order``, is measured by :func:`frobenius_norm`, and the norms
+    combine by ``hypot``, NaN if one is, as the whole sum of squares would."""
+    shape = tuple(x.shape)
+    step = _slab_step(shape)
+    chunks = _source_slabs(x) if _is_slab_source(x) else (
+        (s, x[..., s : s + step]) for s in range(0, shape[-1], step))
+    buffer = np.empty(0 if order is None else math.prod(shape[:-1]) * min(step, shape[-1]))
+    norms = []
+    for start, part in chunks:
+        y = slabs(start, part.shape[-1])
+        diff = y if order is None else buffer[: part.size].reshape(part.shape, order=order)
+        norms.append(frobenius_norm(np.subtract(y, part, out=diff)))
+        del y, diff  # one chunk at a time
+    return math.nan if math.isnan(sum(norms)) else math.hypot(*norms)  # hypot(inf, nan) is inf
+
+
 def residual(x, core, factors, writer=None) -> float:
     """``frobenius_norm(x - multi_mode_product(core, factors))``, streamed.
 
@@ -280,10 +300,9 @@ def residual(x, core, factors, writer=None) -> float:
     head ``core x_0 F_0 ... x_{n-2} F_{n-2}`` is formed once as a matrix
     ``H``.  Each chunk of last-mode slabs is ``H @ F_{n-1}[l]`` slab by slab
     (so its bytes do not depend on the chunk size), passed to ``writer.write``
-    if given and differenced in place from the chunk of ``x``; the chunk
-    norms combine by ``hypot``.  A tensor is cut into chunks of
-    ``_STREAM_CHUNK_BYTES``; without a writer a C-contiguous one is read as
-    ``x.T`` against the reversed form, so its chunks are contiguous.  A
+    if given and differenced from ``x`` by :func:`_difference_norm`, which
+    ``relative_error`` shares.  Without a writer a C-contiguous tensor is read
+    as ``x.T`` against the reversed form, so its chunks are contiguous.  A
     source whose chunks do not tile the last mode in order raises ``ValueError``.
     """
     source = _is_slab_source(x)
@@ -293,23 +312,16 @@ def residual(x, core, factors, writer=None) -> float:
     if not source and writer is None and x.flags.c_contiguous:
         x, core, factors = x.T, np.transpose(core), factors[::-1]
     shape = tuple(x.shape)
-    step = _slab_step(shape)
-    if source:
-        chunks = _source_slabs(x)
-    else:
-        chunks = ((s, x[..., s : s + step]) for s in range(0, shape[-1], step))
     head = multi_mode_product(core, [*factors[:-1], None])
     h = head.reshape(math.prod(shape[:-1]), head.shape[-1], order="F")
     # a reversed-column view would send the batched product down numpy's non-BLAS loop
     last = np.ascontiguousarray(factors[-1], dtype=np.float64)
-    norms = []
-    for start, part in chunks:
+
+    def reconstruct(start, m):
         # (m, prod(d_<n-1), 1): slab by slab, each slab first index fastest
-        slabs = np.matmul(h, last[start : start + part.shape[-1], :, None])
-        chunk = slabs[:, :, 0].T.reshape(shape[:-1] + (-1,), order="F")
+        slabs = np.matmul(h, last[start : start + m, :, None])
+        chunk = slabs[:, :, 0].T.reshape(shape[:-1] + (m,), order="F")
         if writer is not None:
             writer.write(chunk)
-        np.subtract(chunk, part, out=chunk)
-        norms.append(frobenius_norm(chunk))
-        del slabs, chunk  # one chunk at a time
-    return math.hypot(*norms)
+        return chunk
+    return _difference_norm(x, reconstruct)

@@ -336,6 +336,93 @@ class TestStreamedError:
         assert peak < 0.5 * exact.nbytes
 
 
+def perturbed_pair(dims, layout_a, layout_b, seed):
+    """A reference of ``layout_a`` and, in ``layout_b``, the reference plus
+    ``1e-3`` times an independent Gaussian tensor."""
+    a = tensor_with_layout(dims, layout_a, seed)
+    b = tensor_with_layout(dims, layout_b, seed + 1)
+    b[...] = a + 1e-3 * b
+    return a, b
+
+
+def one_shot_relative_error(a, b):
+    return frobenius_norm(np.asarray(a) - np.asarray(b)) / frobenius_norm(a)
+
+
+class TestStreamedRelativeError:
+    """``relative_error`` streams the difference through the residual kernel:
+    the same value as the one-shot formula for every layout pair and chunking,
+    the same non-finite results, and one chunk of memory."""
+
+    LAYOUTS = ["C", "F", "strided"]
+    CUBES = [(50,), (30, 30), (12, 12, 12), (7, 7, 7, 7)]
+
+    @pytest.mark.parametrize("layout_b", LAYOUTS)
+    @pytest.mark.parametrize("layout_a", LAYOUTS)
+    @pytest.mark.parametrize("dims", [(40,), (30, 25), (16, 14, 12), (9, 8, 7, 6)])
+    def test_matches_the_one_shot_formula(self, dims, layout_a, layout_b):
+        a, b = perturbed_pair(dims, layout_a, layout_b, 70)
+        want = one_shot_relative_error(a, b)
+        assert relative_error(a, b) == pytest.approx(want, rel=1e-13)
+        assert relative_error(b, a) == pytest.approx(one_shot_relative_error(b, a), rel=1e-13)
+
+    @pytest.mark.parametrize("layouts", [("C", "C"), ("F", "F"), ("C", "F"), ("F", "C"),
+                                         ("strided", "C"), ("F", "strided")])
+    @pytest.mark.parametrize("dims", CUBES)
+    @pytest.mark.parametrize("slabs", [None, 2])  # one byte (one slab a chunk), two slabs
+    def test_chunking_does_not_change_the_value(self, monkeypatch, dims, layouts, slabs):
+        a, b = perturbed_pair(dims, *layouts, 71)
+        whole = relative_error(a, b)
+        # every slab of a cube holds d^(n-1) entries, whichever mode is chunked
+        chunk_bytes = 1 if slabs is None else slabs * 8 * a.size // dims[0]
+        monkeypatch.setattr(tensor, "_STREAM_CHUNK_BYTES", chunk_bytes)
+        assert relative_error(a, b) == pytest.approx(whole, rel=1e-13)
+        assert relative_error(a, b) == pytest.approx(one_shot_relative_error(a, b), rel=1e-13)
+
+    def test_a_scalar_pair_is_measured(self):
+        assert relative_error(2.0, 1.0) == 0.5
+        assert relative_error(np.float64(-4.0), np.float64(-3.0)) == 0.25
+
+    @pytest.mark.parametrize("layouts", [("C", "C"), ("F", "F"), ("C", "F"), ("strided", "F")])
+    @pytest.mark.parametrize(
+        "first, last",
+        [  # what the reference ("a") or the approximation ("b") holds in its first and last slab
+            (("b", np.inf), ("b", np.nan)), (("b", np.nan), ("b", np.inf)),
+            (("b", np.inf), ("b", -np.inf)), (("b", np.inf), None), (("b", np.nan), None),
+            (("a", np.inf), None), (("a", np.nan), None), (("a", np.inf), ("b", np.inf)),
+            (("a", -np.inf), ("b", np.nan)),
+        ],
+    )
+    def test_non_finite_values_give_the_one_shot_result(self, monkeypatch, layouts, first, last):
+        monkeypatch.setattr(tensor, "_STREAM_CHUNK_BYTES", 1)  # the two corners in two chunks
+        a, b = perturbed_pair((6, 5, 4), *layouts, 72)
+        arrays = {"a": a, "b": b}
+        for entry, index in ((first, (0, 0, 0)), (last, (-1, -1, -1))):
+            if entry is not None:
+                arrays[entry[0]][index] = entry[1]
+        with np.errstate(invalid="ignore"):  # inf - inf, as in the one-shot difference
+            got, want = relative_error(a, b), one_shot_relative_error(a, b)
+        assert not np.isfinite(want)
+        assert got == want or (np.isnan(got) and np.isnan(want))
+
+    @pytest.mark.parametrize("layouts", [("C", "C"), ("F", "F"), ("C", "F"), ("F", "C")])
+    def test_peak_is_one_chunk(self, monkeypatch, layouts):
+        a, b = perturbed_pair((128, 128, 128), *layouts, 73)
+
+        def peak():
+            tracemalloc.start()
+            try:
+                relative_error(a, b)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # the one-shot difference peaked at 1.0x; a 4 MiB chunk is 0.25x of a 128^3 tensor
+        assert peak() <= tensor._STREAM_CHUNK_BYTES + 0.01 * a.nbytes
+        monkeypatch.setattr(tensor, "_STREAM_CHUNK_BYTES", 1 << 20)
+        assert peak() <= 0.1 * a.nbytes
+
+
 class TestMetrics:
     def test_relative_error_of_exact_reconstruction(self):
         rng = np.random.default_rng(8)

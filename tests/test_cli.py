@@ -314,6 +314,25 @@ def test_compress_with_bad_sample_sizes_leaves_no_output_directory(tmp_path, cap
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("method", ["hosvd", "chidori"])
+def test_compress_with_a_sample_size_above_the_extent_leaves_no_output(tmp_path, capsys, method):
+    _, noisy, _ = generate_synthetic(12, 2, 0.0, np.random.default_rng(4))
+    src = tmp_path / "t.tnsr"
+    write_tensor(src, noisy)
+    code = main(["compress", "--input", str(src), "--method", method, "--ranks", "2,2,2",
+                 "--out-dir", str(tmp_path / "out"), "--row-samples", "1000"])
+    assert_input_error(code, capsys, "row sample size 1000 exceeds the population of 12")
+    assert not (tmp_path / "out").exists()
+
+
+def test_synthetic_with_a_sample_size_above_the_extent_writes_no_csv(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    code = main(["synthetic", "--dims", "60", "--rank", "3", "--methods", "hosvd,st-hosvd,fiber",
+                 "--row-samples", "100", "--out", str(out)])
+    assert_input_error(code, capsys, "row sample size 100 exceeds the population of 60")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("name", ["core.tnsr", "fiber_1.tnsr", "intersection_0.tnsr"])
 def test_convert_of_a_non_finite_factor_names_the_file(tmp_path, capsys, name):
     _, noisy, _ = generate_synthetic(8, 2, 1e-3, np.random.default_rng(5))

@@ -156,6 +156,24 @@ class TestConfigValidation:
                              **{f"{kind}_samples": size})
 
 
+    @pytest.mark.parametrize("kind, size, population", [("row", 61, 60), ("fiber", 3601, 3600)])
+    def test_rejects_a_sample_size_above_the_extent(self, kind, size, population):
+        # before the Tucker methods run; the smallest cube sets the population
+        message = f"^{kind} sample size {size} exceeds the population of {population}$"
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig([120, 60], 3, [0.0], 1, 0, methods=["hosvd", "st-hosvd", "fiber"],
+                             **{f"{kind}_samples": size})
+        ExperimentConfig([120, 60], 3, [0.0], 1, 0, **{f"{kind}_samples": population})
+
+    def test_a_sweep_with_an_oversized_override_runs_no_method(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("a method ran")
+
+        monkeypatch.setattr(experiments, "_decompose", fail)
+        with pytest.raises(ValueError, match="^row sample size 100 exceeds the population of 60$"):
+            run_sweep(ExperimentConfig(dims=[60], rank=3, sigmas=[0.0], trials=1, seed=0,
+                                       methods=["hosvd", "st-hosvd", "fiber"], row_samples=100))
+
 class TestRunSweep:
     def test_noiseless_parity_and_schema(self):
         cfg = ExperimentConfig(dims=[30], rank=3, sigmas=[0.0], trials=2, seed=7)
@@ -302,6 +320,30 @@ class TestCompress:
         with pytest.raises(ValueError, match="sample size"):
             compress(path, method, (2, 2, 2), out_dir=tmp_path / "out", **sizes)
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("method", ["hosvd", "st-hosvd", "hooi", "chidori", "fiber"])
+    @pytest.mark.parametrize("sizes, message", [
+        ({"row_samples": 1000}, "row sample size 1000 exceeds the population of 12"),
+        ({"row_samples": 13}, "row sample size 13 exceeds the population of 12"),
+        ({"fiber_samples": 145}, "fiber sample size 145 exceeds the population of 144"),
+    ])
+    def test_a_sample_size_above_the_extent_writes_nothing(self, tmp_path, method, sizes, message):
+        path, _ = make_tensor_file(tmp_path, (12, 12, 12), (2, 2, 2), 0.0, 4)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            compress(path, method, (2, 2, 2), out_dir=tmp_path / "out", **sizes)
+        assert not (tmp_path / "out").exists()
+
+    def test_the_smallest_population_bounds_an_override(self, tmp_path):
+        # rows: the smallest extent; fibers: the smallest product of the other extents
+        path, _ = make_tensor_file(tmp_path, (12, 9, 10), (2, 2, 2), 0.0, 4)
+        with pytest.raises(ValueError, match="^row sample size 10 exceeds the population of 9$"):
+            compress(path, "fiber", (2, 2, 2), out_dir=tmp_path / "out", row_samples=10)
+        with pytest.raises(ValueError, match="^fiber sample size 91 exceeds the population of 90$"):
+            compress(path, "fiber", (2, 2, 2), out_dir=tmp_path / "out", fiber_samples=91)
+        assert not (tmp_path / "out").exists()
+        result = compress(path, "fiber", (2, 2, 2), out_dir=tmp_path / "out", row_samples=9,
+                          fiber_samples=90)
+        assert result.rank_ok
 
     def test_unknown_method_rejected(self, tmp_path):
         path, _ = make_tensor_file(tmp_path, (5, 5, 5), (2, 2, 2), 0.0, 4)

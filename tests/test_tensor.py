@@ -396,6 +396,19 @@ class TestResidual:
         with pytest.raises(ValueError, match="does not have the tensor's dims"):
             residual(np.zeros((5, 4, 6)), core, factors)
 
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    @pytest.mark.parametrize("first, last", [(np.inf, np.nan), (np.nan, np.inf), (np.inf, 1.0)])
+    def test_non_finite_chunks_give_the_one_shot_norm(self, monkeypatch, layout, first, last):
+        # math.hypot(inf, nan) is inf, where the whole difference's sum of squares is NaN
+        monkeypatch.setattr(tensor, "_STREAM_CHUNK_BYTES", 1)
+        dims = (6, 5, 4)
+        x = tensor_with_layout(dims, layout, seed=69)
+        x[0, 0, 0], x[-1, -1, -1] = first, last
+        core, factors = tucker_form(dims, (2, 2, 2), 70)
+        want = frobenius_norm(x - multi_mode_product(core, factors))
+        got = residual(x, core, factors)
+        assert got == want or (np.isnan(got) and np.isnan(want))
+
     @pytest.mark.parametrize("layout", ["C", "F"])
     def test_peak_memory_is_one_chunk(self, monkeypatch, layout):
         monkeypatch.setattr(tensor, "_STREAM_CHUNK_BYTES", 1 << 16)
