@@ -346,8 +346,10 @@ def convert_factors(in_dir, out_dir):
     and factors with a Tucker-style manifest.  A manifest that is not UTF-8
     JSON, lacks a key or holds a value of the wrong JSON type (``dims``,
     ``ranks`` and each index set must be lists of integers) is rejected as
-    such, a factor file holding a non-finite value is rejected by name, and so
-    is one whose shape differs from the one its manifest's index sets give it
+    such, a factor file holding a non-finite value is rejected by name (its
+    Frobenius norm is then NaN or inf; a finite one whose sum of squares
+    overflows is retaken in units of ``max|a|``), and so is one whose shape
+    differs from the one its manifest's index sets give it
     (core ``|I_0| x ... x |I_{n-1}|``, fiber ``d_i x |J_i|``, intersection
     ``|I_i| x |J_i|``).  An ``out_dir`` that is ``in_dir`` is rejected too,
     since the Tucker files would replace the CUR ones.  Nothing is written for
@@ -365,7 +367,7 @@ def convert_factors(in_dir, out_dir):
     def read_finite(name):
         path = in_dir / name
         a = read_tensor(path)
-        if not np.isfinite(a).all():
+        if not math.isfinite(frobenius_norm(a)):
             raise ValueError(f"{path} holds non-finite values")
         return a
 

@@ -8,9 +8,11 @@ The default rank cutoff is the conventional ``max(rows, cols) * eps`` relative
 to the largest singular value.
 """
 
+import math
+
 import numpy as np
 
-from .tensor import gram, unfold
+from .tensor import frobenius_norm, gram, unfold
 
 __all__ = [
     "pinv",
@@ -35,7 +37,7 @@ def _as_matrix(m) -> np.ndarray:
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2:
         raise ValueError("expected a matrix")
-    if not np.all(np.isfinite(m)):
+    if not math.isfinite(frobenius_norm(m)):
         raise ValueError("matrix has non-finite entries")
     return m
 
@@ -99,6 +101,17 @@ def _leading_left_vectors(t, k: int, r: int) -> tuple[np.ndarray, np.ndarray, np
     return w[:, :q], s, vt
 
 
+def _cholesky_qr2(a: np.ndarray) -> np.ndarray:
+    """The orthonormal factor of the tall full-rank panel ``a`` by CholeskyQR2:
+    two passes of ``a @ inv(R)``, ``R`` the Cholesky factor of ``a.T @ a``.
+    The first pass leaves an orthogonality error of about ``eps * kappa^2``
+    and the second takes it to ``eps``, for ``kappa`` well below ``1e8``."""
+    for _ in range(2):
+        # cholesky(upper=True) needs numpy >= 2.0
+        a = a @ np.linalg.inv(np.linalg.cholesky(a.T @ a).T)
+    return a
+
+
 def rank_r_pinv_factors(m, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The pseudoinverse of the best rank-``r`` approximation of ``m``, ``V_r
     diag(1/sigma_1..1/sigma_r) W_r.T``, as ``left @ right.T``, each factor
@@ -112,14 +125,17 @@ def rank_r_pinv_factors(m, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     they are tilted towards the trailing ones by up to ``eps * kappa^2``
     (``kappa = sigma_1 / sigma_q``); each pass through ``m`` shrinks the tilt
     by ``rho = sigma_{q+1} / sigma_q``.  One subspace iteration, ``Y =
-    qr(m.T @ qr(m @ qr(m.T @ W_q)))`` (just ``qr(m.T @ W_q)`` when ``q ==
-    rows``), and a Rayleigh-Ritz step, the thin SVD ``m @ Y = W' S' Z'.T``,
+    cqr2(m.T @ qr(m @ cqr2(m.T @ W_q)))`` (just ``cqr2(m.T @ W_q)`` when ``q
+    == rows``), and a Rayleigh-Ritz step, the thin SVD ``m @ Y = W' S' Z'.T``,
     give ``left = Y Z' / S'`` and ``right = W'`` within ``eps * kappa^2 *
     rho^3`` of the SVD's result; ``s`` is ``S'`` followed by the square roots
     of the other Gram eigenvalues.  When they come from the thin SVD of
     ``m``, its factors are used as they are.  Gram-path values sit far above
     the ``1e-14`` floor and a ``1e-6`` rank gate, so both paths invert the
-    same rank and pass the same gates.
+    same rank and pass the same gates.  ``cqr2`` orthonormalizes a tall
+    ``cols x q`` panel by CholeskyQR2 from two ``q x q`` Grams: the panels'
+    singular values are about ``sigma_1 .. sigma_q``, so ``kappa <= ~1e3``,
+    far inside its ``1e8`` limit.
     """
     m = _as_matrix(m)
     if r < 0:
@@ -130,9 +146,11 @@ def rank_r_pinv_factors(m, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     w, s, vt = _leading_left_vectors(m, 0, int(r))
     if vt is None:
         q = w.shape[1]
-        y = np.linalg.qr(m.T @ w)[0]
+        # lambda_q >= 1e-6 * lambda_1 here, so the panels have kappa <= ~1e3 and
+        # their Cholesky cannot fail; (x.T @ m).T is m.T @ x in BLAS's faster orientation
+        y = _cholesky_qr2((w.T @ m).T)
         if q < rows:  # at q == rows, y spans the whole row space already
-            y = np.linalg.qr(m.T @ np.linalg.qr(m @ y)[0])[0]
+            y = _cholesky_qr2((np.linalg.qr(m @ y)[0].T @ m).T)
         w, s_q, zt = np.linalg.svd(m @ y, full_matrices=False)
         left, s = y @ zt.T, np.concatenate([s_q, s[q:]])
     else:

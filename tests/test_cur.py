@@ -451,6 +451,37 @@ class TestNonFiniteInput:
         assert np.array_equal(dec.reconstruct(), clean.reconstruct())
 
 
+    @pytest.mark.parametrize("variant", ["chidori", "fiber"])
+    def test_samples_whose_squares_overflow_are_kept(self, variant):
+        # the sums of squares of the 1e200-scaled core and fibers overflow; the
+        # finiteness check retakes them in units of max|a|
+        a = random_low_rank((20, 20, 20), (2, 2, 2), np.random.default_rng(2))
+        fibers = (30, 30, 30) if variant == "fiber" else None
+        plan = SamplingPlan((6, 6, 6), fibers, seed=5)
+        decompose = chidori_cur if variant == "chidori" else fiber_cur
+        clean = decompose(a, plan, (2, 2, 2))
+        with np.errstate(over="ignore"):
+            dec = decompose(1e200 * a, plan, (2, 2, 2))
+            assert dec.rank_ok == clean.rank_ok
+        assert np.array_equal(dec.core, 1e200 * clean.core)
+        for c, ref in zip(dec.fibers, clean.fibers):
+            assert np.array_equal(c, 1e200 * ref)
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("scale", [1.0, 1e200])
+    @pytest.mark.parametrize("where", [(0, 1, 0), (1, 1, 0)])  # in the core, in a fiber only
+    @pytest.mark.parametrize("variant", ["chidori", "fiber"])
+    def test_one_non_finite_sampled_entry_is_rejected(self, variant, where, scale, value):
+        a = scale * np.random.default_rng(7).standard_normal((9, 8, 7))
+        rows = ([0, 2, 5], [1, 3, 4, 7], [0, 6])
+        cols = None
+        if variant == "fiber":
+            cols = [composite_index(rows, i, a.shape) for i in range(3)]
+        a[where] = value
+        with pytest.raises(ValueError, match="the sampled core or fibers hold non-finite values"):
+            cur_with_indices(a, rows, (2, 2, 2), cols)
+
+
 @st.composite
 def exact_rank_cases(draw):
     """Exact multilinear rank 3- and 4-mode tensors with random sample sizes."""

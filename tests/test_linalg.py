@@ -119,6 +119,20 @@ def svd_pinv_factors(m, r):
     return vt[:k].T / s[:k], w[:, :k], s
 
 
+def recorded_operands(monkeypatch, name):
+    """The shapes of the operands that ``np.linalg.<name>`` is called with
+    from now on, in order."""
+    operands = []
+    original = getattr(np.linalg, name)
+
+    def recording(a, *args, **kwargs):
+        operands.append(np.shape(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, name, recording)
+    return operands
+
+
 def gate_count(s):
     return int(np.count_nonzero(s > 1e-6 * s[0]))
 
@@ -132,7 +146,7 @@ class TestFactoredPinvAgainstSvd:
     @pytest.mark.parametrize("layout", ["C", "F", "strided"])
     @pytest.mark.parametrize("noise", [0.0, 1e-10, 1e-4])
     @pytest.mark.parametrize("ratio", [1.0, 1e-1, 1e-2, 1.1e-3, 1e-3, 1e-5, 1e-8])
-    @pytest.mark.parametrize("shape", [(12, 40), (16, 16), (40, 12)])
+    @pytest.mark.parametrize("shape", [(12, 40), (16, 16), (40, 12), (24, 600)])
     def test_error_rank_and_gate_match_the_svd_reference(self, shape, ratio, noise, layout):
         for seed in range(3):
             m, pinv_r = planted_singular_values(shape, ratio, noise, seed=seed)
@@ -165,6 +179,33 @@ class TestFactoredPinvAgainstSvd:
         rank_r_pinv_factors(m, 4)
         assert operands == [(12, 4)]
 
+    @pytest.mark.parametrize("shape", [(12, 40), (24, 600)])
+    def test_the_tall_panels_take_no_householder_qr(self, monkeypatch, shape):
+        # the cols x q panels are orthonormalized from their Grams; only the
+        # rows x q panel m @ y is QR-factored
+        m, _ = planted_singular_values(shape, 1e-2, 1e-4)
+        svd, qr = recorded_operands(monkeypatch, "svd"), recorded_operands(monkeypatch, "qr")
+        rank_r_pinv_factors(m, 4)
+        assert svd == [(shape[0], 4)]  # the Gram path
+        assert qr == [(shape[0], 4)]
+
+    @pytest.mark.parametrize("scale", [1e150, 1e-140])
+    def test_a_scaled_matrix_scales_the_factors(self, monkeypatch, scale):
+        # the panels' Grams hold sigma^2: neither overflows nor underflows
+        # where the Gram of m itself does not
+        m, _ = planted_singular_values((24, 600), 1e-2, 1e-4)
+        left, right, s = rank_r_pinv_factors(m, 4)
+        svd = recorded_operands(monkeypatch, "svd")
+        left_s, right_s, s_s = rank_r_pinv_factors(scale * m, 4)
+        assert svd == [(24, 4)]  # the Gram path
+        ref = left @ right.T
+        got = scale * (left_s @ right_s.T)
+        assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+        # the leading values come from the Rayleigh-Ritz SVD, the rest from the
+        # Gram's eigenvalues, which are accurate to eps * sigma_1^2
+        assert np.allclose(s_s[:4] / scale, s[:4], rtol=1e-12, atol=0.0)
+        assert np.allclose(s_s / scale, s, rtol=0.0, atol=1e-12 * s[0])
+
     def test_a_request_beyond_the_row_count_inverts_every_row(self):
         m = np.random.default_rng(3).standard_normal((3, 10))
         left, right, s = rank_r_pinv_factors(m, 5)
@@ -180,6 +221,16 @@ class TestFactoredPinvAgainstSvd:
         ref = svd_pinv_factors(m, 3)
         for x, y in zip(got, ref):
             assert np.all(np.isfinite(x)) and np.array_equal(x, y)
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("scale", [1.0, 1e200])
+    def test_one_non_finite_entry_is_rejected(self, value, scale):
+        # at 1e200 the finite entries' squares overflow too
+        m = scale * np.random.default_rng(4).standard_normal((5, 8))
+        m[3, 6] = value
+        for f in (lambda x: rank_r_pinv_factors(x, 3), pinv, numerical_rank):
+            with pytest.raises(ValueError, match="matrix has non-finite entries"):
+                f(m)
 
     @pytest.mark.parametrize("scale", [1e-150, 1e-160, 1e-170])
     def test_squares_that_underflow_take_the_svd(self, scale):
