@@ -54,7 +54,6 @@ __all__ = [
     "chidori_cur",
     "fiber_cur",
     "cur_with_indices",
-    "draw_indices",
     "projection_reconstruct",
     "check_characterization",
     "cur_to_hosvd",
@@ -222,9 +221,10 @@ def cur_with_indices(a, row_indices, ranks, fiber_indices=None) -> CurDecomposit
 def draw_indices(a, plan: SamplingPlan):
     """Draw ``plan``'s per-mode row index sets and, if it has ``fiber_counts``,
     its per-mode fiber column sets (else ``None``), all from ``plan.rng()``.
-    A uniform plan reads only ``a.shape``, so ``a`` may also be a source of
-    the tensor's slabs."""
-    dims = tuple(a.shape)
+    A uniform plan reads only the dims of ``a``, a tensor or a source of its
+    slabs (see :func:`cur_with_indices`).  A length plan reads every entry
+    of a tensor; a slab source raises ``ValueError``."""
+    dims = np.shape(a)
     if len(plan.row_counts) != len(dims):
         raise ValueError(
             f"plan has {len(plan.row_counts)} row counts for a {len(dims)}-mode tensor"
@@ -232,6 +232,8 @@ def draw_indices(a, plan: SamplingPlan):
     fibers = plan.fiber_counts is not None
     p = q = (None,) * len(dims)
     if plan.distribution == "length":
+        if _is_slab_source(a):
+            raise ValueError("a length plan reads the whole tensor, not a source of its slabs")
         p, q = mode_length_distributions(a, fibers)
     rng = plan.rng()
     rows = tuple(
@@ -248,16 +250,16 @@ def draw_indices(a, plan: SamplingPlan):
 
 def chidori_cur(a, plan: SamplingPlan, ranks) -> CurDecomposition:
     """Randomized Chidori CUR: draw per-mode index sets, take the core at
-    their intersection and the fibers at their composite."""
-    a = np.asarray(a, dtype=np.float64)
+    their intersection and the fibers at their composite.  ``a`` is a tensor
+    or, with a uniform plan, a source of its slabs (see :func:`draw_indices`)."""
     rows, _ = draw_indices(a, replace(plan, fiber_counts=None))
     return cur_with_indices(a, rows, ranks)
 
 
 def fiber_cur(a, plan: SamplingPlan, ranks) -> CurDecomposition:
     """Randomized Fiber CUR: draw per-mode index sets and, independently,
-    per-mode fiber column sets."""
-    a = np.asarray(a, dtype=np.float64)
+    per-mode fiber column sets.  ``a`` is a tensor or, with a uniform plan,
+    a source of its slabs (see :func:`draw_indices`)."""
     if plan.fiber_counts is None:
         raise ValueError("fiber_cur requires a plan with fiber_counts")
     rows, cols = draw_indices(a, plan)

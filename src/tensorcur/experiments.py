@@ -23,14 +23,11 @@ from .tensorfile import SlabReader, SlabWriter, _create, read_tensor, write_tens
 from .tucker import hooi, hosvd, st_hosvd
 
 __all__ = [
-    "METHODS",
-    "CSV_HEADER",
     "ExperimentConfig",
     "CompressionResult",
     "generate_synthetic",
     "run_sweep",
     "write_csv",
-    "rows_to_csv",
     "compress",
     "convert_factors",
 ]
@@ -82,14 +79,28 @@ def _check_sample_sizes(row_samples, fiber_samples, dims) -> None:
                              else f"{kind} sample sizes must be positive")
 
 
+def _plan_sizes(method, dims, ranks, row_samples, fiber_samples):
+    """Per-mode ``(row, fiber)`` sizes of a CUR ``method``'s plan: the defaults
+    of :mod:`~tensorcur.sampling`, which raise above a population, unless
+    ``row_samples`` or ``fiber_samples`` is given for every mode (Chidori's
+    fiber sizes are ``None``: it takes its fibers at the rows' composite)."""
+    n = len(dims)
+    t = chidori_sample_sizes(dims, ranks) if row_samples is None else (row_samples,) * n
+    s = None
+    if method == "fiber":
+        s = fiber_sample_sizes(dims, ranks)[1] if fiber_samples is None else (fiber_samples,) * n
+    return t, s
+
+
 @dataclass
 class ExperimentConfig:
     """Sweep over cubic 3-mode synthetic tensors.
 
     One row is produced per ``(d, sigma, method, trial)``.  ``row_samples``
     and ``fiber_samples`` override the default log-scaled sampling sizes for
-    the CUR methods (applied to every mode).  A CUR method whose rank gate
-    fails is redrawn, at most ``_MAX_RESAMPLES`` times.
+    the CUR methods (applied to every mode); every size, default or override,
+    is checked before any method runs.  A CUR method whose rank gate fails
+    is redrawn, at most ``_MAX_RESAMPLES`` times.
     """
 
     dims: list[int]
@@ -120,6 +131,10 @@ class ExperimentConfig:
         for m in self.methods:
             if m not in METHODS:
                 raise ValueError(f"unknown method {m!r}; choose from {METHODS}")
+        for d in self.dims:
+            for m in self.methods:
+                if m in CUR_METHODS:
+                    _plan_sizes(m, (d,) * 3, (self.rank,) * 3, self.row_samples, self.fiber_samples)
 
 
 def _decompose(method, x, ranks, seeds, row_samples, fiber_samples):
@@ -128,10 +143,8 @@ def _decompose(method, x, ranks, seeds, row_samples, fiber_samples):
     A Tucker method takes no seed.  A CUR method draws, extracts and gates
     one decomposition per seed of ``seeds`` until the rank gate passes; its
     ``x`` may be a source of the tensor's slabs, which each attempt reads
-    afresh, the reading timed as extraction.  Its plan has the default
-    sizes of :mod:`~tensorcur.sampling` unless ``row_samples`` or
-    ``fiber_samples`` is given for every mode; the plan and the draw reject
-    sizes out of range.
+    afresh, the reading timed as extraction.  Its plan has the sizes of
+    :func:`_plan_sizes`; the plan and the draw reject sizes out of range.
     Returns ``(dec, runtime_s, extract_s, rank_ok, resamples)``.  The
     runtime covers the Tucker decomposition, or for CUR the drawing, the
     extraction and the pseudoinverses with their rank gate, summed over
@@ -141,11 +154,7 @@ def _decompose(method, x, ranks, seeds, row_samples, fiber_samples):
         t0 = time.perf_counter()
         dec = {"hosvd": hosvd, "st-hosvd": st_hosvd, "hooi": hooi}[method](x, ranks)
         return dec, time.perf_counter() - t0, 0.0, True, 0
-    n = len(x.shape)
-    t = chidori_sample_sizes(x.shape, ranks) if row_samples is None else (row_samples,) * n
-    s = None  # Chidori takes its fibers at the rows' composite
-    if method == "fiber":
-        s = fiber_sample_sizes(x.shape, ranks)[1] if fiber_samples is None else (fiber_samples,) * n
+    t, s = _plan_sizes(method, x.shape, ranks, row_samples, fiber_samples)
     runtime = extract = 0.0
     for resamples, seed in enumerate(seeds):
         t0 = time.perf_counter()

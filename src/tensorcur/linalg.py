@@ -16,7 +16,6 @@ from .tensor import frobenius_norm, gram, unfold
 
 __all__ = [
     "pinv",
-    "rank_r_pinv_factors",
     "numerical_rank",
     "multilinear_rank",
 ]

@@ -28,11 +28,9 @@ __all__ = [
     "unfold",
     "mode_product",
     "multi_mode_product",
-    "gram",
     "select_fibers",
     "composite_index",
     "frobenius_norm",
-    "residual",
 ]
 
 

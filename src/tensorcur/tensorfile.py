@@ -37,7 +37,7 @@ import numpy as np
 
 from .tensor import _slab_step, frobenius_norm
 
-__all__ = ["TensorFileError", "SlabWriter", "read_tensor", "write_tensor"]
+__all__ = ["TensorFileError", "read_tensor", "write_tensor"]
 
 MAGIC = b"TNSR"
 VERSION = 1

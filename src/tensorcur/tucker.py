@@ -15,6 +15,9 @@ from .tensor import _contiguous, check_ranks, frobenius_norm, mode_product, mult
 
 __all__ = ["HosvdDecomposition", "hosvd", "st_hosvd", "hooi"]
 
+_HOOI_MAX_SWEEPS = 50
+_HOOI_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class HosvdDecomposition:
@@ -63,29 +66,27 @@ def st_hosvd(t, ranks) -> HosvdDecomposition:
     return HosvdDecomposition(current, tuple(factors))
 
 
-def hooi(t, ranks, max_iters: int = 50, tol: float = 1e-8) -> HosvdDecomposition:
+def hooi(t, ranks) -> HosvdDecomposition:
     """Higher-order orthogonal iteration, initialized from :func:`st_hosvd`.
 
     Each sweep updates every factor to the leading left singular vectors of
     the unfolding of the input compressed along all other modes.  Sweeps stop
-    when the relative change of the core norm drops below ``tol`` or after
-    ``max_iters`` sweeps.  The fit is nonincreasing across sweeps.
+    when the relative change of the core norm is at most ``_HOOI_TOL`` (1e-8)
+    or after ``_HOOI_MAX_SWEEPS`` (50).  The fit is nonincreasing across sweeps.
     """
     t = _contiguous(t)
     ranks = check_ranks(ranks, t.shape)
-    if max_iters < 0:
-        raise ValueError("max_iters must be nonnegative")
     start = st_hosvd(t, ranks)
     factors, core = list(start.factors), start.core
     previous = frobenius_norm(core)
-    for _ in range(max_iters):
+    for _ in range(_HOOI_MAX_SWEEPS):
         for k, r in enumerate(ranks):
             partial = multi_mode_product(t, [None if j == k else w.T for j, w in enumerate(factors)])
             factors[k] = _leading_left_vectors(partial, k, r)[0]
         # the last partial is t x_j W_j.T for every j < n-1, all updated
         core = mode_product(partial, factors[-1].T, t.ndim - 1)
         current = frobenius_norm(core)
-        if abs(current - previous) <= tol * max(current, np.finfo(np.float64).tiny):
+        if abs(current - previous) <= _HOOI_TOL * max(current, np.finfo(np.float64).tiny):
             break
         previous = current
     return HosvdDecomposition(core, tuple(factors))

@@ -361,6 +361,42 @@ class TestSlabSourceGather:
         for a, b in zip(dec.fiber_indices, reference.fiber_indices):
             assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("decompose", [chidori_cur, fiber_cur])
+    def test_the_randomized_entry_points_take_a_slab_source(self, tmp_path, monkeypatch,
+                                                              decompose):
+        path = tmp_path / "x.tnsr"
+        a = np.random.default_rng(10).standard_normal((13, 11, 9))
+        write_tensor(path, a)
+        plan, ranks = SamplingPlan((4, 5, 4), (6, 7, 6), seed=11), (2, 2, 2)
+        want = decompose(a, plan, ranks)
+        # three slabs a chunk, so the gather runs over three chunks
+        monkeypatch.setattr(tensor, "_STREAM_CHUNK_BYTES", 3 * 8 * a[..., 0].size)
+        assert len(list(SlabReader(path))) == 3
+        for x in (SlabReader(path), a.tolist()):
+            got = decompose(x, plan, ranks)
+            assert got.variant == want.variant
+            for g, w in zip([got.core, *got.fibers, *got.intersections],
+                            [want.core, *want.fibers, *want.intersections], strict=True):
+                assert g.strides == w.strides and g.tobytes(order="A") == w.tobytes(order="A")
+            for g, w in zip(got.row_indices + got.fiber_indices,
+                            want.row_indices + want.fiber_indices, strict=True):
+                assert np.array_equal(g, w)
+
+    @pytest.mark.parametrize("call", ["draw_indices", "chidori_cur", "fiber_cur"])
+    def test_a_length_plan_rejects_a_slab_source(self, tmp_path, call):
+        path = tmp_path / "x.tnsr"
+        write_tensor(path, np.random.default_rng(12).standard_normal((8, 7, 6)))
+        plan = SamplingPlan((3, 3, 3), (5, 5, 5), distribution="length", seed=13)
+        run = {
+            "draw_indices": lambda x: draw_indices(x, plan),
+            "chidori_cur": lambda x: chidori_cur(x, plan, (2, 2, 2)),
+            "fiber_cur": lambda x: fiber_cur(x, plan, (2, 2, 2)),
+        }[call]
+        message = "^a length plan reads the whole tensor, not a source of its slabs$"
+        with pytest.raises(ValueError, match=message):
+            run(SlabReader(path))
+        run(read_tensor(path))
+
     @pytest.mark.parametrize("variant", ["chidori", "fiber"])
     def test_an_array_like_is_a_tensor(self, variant):
         class ArrayLike:  # as pandas, xarray, h5py or torch objects expose themselves

@@ -176,6 +176,25 @@ class TestConfigValidation:
             run_sweep(ExperimentConfig(dims=[60], rank=3, sigmas=[0.0], trials=1, seed=0,
                                        methods=["hosvd", "st-hosvd", "fiber"], row_samples=100))
 
+    @pytest.mark.parametrize("method, dims, rank, message", [
+        ("chidori", [30, 5], 4, "default row sample size 7 exceeds population 5"),
+        ("fiber", [30, 5], 4, "default row sample size 7 exceeds population 5"),
+        ("fiber", [30, 2], 2, "default fiber sample size 6 exceeds population 4"),
+    ], ids=["chidori-row", "fiber-row", "fiber-fiber"])
+    def test_a_default_size_out_of_range_is_rejected_before_any_method_runs(
+        self, monkeypatch, method, dims, rank, message
+    ):
+        def fail(*args, **kwargs):
+            raise AssertionError("a method ran")
+
+        for name in ("hosvd", "st_hosvd", "hooi", "draw_indices", "cur_with_indices"):
+            monkeypatch.setattr(experiments, name, fail)
+        # d = 30 comes first and takes every default; the second d cannot
+        with pytest.raises(ValueError, match=f"^{message}; pass explicit sizes$"):
+            run_sweep(ExperimentConfig(dims, rank, [0.0], 1, 0,
+                                       methods=["hosvd", "st-hosvd", "hooi", method]))
+
+
 class TestRunSweep:
     def test_noiseless_parity_and_schema(self):
         cfg = ExperimentConfig(dims=[30], rank=3, sigmas=[0.0], trials=2, seed=7)

@@ -29,3 +29,15 @@ def test_public_surface_is_pinned_and_every_export_resolves():
     namespace = {}
     exec("from tensorcur import *", namespace)
     assert sorted(set(namespace) - {"__builtins__"}) == EXPORTS
+
+
+def test_the_module_lists_are_the_only_declaration():
+    # tensorcur re-exports its modules' __all__, so together they hold each
+    # export exactly once (EXPORTS has no repeats) and nothing else; helpers
+    # stay importable from their modules
+    declared = [
+        name
+        for info in pkgutil.iter_modules(tensorcur.__path__)
+        for name in getattr(importlib.import_module(f"tensorcur.{info.name}"), "__all__", ())
+    ]
+    assert sorted(declared) == EXPORTS

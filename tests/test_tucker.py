@@ -101,10 +101,11 @@ class TestStHosvd:
 
 
 class TestHooi:
-    def test_exact_input_converges_immediately(self):
+    def test_exact_input_converges_immediately(self, monkeypatch):
         rng = np.random.default_rng(7)
         t = random_low_rank((9, 9, 9), (2, 2, 2), rng)
-        dec = hooi(t, (2, 2, 2), max_iters=1)
+        monkeypatch.setattr(tensorcur.tucker, "_HOOI_MAX_SWEEPS", 1)
+        dec = hooi(t, (2, 2, 2))
         assert relative_error(t, dec.reconstruct()) < 1e-9
 
     def test_full_ranks_reproduce_input(self):
@@ -112,11 +113,13 @@ class TestHooi:
         t = rng.standard_normal((4, 3, 5))
         assert relative_error(t, hooi(t, t.shape).reconstruct()) < 1e-12
 
-    def test_fit_nonincreasing_over_sweeps(self):
+    def test_fit_nonincreasing_over_sweeps(self, monkeypatch):
         noisy, ranks = noisy_instance(42, sigma=0.3)
         errors = []
+        monkeypatch.setattr(tensorcur.tucker, "_HOOI_TOL", 0.0)
         for sweeps in range(1, 11):
-            rec = hooi(noisy, ranks, max_iters=sweeps, tol=0.0).reconstruct()
+            monkeypatch.setattr(tensorcur.tucker, "_HOOI_MAX_SWEEPS", sweeps)
+            rec = hooi(noisy, ranks).reconstruct()
             errors.append(frobenius_norm(noisy - rec))
         for a, b in zip(errors, errors[1:]):
             assert b <= a + 1e-12
@@ -231,16 +234,17 @@ class TestNonFiniteInput:
 class TestMemory:
     @pytest.mark.parametrize("layout", ["C", "F"])
     @pytest.mark.parametrize("op", ["hosvd", "st_hosvd", "hooi", "mode_product"])
-    def test_peak_is_a_fraction_of_the_tensor(self, op, layout):
+    def test_peak_is_a_fraction_of_the_tensor(self, monkeypatch, op, layout):
         # no unfolding is copied: the Grams and products read views of t
         t = tensor_with_layout((64, 64, 64), layout, seed=16)
         w = np.linalg.qr(np.random.default_rng(17).standard_normal((64, 5)))[0]
         run = {
             "hosvd": lambda: hosvd(t, (5, 5, 5)),
             "st_hosvd": lambda: st_hosvd(t, (5, 5, 5)),
-            "hooi": lambda: hooi(t, (5, 5, 5), max_iters=3),
+            "hooi": lambda: hooi(t, (5, 5, 5)),
             "mode_product": lambda: max(mode_product(t, w.T, k).size for k in range(3)),
         }[op]
+        monkeypatch.setattr(tensorcur.tucker, "_HOOI_MAX_SWEEPS", 3)
         tracemalloc.start()
         try:
             run()
@@ -261,12 +265,13 @@ class TestStridedInputIsCopiedOnce:
         run = {
             "hosvd": lambda x: hosvd(x, (3, 2, 3)).tucker_form(),
             "st_hosvd": lambda x: st_hosvd(x, (3, 2, 3)).tucker_form(),
-            "hooi": lambda x: hooi(x, (3, 2, 3), max_iters=3).tucker_form(),
+            "hooi": lambda x: hooi(x, (3, 2, 3)).tucker_form(),
             "tensor_coherence": lambda x: astuple(tensor_coherence(x, (3, 2, 3))),
             # the exact tensor is the strided one; every report field is compared
             "chidori_bounds": lambda x: astuple(evaluate_error_bounds(x, noise, chidori)),
             "fiber_bounds": lambda x: astuple(evaluate_error_bounds(x, noise, fiber)),
         }[op]
+        monkeypatch.setattr(tensorcur.tucker, "_HOOI_MAX_SWEEPS", 3)
         want = run(np.ascontiguousarray(t))
         seen = []
         c_contiguous = tensorcur.tensor._c_contiguous
@@ -285,8 +290,8 @@ class TestStridedInputIsCopiedOnce:
             np.testing.assert_array_equal(a, b)
 
 
-@pytest.mark.parametrize("max_iters, tol, full_size", [(1, 1e-8, 4), (3, 0.0, 10)])
-def test_hooi_reuses_the_cores_it_has(monkeypatch, max_iters, tol, full_size):
+@pytest.mark.parametrize("max_sweeps, tol, full_size", [(1, 1e-8, 4), (3, 0.0, 10)])
+def test_hooi_reuses_the_cores_it_has(monkeypatch, max_sweeps, tol, full_size):
     # st_hosvd's core starts the iteration and each sweep's last partial
     # finishes its core, so only st_hosvd's first product and each factor
     # update multiply the full tensor
@@ -299,5 +304,7 @@ def test_hooi_reuses_the_cores_it_has(monkeypatch, max_iters, tol, full_size):
 
     monkeypatch.setattr(tensorcur.tensor, "mode_product", counting)
     monkeypatch.setattr(tensorcur.tucker, "mode_product", counting)
-    hooi(t, (3, 3, 3), max_iters=max_iters, tol=tol)
+    monkeypatch.setattr(tensorcur.tucker, "_HOOI_MAX_SWEEPS", max_sweeps)
+    monkeypatch.setattr(tensorcur.tucker, "_HOOI_TOL", tol)
+    hooi(t, (3, 3, 3))
     assert operands.count(t.size) == full_size
