@@ -26,13 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import (
-    _count_above,
-    multilinear_rank,
-    numerical_rank,
-    pinv,
-    rank_r_pinv_factors,
-)
+from .linalg import _EPS, _count_above, multilinear_rank, numerical_rank, rank_r_pinv_factors
 from .sampling import SamplingPlan, mode_length_distributions, sample_without_replacement
 from .tensor import (
     _is_slab_source,
@@ -267,9 +261,14 @@ def fiber_cur(a, plan: SamplingPlan, ranks) -> CurDecomposition:
 
 
 def projection_reconstruct(a, dec: CurDecomposition) -> np.ndarray:
-    """Project ``a`` onto the fiber column spaces: ``a x_i (C_i @ pinv(C_i))``."""
+    """Project ``a`` onto the fiber column spaces: ``a x_i (C_i @ C_i^+)``.
+    ``C_i^+`` is numpy's pseudoinverse, :func:`numpy.linalg.pinv`, with the
+    cutoff of :func:`~tensorcur.linalg.numerical_rank`: singular values at or
+    below ``max(rows, cols) * eps * sigma_1`` are not inverted."""
     a = np.asarray(a, dtype=np.float64)
-    return multi_mode_product(a, [c @ pinv(c) for c in dec.fibers])
+    return multi_mode_product(
+        a, [c @ np.linalg.pinv(c, rcond=max(c.shape) * _EPS) for c in dec.fibers]
+    )
 
 
 @dataclass(frozen=True)

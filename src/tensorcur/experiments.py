@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .cur import CurDecomposition, cur_to_hosvd, cur_with_indices, draw_indices
-from .sampling import SamplingPlan, chidori_sample_sizes, fiber_sample_sizes
+from .sampling import SamplingPlan, _fiber_sizes, chidori_sample_sizes
 from .tensor import as_index_array, check_ranks, frobenius_norm, multi_mode_product, residual
 from .tensorfile import SlabReader, SlabWriter, _create, read_tensor, write_tensor
 from .tucker import hooi, hosvd, st_hosvd
@@ -83,12 +83,13 @@ def _plan_sizes(method, dims, ranks, row_samples, fiber_samples):
     """Per-mode ``(row, fiber)`` sizes of a CUR ``method``'s plan: the defaults
     of :mod:`~tensorcur.sampling`, which raise above a population, unless
     ``row_samples`` or ``fiber_samples`` is given for every mode (Chidori's
-    fiber sizes are ``None``: it takes its fibers at the rows' composite)."""
+    fiber sizes are ``None``: it takes its fibers at the rows' composite).
+    Only the defaults of a kind that is not overridden are computed."""
     n = len(dims)
     t = chidori_sample_sizes(dims, ranks) if row_samples is None else (row_samples,) * n
     s = None
     if method == "fiber":
-        s = fiber_sample_sizes(dims, ranks)[1] if fiber_samples is None else (fiber_samples,) * n
+        s = _fiber_sizes(dims, ranks) if fiber_samples is None else (fiber_samples,) * n
     return t, s
 
 
@@ -353,9 +354,10 @@ def convert_factors(in_dir, out_dir):
     Reads the manifest and factor files written by :func:`compress` for a CUR
     method, runs the CUR-to-Tucker conversion, and writes the resulting core
     and factors with a Tucker-style manifest.  A manifest that is not UTF-8
-    JSON, lacks a key or holds a value of the wrong JSON type (``dims``,
-    ``ranks`` and each index set must be lists of integers) is rejected as
-    such, a factor file holding a non-finite value is rejected by name (its
+    JSON, lacks a key, holds a value of the wrong JSON type (``dims``,
+    ``ranks`` and each index set must be lists of integers) or names other
+    files than the factor files :func:`compress` writes is rejected as such,
+    a factor file holding a non-finite value is rejected by name (its
     Frobenius norm is then NaN or inf; a finite one whose sum of squares
     overflows is retaken in units of ``max|a|``), and so is one whose shape
     differs from the one its manifest's index sets give it
@@ -392,17 +394,21 @@ def convert_factors(in_dir, out_dir):
         if method not in CUR_METHODS:
             raise ValueError(f"conversion requires CUR factors, found method {method!r}")
         files = manifest["files"]
+        names = [files["core"], *files["fibers"], *files["intersections"]]
         dims = tuple(ints(manifest["dims"]))
         ranks = check_ranks(ints(manifest["ranks"]), dims)
         row_sets, fiber_sets = manifest["row_indices"], manifest["fiber_indices"]
         n = len(dims)
-        if {len(s) for s in (files["fibers"], files["intersections"], row_sets, fiber_sets)} != {n}:
+        # only the names compress writes, so a manifest cannot point outside in_dir
+        if files != _factor_files(n, ("fiber", "intersection")):
+            raise ValueError(f"{manifest_path} is malformed: files {files!r} are not the "
+                             f"factor files of a {n}-mode decomposition")
+        if {len(s) for s in (row_sets, fiber_sets)} != {n}:
             raise ValueError("inconsistent factor shapes: mode count mismatch")
         rows = tuple(as_index_array(ints(idx), d) for idx, d in zip(row_sets, dims))
         cols = tuple(
             as_index_array(ints(idx), math.prod(dims) // d) for idx, d in zip(fiber_sets, dims)
         )
-        names = [files["core"], *files["fibers"], *files["intersections"]]
         arrays = [read_finite(name) for name in names]
     except KeyError as exc:
         raise ValueError(f"{_MANIFEST_NAME} lacks the key {exc.args[0]!r}") from None

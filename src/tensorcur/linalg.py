@@ -1,7 +1,7 @@
-"""Matrix factorization primitives: pseudoinverses, the factored rank-``r``
-pseudoinverse of a sampled intersection, numerical rank, and the leading
-left subspace of an unfolding, which the pseudoinverse and the Tucker
-baselines share.
+"""Matrix factorization primitives: the factored rank-``r`` pseudoinverse of
+a sampled intersection, the package's one pseudoinverse; numerical rank; and
+the leading left subspace of an unfolding, which the pseudoinverse and the
+Tucker baselines share.
 
 All factorizations are dense and delegate to LAPACK through ``numpy.linalg``.
 The default rank cutoff is the conventional ``max(rows, cols) * eps`` relative
@@ -15,7 +15,6 @@ import numpy as np
 from .tensor import frobenius_norm, gram, unfold
 
 __all__ = [
-    "pinv",
     "numerical_rank",
     "multilinear_rank",
 ]
@@ -51,21 +50,6 @@ def numerical_rank(m, tol: float | None = None) -> int:
     m = _as_matrix(m)
     s = np.linalg.svd(m, compute_uv=False) if min(m.shape) else np.zeros(0)
     return _count_above(s, max(m.shape) * _EPS if tol is None else tol)
-
-
-def pinv(m) -> np.ndarray:
-    """Moore-Penrose pseudoinverse from the thin SVD, inverting the singular
-    values above ``max(rows, cols) * eps * sigma_1``.
-
-    Satisfies the four Penrose identities; ``pinv`` of a zero matrix is the
-    zero matrix of transposed shape.
-    """
-    m = _as_matrix(m)
-    if min(m.shape) == 0:
-        return np.zeros((m.shape[1], m.shape[0]))
-    w, s, vt = np.linalg.svd(m, full_matrices=False)
-    k = _count_above(s, max(m.shape) * _EPS)
-    return (vt[:k].T / s[:k]) @ w[:, :k].T
 
 
 def _leading_left_vectors(t, k: int, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:

@@ -258,11 +258,14 @@ def chidori_sample_sizes(dims, ranks) -> tuple[int, ...]:
     return tuple(_size_from_log(int(r), int(d), 1.0, "row") for d, r in zip(dims, ranks))
 
 
+def _fiber_sizes(dims, ranks) -> tuple[int, ...]:
+    """Default per-mode fiber counts ``s_i = ceil(2 r_i log(prod_{j != i} d_j))``."""
+    total = math.prod(int(d) for d in dims)
+    return tuple(_size_from_log(int(r), total // int(d), 2.0, "fiber") for d, r in zip(dims, ranks))
+
+
 def fiber_sample_sizes(dims, ranks) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Default Fiber sizes: ``t_i = ceil(r_i log d_i)`` and
     ``s_i = ceil(2 r_i log(prod_{j != i} d_j))``."""
-    dims = tuple(int(d) for d in dims)
-    ranks = tuple(int(r) for r in ranks)
-    total = math.prod(dims)
-    s = tuple(_size_from_log(r, total // d, 2.0, "fiber") for d, r in zip(dims, ranks))
+    s = _fiber_sizes(dims, ranks)  # checked before the row sizes
     return chidori_sample_sizes(dims, ranks), s

@@ -56,6 +56,12 @@ class TestCoherence:
         with pytest.raises(ValueError):
             coherence(np.ones((4, 2)))
 
+    @pytest.mark.parametrize("w", [np.zeros((4, 0)), np.ones(4)], ids=["no-columns", "1-d"])
+    def test_rejects_a_matrix_without_columns(self, w):
+        message = "^coherence expects a matrix with at least one column$"
+        with pytest.raises(ValueError, match=message):
+            coherence(w)
+
     def test_tensor_report_bounds(self):
         rng = np.random.default_rng(1)
         t = random_low_rank((20, 18, 16), (3, 2, 4), rng)
@@ -100,6 +106,16 @@ class TestRankChecks:
         t = random_low_rank((10, 9, 8), (2, 2, 2), np.random.default_rng(11))
         with pytest.raises(ValueError, match=f"^{message}$"):
             tensor_coherence(t, ranks)
+
+    @pytest.mark.parametrize("exact_dims, noise_dims, message", [
+        ((12, 12, 12), (12, 12, 11), "^exact tensor and noise must have the same shape$"),
+        ((12, 12, 11), (12, 12, 11), "^decomposition dims do not match the tensor$"),
+    ])
+    def test_error_bounds_reject_mismatched_shapes(self, exact_dims, noise_dims, message):
+        exact = random_low_rank((12, 12, 12), (2, 2, 2), np.random.default_rng(13))
+        dec = cur_with_indices(exact, [np.arange(0, 12, 2)] * 3, (2, 2, 2))
+        with pytest.raises(ValueError, match=message):
+            evaluate_error_bounds(exact[..., : exact_dims[2]], np.zeros(noise_dims), dec)
 
     def test_error_bounds_name_the_rank_poor_mode(self):
         exact = random_low_rank((12, 12, 12), (2, 3, 3), np.random.default_rng(13))

@@ -276,6 +276,24 @@ def test_convert_of_a_manifest_with_a_wrong_type_is_an_input_error(tmp_path, cap
     assert not (tmp_path / "out").exists()
 
 
+def test_convert_of_a_manifest_naming_a_file_outside_in_dir_is_an_input_error(tmp_path, capsys):
+    _, noisy, _ = generate_synthetic(9, 2, 0.0, np.random.default_rng(4))
+    src = tmp_path / "t.tnsr"
+    write_tensor(src, noisy)
+    cur_dir = tmp_path / "cur"
+    main(["compress", "--input", str(src), "--method", "chidori", "--ranks", "2,2,2",
+          "--out-dir", str(cur_dir)])
+    capsys.readouterr()
+    outside = tmp_path / "outside.tnsr"
+    outside.write_bytes((cur_dir / "core.tnsr").read_bytes())
+    manifest = json.loads((cur_dir / "manifest.json").read_text())
+    manifest["files"]["core"] = str(outside)
+    (cur_dir / "manifest.json").write_text(json.dumps(manifest))
+    code = main(["convert", "--in-dir", str(cur_dir), "--out-dir", str(tmp_path / "out")])
+    assert_input_error(code, capsys, f"{cur_dir / 'manifest.json'} is malformed: files ")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("text", [b"{not json", b"{", b"\xff\xfe"], ids=["not-json", "{", "not-utf8"])
 def test_convert_of_a_manifest_that_is_not_utf8_json_names_it(tmp_path, capsys, text):
     cur_dir = tmp_path / "cur"
@@ -331,6 +349,24 @@ def test_synthetic_with_a_sample_size_above_the_extent_writes_no_csv(tmp_path, c
                  "--row-samples", "100", "--out", str(out)])
     assert_input_error(code, capsys, "row sample size 100 exceeds the population of 60")
     assert not out.exists()
+
+
+def test_fiber_with_a_row_override_alone_takes_the_default_fiber_counts(tmp_path, capsys):
+    # the default row size at 6^3 and rank 5, 9, exceeds the extent
+    out = tmp_path / "z.csv"
+    code = main(["synthetic", "--dims", "6", "--rank", "5", "--methods", "fiber",
+                 "--row-samples", "6", "--out", str(out)])
+    assert code == 0
+    header, row = out.read_text(encoding="utf-8").splitlines()
+    assert dict(zip(header.split(","), row.split(",")))["rank_ok"] == "1"
+    _, noisy, _ = generate_synthetic(6, 5, 0.0, np.random.default_rng(4))
+    src = tmp_path / "t.tnsr"
+    write_tensor(src, noisy)
+    code = main(["compress", "--input", str(src), "--method", "fiber", "--ranks", "5,5,5",
+                 "--row-samples", "6", "--out-dir", str(tmp_path / "out")])
+    assert code == 0
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert [len(j) for j in manifest["fiber_indices"]] == [36, 36, 36]
 
 
 @pytest.mark.parametrize("name", ["core.tnsr", "fiber_1.tnsr", "intersection_0.tnsr"])

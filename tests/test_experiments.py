@@ -139,6 +139,8 @@ class TestConfigValidation:
             ExperimentConfig([10], 11, [0.0], 1, 0)
         with pytest.raises(ValueError):
             ExperimentConfig([10], 2, [-1.0], 1, 0)
+        with pytest.raises(ValueError, match="^at least one method is required$"):
+            ExperimentConfig([10], 2, [0.0], 1, 0, methods=[])
 
     @pytest.mark.parametrize("sigma", [-1.0, np.nan, np.inf])
     def test_rejects_a_noise_level_that_is_not_finite_and_nonnegative(self, sigma):
@@ -193,6 +195,15 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=f"^{message}; pass explicit sizes$"):
             run_sweep(ExperimentConfig(dims, rank, [0.0], 1, 0,
                                        methods=["hosvd", "st-hosvd", "hooi", method]))
+
+
+    def test_only_the_kind_not_overridden_takes_a_default(self):
+        # at 6^3 and rank 5 the default row size, 9, exceeds the extent, while
+        # the default fiber count, 36, is the whole population
+        rows = run_sweep(ExperimentConfig([6], 5, [0.0], 1, 0, methods=["fiber"], row_samples=6))
+        assert [r["rank_ok"] for r in rows] == [True]
+        with pytest.raises(ValueError, match="^default row sample size 9 exceeds population 6; "):
+            ExperimentConfig([6], 5, [0.0], 1, 0, methods=["fiber"], fiber_samples=36)
 
 
 class TestRunSweep:
@@ -365,6 +376,14 @@ class TestCompress:
         result = compress(path, "fiber", (2, 2, 2), out_dir=tmp_path / "out", row_samples=9,
                           fiber_samples=90)
         assert result.rank_ok
+
+    def test_a_row_override_alone_takes_the_default_fiber_counts(self, tmp_path):
+        # the default row size at 6^3 and rank 5, 9, exceeds the extent
+        path, _ = make_tensor_file(tmp_path, (6, 6, 6), (5, 5, 5), 0.0, 4)
+        result = compress(path, "fiber", (5, 5, 5), out_dir=tmp_path / "out", row_samples=6)
+        assert result.rank_ok
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert [len(j) for j in manifest["fiber_indices"]] == [36, 36, 36]
 
     def test_unknown_method_rejected(self, tmp_path):
         path, _ = make_tensor_file(tmp_path, (5, 5, 5), (2, 2, 2), 0.0, 4)
@@ -730,6 +749,33 @@ class TestConvert:
         manifest_path.write_text(json.dumps(manifest))
         with pytest.raises(ValueError, match=message):
             convert_factors(out, tmp_path / "nope")
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda m, outside: m["files"].__setitem__("core", str(outside)),
+            lambda m, outside: m["files"]["fibers"].__setitem__(1, f"../{outside.name}"),
+            lambda m, outside: m["files"]["intersections"].__setitem__(0, "fiber_0.tnsr"),
+            lambda m, outside: m["files"]["fibers"].pop(),
+            lambda m, outside: m["files"].__setitem__("reconstruction", "core.tnsr"),
+        ],
+        ids=["absolute", "dotdot", "renamed", "short", "extra"],
+    )
+    def test_a_manifest_naming_other_files_is_rejected(self, tmp_path, mutate):
+        # only the names compress writes are read: never a file outside in_dir
+        path, _ = make_tensor_file(tmp_path, (9, 9, 9), (2, 2, 2), 0.0, 9)
+        out = tmp_path / "cur"
+        compress(path, "fiber", (2, 2, 2), seed=1, out_dir=out)
+        outside = tmp_path / "outside.tnsr"
+        outside.write_bytes((out / "core.tnsr").read_bytes())
+        manifest_path = out / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        mutate(manifest, outside)
+        manifest_path.write_text(json.dumps(manifest))
+        message = f"^{re.escape(str(manifest_path))} is malformed: files "
+        with pytest.raises(ValueError, match=message):
+            convert_factors(out, tmp_path / "nope")
+        assert not (tmp_path / "nope").exists()
 
     @pytest.mark.parametrize(
         "key", ["files", "dims", "ranks", "row_indices", "fiber_indices",

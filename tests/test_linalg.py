@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tensorcur import multilinear_rank, numerical_rank, pinv, unfold
+from tensorcur import multilinear_rank, numerical_rank, unfold
 from tensorcur.linalg import rank_r_pinv_factors
 
 
@@ -17,41 +17,16 @@ def factored_pinv(m, r):
     return left @ right.T
 
 
-class TestPinv:
-    def test_identity(self):
-        assert np.allclose(pinv(np.eye(4)), np.eye(4))
-
-    def test_singular_diagonal(self):
-        got = pinv(np.diag([2.0, 0.0]))
-        assert np.allclose(got, np.diag([0.5, 0.0]))
-
-    def test_penrose_identities_across_rank_profiles(self):
-        rng = np.random.default_rng(4)
-        cases = [
-            rng.standard_normal((5, 5)),
-            rank_deficient(8, 5, 3, rng),
-            rank_deficient(5, 8, 2, rng),
-            np.zeros((3, 6)),
-        ]
-        for m in cases:
-            p = pinv(m)
-            scale = max(np.linalg.norm(m), 1.0)
-            assert np.linalg.norm(m @ p @ m - m) <= 1e-8 * scale
-            assert np.linalg.norm(p @ m @ p - p) <= 1e-8 * max(np.linalg.norm(p), 1.0)
-            assert np.linalg.norm((m @ p).T - m @ p) <= 1e-8
-            assert np.linalg.norm((p @ m).T - p @ m) <= 1e-8
-
-    def test_rank_deficient_reproduction(self):
-        rng = np.random.default_rng(5)
-        m = rank_deficient(8, 5, 3, rng)
-        assert np.linalg.norm(m @ pinv(m) @ m - m) <= 1e-9 * np.linalg.norm(m)
+def numpy_pinv(m):
+    """numpy's pseudoinverse at the package's cutoff, ``max(rows, cols) * eps * sigma_1``."""
+    return np.linalg.pinv(m, rcond=max(m.shape) * np.finfo(np.float64).eps)
 
 
 class TestFactoredRankRPinv:
     def test_full_rank_request_equals_pinv(self):
         rng = np.random.default_rng(6)
         m = rng.standard_normal((6, 4))
-        assert np.allclose(factored_pinv(m, 4), pinv(m), atol=1e-12)
+        assert np.allclose(factored_pinv(m, 4), numpy_pinv(m), atol=1e-12)
 
     def test_rank_zero_is_zero_matrix(self):
         m = np.ones((3, 5))
@@ -64,7 +39,7 @@ class TestFactoredRankRPinv:
         m = rng.standard_normal((10, 6))
         w, s, vt = np.linalg.svd(m, full_matrices=False)
         truncated = (w[:, :3] * s[:3]) @ vt[:3]
-        assert np.linalg.norm(factored_pinv(m, 3) - pinv(truncated)) < 1e-10
+        assert np.linalg.norm(factored_pinv(m, 3) - numpy_pinv(truncated)) < 1e-10
 
     def test_result_rank_at_most_r(self):
         rng = np.random.default_rng(8)
@@ -77,11 +52,17 @@ class TestFactoredRankRPinv:
         m = rank_deficient(8, 6, 2, rng)
         got = factored_pinv(m, 5)  # only 2 usable directions
         assert numerical_rank(got) == 2
-        assert np.allclose(got, pinv(m), atol=1e-10)
+        assert np.allclose(got, numpy_pinv(m), atol=1e-10)
 
     def test_negative_rank(self):
         with pytest.raises(ValueError):
             rank_r_pinv_factors(np.eye(2), -1)
+
+    @pytest.mark.parametrize("f", [lambda m: rank_r_pinv_factors(m, 1), numerical_rank],
+                             ids=["rank_r_pinv_factors", "numerical_rank"])
+    def test_a_non_matrix_is_rejected(self, f):
+        with pytest.raises(ValueError, match="^expected a matrix$"):
+            f(np.ones(3))
 
 
 def planted_singular_values(shape, ratio, noise, r=4, seed=0):
@@ -228,7 +209,7 @@ class TestFactoredPinvAgainstSvd:
         # at 1e200 the finite entries' squares overflow too
         m = scale * np.random.default_rng(4).standard_normal((5, 8))
         m[3, 6] = value
-        for f in (lambda x: rank_r_pinv_factors(x, 3), pinv, numerical_rank):
+        for f in (lambda x: rank_r_pinv_factors(x, 3), numerical_rank):
             with pytest.raises(ValueError, match="matrix has non-finite entries"):
                 f(m)
 

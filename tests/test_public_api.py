@@ -12,15 +12,14 @@ EXPORTS = [
     "coherence", "composite_index", "compress", "convert_factors", "cur_to_hosvd",
     "cur_with_indices", "evaluate_error_bounds", "fiber_cur", "fiber_sample_sizes",
     "frobenius_norm", "generate_synthetic", "hooi", "hosvd", "mode_product",
-    "multi_mode_product", "multilinear_rank", "numerical_rank", "pinv",
-    "projection_reconstruct", "read_tensor", "relative_error", "run_sweep",
-    "sample_without_replacement", "select_fibers", "st_hosvd", "tensor_coherence", "unfold",
-    "write_csv", "write_tensor",
+    "multi_mode_product", "multilinear_rank", "numerical_rank", "projection_reconstruct",
+    "read_tensor", "relative_error", "run_sweep", "sample_without_replacement", "select_fibers",
+    "st_hosvd", "tensor_coherence", "unfold", "write_csv", "write_tensor",
 ]
 
 
 def test_public_surface_is_pinned_and_every_export_resolves():
-    assert len(EXPORTS) == 41
+    assert len(EXPORTS) == 40
     assert sorted(tensorcur.__all__) == EXPORTS
     for info in pkgutil.iter_modules(tensorcur.__path__):
         module = importlib.import_module(f"tensorcur.{info.name}")

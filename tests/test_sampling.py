@@ -239,6 +239,17 @@ class TestSampleWithoutReplacement:
         with pytest.raises(ValueError):
             sample_without_replacement(4, 5, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("k, p, message", [
+        (0, None, "^sample size must be positive$"),
+        (2, [0.5, -0.1, 0.3, 0.3], "^probabilities must be finite and nonnegative$"),
+        (2, [0.5, np.nan, 0.3, 0.2], "^probabilities must be finite and nonnegative$"),
+        (2, [0.5, np.inf, 0.3, 0.2], "^probabilities must be finite and nonnegative$"),
+        (2, [0.5, 0.5], "^probabilities must have one entry per population element$"),
+    ], ids=["k=0", "negative", "nan", "inf", "short"])
+    def test_rejects_a_bad_size_or_probabilities(self, k, p, message):
+        with pytest.raises(ValueError, match=message):
+            sample_without_replacement(4, k, np.random.default_rng(0), p)
+
     def test_insufficient_positive_probability(self):
         with pytest.raises(ValueError):
             sample_without_replacement(
@@ -368,6 +379,8 @@ class TestSamplingPlan:
             SamplingPlan((2, 0, 2))
         with pytest.raises(ValueError):
             SamplingPlan((2, 2, 2), fiber_counts=(1, 1))
+        with pytest.raises(ValueError, match="^fiber sample sizes must be positive$"):
+            SamplingPlan((2, 2, 2), fiber_counts=(1, 0, 1))
 
     def test_rejects_a_negative_seed(self):
         with pytest.raises(ValueError, match="^seed -1 must be nonnegative$"):

@@ -79,6 +79,11 @@ class TestModeProduct:
         with pytest.raises(ValueError):
             mode_product(storage_order_cube(), np.zeros((2, 3)), 0)
 
+    @pytest.mark.parametrize("a", [np.ones(2), np.ones((1, 2, 2))], ids=["1-d", "3-d"])
+    def test_a_non_matrix_is_rejected(self, a):
+        with pytest.raises(ValueError, match="^mode_product expects a matrix$"):
+            mode_product(storage_order_cube(), a, 0)
+
 
 class TestMultiModeProduct:
     def test_all_identities(self):
@@ -173,6 +178,20 @@ class TestSubtensorAndFibers:
     def test_out_of_range_indices(self):
         with pytest.raises(ValueError):
             select_fibers(storage_order_cube(), 0, [4])
+
+    @pytest.mark.parametrize("cols", [[], [[0, 1]]], ids=["empty", "2-d"])
+    def test_an_index_set_that_is_not_a_nonempty_sequence_is_rejected(self, cols):
+        with pytest.raises(ValueError, match="^index set must be a nonempty 1-d sequence$"):
+            select_fibers(storage_order_cube(), 0, cols)
+
+    @pytest.mark.parametrize("sets, k, message", [
+        ([[0], [0], [0]], 3, r"^mode 3 out of range for dims \(2, 2, 2\)$"),
+        ([[0], [0], [0]], -1, r"^mode -1 out of range for dims \(2, 2, 2\)$"),
+        ([[0], [0]], 0, "^expected 3 index-set entries, got 2$"),
+    ])
+    def test_composite_index_rejects_a_bad_mode_or_entry_count(self, sets, k, message):
+        with pytest.raises(ValueError, match=message):
+            composite_index(sets, k, (2, 2, 2))
 
 
 @st.composite

@@ -288,6 +288,19 @@ def test_slab_reader_rejects_a_file_changed_between_passes(tmp_path):
         list(reader)
 
 
+def test_slab_reader_rejects_a_file_that_shrinks_during_a_pass(tmp_path, monkeypatch):
+    monkeypatch.setattr(tensor, "_STREAM_CHUNK_BYTES", 1)  # one slab a chunk
+    path = tmp_path / "t.tnsr"
+    # 12.8 kB slabs, beyond the file object's read-ahead, so the cut is seen
+    write_tensor(path, np.ones((40, 40, 4)))
+    chunks = iter(SlabReader(path))
+    assert next(chunks)[0] == 0
+    os.truncate(path, path.stat().st_size - 8)
+    message = f"^{re.escape(str(path))}: file truncated while reading$"
+    with pytest.raises(TensorFileError, match=message):
+        list(chunks)
+
+
 def test_a_rewrite_over_a_longer_file_is_a_fresh_write(tmp_path):
     small = np.random.default_rng(5).standard_normal((3, 4, 2))
     fresh, reused = tmp_path / "fresh.tnsr", tmp_path / "reused.tnsr"
