@@ -4,7 +4,9 @@ without-replacement draws.
 Determinism contract: every draw is a pure function of a
 ``numpy.random.Generator`` state.  A :class:`SamplingPlan` carries a single
 64-bit seed; building a decomposition from the same plan twice yields
-bit-identical results.  Uniform draws use a partial Fisher-Yates shuffle;
+bit-identical results.  Each index set takes its variates from one generator
+call, which draws what one call per index would.  Uniform draws use a
+partial Fisher-Yates shuffle;
 weighted draws are sequential without-replacement draws, renormalizing the
 remaining probabilities after each removal: one variate picks a block of
 about ``sqrt(n)`` weights from the cumulative block sums, then an entry from
@@ -171,14 +173,14 @@ def _normalized(sq: np.ndarray) -> np.ndarray:
 
 
 def _uniform_without_replacement(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
-    # partial Fisher-Yates over [0, n) with a sparse swap map; O(k) time/space
+    # partial Fisher-Yates over [0, n) with a sparse swap map; O(k) time/space.
+    # One call draws every j_i in [i, n), the variates k scalar calls would draw.
     swapped: dict[int, int] = {}
-    out = np.empty(k, dtype=np.intp)
-    for i in range(k):
-        j = int(rng.integers(i, n))
-        out[i] = swapped.get(j, j)
+    out = []
+    for i, j in enumerate(rng.integers(np.arange(k), n).tolist()):
+        out.append(swapped.get(j, j))
         swapped[j] = swapped.get(i, i)
-    return out
+    return np.array(out, dtype=np.intp)
 
 
 def _weighted_without_replacement(
@@ -198,9 +200,9 @@ def _weighted_without_replacement(
     p = blocks.reshape(-1)
     sums = blocks.sum(axis=1)
     out = np.empty(k, dtype=np.intp)
-    for i in range(k):
+    for i, u in enumerate(rng.random(k).tolist()):
         cum = sums.cumsum()
-        u = rng.random() * cum[-1]
+        u *= cum[-1]
         b = min(int(cum.searchsorted(u, side="right")), sums.size - 1)
         if b:
             u -= cum[b - 1]

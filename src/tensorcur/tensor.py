@@ -173,19 +173,45 @@ def gram(t, k: int) -> np.ndarray:
     return g
 
 
+# bytes of fibers taken at a time from the rows of the outermost mode's view
+_TAKE_BLOCK_BYTES = 1 << 18
+
+
+def _take_columns(m: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """``m[:, cols]`` of a C-contiguous matrix, F-ordered like every fiber
+    matrix: each row's entries are taken along the row, a block of rows of
+    at most ``_TAKE_BLOCK_BYTES`` at a time, and copied into the result."""
+    out = np.empty((cols.size, m.shape[0])).T
+    step = max(1, _TAKE_BLOCK_BYTES // (8 * cols.size))
+    for start in range(0, m.shape[0], step):
+        out[start : start + step] = np.take(m[start : start + step], cols, axis=1)
+    return out
+
+
 def select_fibers(t, k: int, cols) -> np.ndarray:
     """Columns ``cols`` of ``unfold(t, k)``; each column is a mode-k fiber.
 
-    Only the selected fibers are read: each column id is converted to its
-    multi-index over the remaining modes (first remaining index fastest) and
-    gathered from a ``moveaxis`` view of ``t``, so no unfolding is built.
-    The result equals ``unfold(t, k)[:, cols]`` bit for bit, with the same
-    memory layout, for any memory layout of ``t``.
+    Only the selected fibers are read, and no unfolding is built.  Memory
+    order decides how: the mode with the largest stride (mode 0 of a
+    C-contiguous ``t``, the last mode of an F-contiguous one) is read row by
+    row from the ``(d_k, rest)`` view whose rows are contiguous, each column
+    id converted to that view's column order.  Every other mode, and any
+    other layout, converts each column id to its multi-index over the
+    remaining modes (first remaining index fastest) and gathers it from a
+    ``moveaxis`` view of ``t``.  The result equals ``unfold(t, k)[:, cols]``
+    bit for bit, with the same memory layout, for any memory layout of ``t``.
     """
     t = _as_tensor(t)
     _check_mode(t, k)
     total = t.size // t.shape[k]
     cols = as_index_array(cols, total)
+    if t.ndim > 1 and k == 0 and t.flags.c_contiguous:
+        other = t.shape[1:]
+        ids = np.ravel_multi_index(np.unravel_index(cols, other, order="F"), other)
+        return _take_columns(t.reshape(t.shape[0], total), ids)
+    if t.ndim > 1 and k == t.ndim - 1 and t.flags.f_contiguous:
+        # t.T's rows list the other modes last index fastest, t's column order
+        return _take_columns(t.T.reshape(t.shape[k], total), cols)
     # a 1-mode tensor is its own single fiber
     view = np.moveaxis(t, k, 0) if t.ndim > 1 else t[:, None]
     return view[(slice(None),) + np.unravel_index(cols, view.shape[1:], order="F")]

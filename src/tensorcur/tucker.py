@@ -77,14 +77,16 @@ def hooi(t, ranks) -> HosvdDecomposition:
     t = _contiguous(t)
     ranks = check_ranks(ranks, t.shape)
     start = st_hosvd(t, ranks)
-    factors, core = list(start.factors), start.core
-    previous = frobenius_norm(core)
+    factors = list(start.factors)
+    previous = frobenius_norm(start.core)
     for _ in range(_HOOI_MAX_SWEEPS):
+        # core is t x_j W_j.T for every j < k, all updated, and each partial starts from it
+        core = t
         for k, r in enumerate(ranks):
-            partial = multi_mode_product(t, [None if j == k else w.T for j, w in enumerate(factors)])
+            later = [None if j <= k else w.T for j, w in enumerate(factors)]
+            partial = multi_mode_product(core, later)
             factors[k] = _leading_left_vectors(partial, k, r)[0]
-        # the last partial is t x_j W_j.T for every j < n-1, all updated
-        core = mode_product(partial, factors[-1].T, t.ndim - 1)
+            core = mode_product(core, factors[k].T, k)
         current = frobenius_norm(core)
         if abs(current - previous) <= _HOOI_TOL * max(current, np.finfo(np.float64).tiny):
             break

@@ -231,6 +231,32 @@ class TestDeterminismAndReconstruction:
             assert dec.reconstruct().flags.f_contiguous
 
 
+class TestEveryLayoutGathersTheSameBits:
+    """C-ordered, F-ordered and strided copies of one tensor give the same
+    core, fibers and intersections, in the same layout: the outermost mode
+    of a contiguous copy is taken along its rows, every other gather indexes."""
+
+    @pytest.mark.parametrize("variant", ["chidori", "fiber"])
+    @pytest.mark.parametrize("dims", [(9, 8), (1, 7), (7, 1), (6, 5, 4), (1, 1, 9), (7, 1, 9),
+                                      (9, 1, 1), (5, 4, 3, 6), (1, 4, 1, 3)])
+    def test_c_f_and_strided_copies_agree(self, variant, dims):
+        a = np.random.default_rng(17).standard_normal(dims)
+        strided = np.zeros(tuple(2 * d for d in dims))[(slice(None, None, 2),) * len(dims)]
+        strided[...] = a
+        t = tuple(min(d, 3) for d in dims)
+        s = tuple(min(a.size // d, 4) for d in dims) if variant == "fiber" else None
+        rows, cols = draw_indices(a, SamplingPlan(t, s, seed=18))
+        ranks = tuple(min(d, 2) for d in dims)
+        decs = [cur_with_indices(x, rows, ranks, cols)
+                for x in (strided, np.ascontiguousarray(a), np.asfortranarray(a))]
+        for dec in decs[1:]:
+            for got, want in zip([dec.core, *dec.fibers, *dec.intersections],
+                                 [decs[0].core, *decs[0].fibers, *decs[0].intersections],
+                                 strict=True):
+                assert got.shape == want.shape and got.strides == want.strides
+                assert got.tobytes(order="A") == want.tobytes(order="A")
+
+
 class TestConversion:
     def test_exact_instance_round_trip(self):
         t, dec = exact_chidori((13, 11, 12), (2, 2, 2), tensor_seed=16)

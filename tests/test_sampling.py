@@ -36,6 +36,17 @@ def sequential_cumsum_draw(probabilities, k, rng):
     return out
 
 
+def scalar_fisher_yates(n, k, rng):
+    """Reference uniform draw: one scalar ``integers`` call per index."""
+    swapped = {}
+    out = np.empty(k, dtype=np.intp)
+    for i in range(k):
+        j = int(rng.integers(i, n))
+        out[i] = swapped.get(j, j)
+        swapped[j] = swapped.get(i, i)
+    return out
+
+
 def skewed_weights(n, zero_frac, seed):
     """Heavy-tailed nonnegative weights with exact zeros and at least one
     positive entry."""
@@ -289,6 +300,34 @@ class TestSampleWithoutReplacement:
         assert np.array_equal(a, b)
         if weighted:
             assert np.all(p[a] > 0)
+
+
+class TestOneGeneratorCallPerIndexSet:
+    """An index set's one generator call draws the variates of one scalar
+    call per index and leaves the generator where those calls leave it, so
+    every later draw of a plan is unchanged too."""
+
+    @pytest.mark.parametrize("n, k", [(5, 1), (5, 5), (300, 1), (300, 29), (300, 300),
+                                      (90000, 115), (2**32, 1), (2**32 + 7, 40), (2**40, 17)])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_uniform_matches_scalar_calls(self, n, k, seed):
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = sample_without_replacement(n, k, got_rng)
+        want = np.sort(scalar_fisher_yates(n, k, want_rng))
+        assert got.tolist() == want.tolist()
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+        assert got_rng.integers(0, n) == want_rng.integers(0, n)
+
+    @pytest.mark.parametrize("n, k", [(5, 1), (5, 5), (300, 1), (300, 29), (300, 300)])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_weighted_matches_scalar_calls(self, n, k, seed):
+        p = skewed_weights(n, 0.0, seed)
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = sample_without_replacement(n, k, got_rng, p)
+        want = np.sort(sequential_cumsum_draw(p, k, want_rng))
+        assert got.tolist() == want.tolist()
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+        assert got_rng.random() == want_rng.random()
 
 
 class TestLengthPlansArePinned:

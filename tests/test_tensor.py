@@ -225,6 +225,32 @@ class TestSelectFibersGather:
         assert got.shape == ref.shape and got.strides == ref.strides
 
 
+class TestOutermostModeGather:
+    """The mode with the largest stride is taken along its rows in blocks,
+    so the gather holds its output and one block, never a second copy."""
+
+    @pytest.mark.parametrize("layout", ["C", "F"])
+    @pytest.mark.parametrize("kind", ["chidori", "every other"])
+    def test_peak_memory_is_the_output_and_one_block(self, layout, kind):
+        t = tensor_with_layout((60, 60, 60), layout, seed=60)
+        k = 0 if layout == "C" else 2
+        if kind == "chidori":
+            rng = np.random.default_rng(61)
+            sets = [np.sort(rng.choice(60, size=21, replace=False)) for _ in range(3)]
+            cols = composite_index(sets, k, t.shape)
+        else:  # an output wider than the slack, so a whole temporary would not fit
+            cols = np.arange(0, 3600, 2)
+        tracemalloc.start()
+        try:
+            got = select_fibers(t, k, cols)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= got.nbytes + (512 << 10)
+        ref = unfold(t, k)[:, cols]
+        assert got.strides == ref.strides and got.tobytes() == ref.tobytes()
+
+
 @st.composite
 def composite_cases(draw):
     """A 1- to 4-mode tensor in some memory layout, a mode, and one nonempty

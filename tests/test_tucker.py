@@ -290,11 +290,12 @@ class TestStridedInputIsCopiedOnce:
             np.testing.assert_array_equal(a, b)
 
 
-@pytest.mark.parametrize("max_sweeps, tol, full_size", [(1, 1e-8, 4), (3, 0.0, 10)])
+@pytest.mark.parametrize("max_sweeps, tol, full_size", [(1, 1e-8, 3), (3, 0.0, 7)])
 def test_hooi_reuses_the_cores_it_has(monkeypatch, max_sweeps, tol, full_size):
-    # st_hosvd's core starts the iteration and each sweep's last partial
-    # finishes its core, so only st_hosvd's first product and each factor
-    # update multiply the full tensor
+    # each sweep keeps one running product t x_j W_j.T over the modes updated
+    # so far, forms every partial from it and finishes its core with it, so
+    # only st_hosvd's first product and, per sweep, the first partial and the
+    # first update of the running product multiply the full tensor
     t = np.random.default_rng(6).standard_normal((10, 9, 8))
     operands = []
 
