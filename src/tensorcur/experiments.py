@@ -287,8 +287,8 @@ def compress(
     in chunks of last-mode slabs.  Its first pass checks that every chunk is
     finite and gives ``||x||_F``.  A CUR method never holds the input whole:
     its indices are drawn from the dims alone and that pass gathers the core
-    and fibers.  A Tucker method needs every entry and fills one F-ordered
-    array from that pass.  The SNR compares the input against the method's
+    and fibers.  A Tucker method needs every entry and reads that pass whole,
+    as ``read_tensor`` does.  The SNR compares the input against the method's
     reconstruction; an exact reconstruction is reported as ``snr_db=None``
     (the "exact" sentinel).  The reconstruction is never held whole either:
     it is streamed from the Tucker form by :func:`~tensorcur.tensor.residual`,
@@ -319,9 +319,7 @@ def compress(
         if path.exists() and path.samefile(input_path):
             raise ValueError(f"{path} is the input; compress would overwrite it")
     if method not in CUR_METHODS:  # Tucker needs every entry: one array from the checked pass
-        x = np.empty(reader.shape, order="F")
-        for start, chunk in reader:
-            x[..., start : start + chunk.shape[-1]] = chunk
+        x = reader.read()
     dec, runtime, extract, rank_ok, _ = _decompose(
         method, x, ranks, [int(seed)], row_samples, fiber_samples
     )
@@ -357,9 +355,9 @@ def convert_factors(in_dir, out_dir):
     JSON, lacks a key, holds a value of the wrong JSON type (``dims``,
     ``ranks`` and each index set must be lists of integers) or names other
     files than the factor files :func:`compress` writes is rejected as such,
-    a factor file holding a non-finite value is rejected by name (its
-    Frobenius norm is then NaN or inf; a finite one whose sum of squares
-    overflows is retaken in units of ``max|a|``), and so is one whose shape
+    a factor file holding a non-finite value is rejected by name by its
+    checked :func:`~tensorcur.tensorfile.read_tensor` pass (a finite one whose
+    sum of squares overflows is read), and so is one whose shape
     differs from the one its manifest's index sets give it
     (core ``|I_0| x ... x |I_{n-1}|``, fiber ``d_i x |J_i|``, intersection
     ``|I_i| x |J_i|``).  An ``out_dir`` that is ``in_dir`` is rejected too,
@@ -374,13 +372,6 @@ def convert_factors(in_dir, out_dir):
         raise ValueError(f"no {_MANIFEST_NAME} in {in_dir}")
     if out_dir.exists() and out_dir.samefile(in_dir):
         raise ValueError(f"out_dir {out_dir} is in_dir; convert would replace the CUR factors")
-
-    def read_finite(name):
-        path = in_dir / name
-        a = read_tensor(path)
-        if not math.isfinite(frobenius_norm(a)):
-            raise ValueError(f"{path} holds non-finite values")
-        return a
 
     def ints(value):
         # a JSON list of integers, or a wrong JSON type (bool is an int to Python, not to JSON)
@@ -409,7 +400,7 @@ def convert_factors(in_dir, out_dir):
         cols = tuple(
             as_index_array(ints(idx), math.prod(dims) // d) for idx, d in zip(fiber_sets, dims)
         )
-        arrays = [read_finite(name) for name in names]
+        arrays = [read_tensor(in_dir / name) for name in names]
     except KeyError as exc:
         raise ValueError(f"{_MANIFEST_NAME} lacks the key {exc.args[0]!r}") from None
     # not JSON, not UTF-8, a wrong JSON type, or an integer beyond int64

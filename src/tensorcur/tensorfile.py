@@ -12,9 +12,10 @@ Layout (all integers little-endian):
 
 float32 payloads are widened to float64 on load; float64 round trips are
 bit-exact.  The last-mode slabs follow one another in the payload, so
-:class:`SlabWriter` and :class:`SlabReader` write and read a tensor in
-chunks of them without holding it whole; the reader's first pass also
-checks that every value is finite and measures ``||x||_F``.
+:class:`SlabWriter` and :class:`SlabReader`, the only writer and reader,
+write and read a tensor in chunks of them (:func:`write_tensor` is one
+chunk, :func:`read_tensor` one whole-file pass); the reader's first pass
+checks that every value is finite, naming a bad file, and measures ``||x||_F``.
 
 Writing replaces a regular file at the path that the writer may write: it
 is unlinked and a new file created, not truncated, because ext4 (default
@@ -161,12 +162,9 @@ def _read_header(fh, path) -> tuple[tuple[int, ...], np.dtype]:
 
 
 def read_tensor(path) -> np.ndarray:
-    """Load a tensor written by :func:`write_tensor` as float64; a malformed
-    file raises :class:`TensorFileError` naming the file."""
-    with open(path, "rb") as fh:
-        shape, dtype = _read_header(fh, path)
-        payload = np.fromfile(fh, dtype=dtype, count=math.prod(shape))
-    return payload.astype(np.float64, copy=False).reshape(shape, order="F")
+    """Load a tensor written by :func:`write_tensor` as float64 in one whole-file
+    :class:`SlabReader` pass, which rejects a malformed or non-finite file by name."""
+    return SlabReader(path).read()
 
 
 class SlabReader:
@@ -177,9 +175,9 @@ class SlabReader:
     the file once and yields ``(start, chunk)``: ``chunk`` is the float64
     ``shape[:-1] + (m,)`` tensor of slabs ``start`` to ``start + m - 1``, an
     F-ordered view of one buffer of at most ``tensor._STREAM_CHUNK_BYTES``
-    that the next chunk overwrites.  The payload is first index fastest, so
-    each chunk is one contiguous read; a float32 payload is widened one chunk
-    at a time.
+    that the next chunk overwrites, or for :meth:`read` of the array it returns.
+    The payload is first index fastest, so each chunk is one contiguous read;
+    a float32 payload is widened one chunk at a time.
 
     Until a pass reaches the last chunk, each chunk is checked before it is
     yielded (a non-finite value raises ``ValueError``: ``<path> holds
@@ -193,22 +191,32 @@ class SlabReader:
         with open(path, "rb") as fh:
             self.shape, self._dtype = _read_header(fh, path)
 
-    def __iter__(self):
+    def read(self) -> np.ndarray:
+        """The whole tensor, F-ordered: a pass that reads each chunk into its place."""
+        whole = np.empty(math.prod(self.shape))
+        for _ in self.__iter__(whole):
+            pass
+        return whole.reshape(self.shape, order="F")
+
+    def __iter__(self, whole=None):
+        """A pass whose chunks fill one reused buffer, or their places in ``whole``."""
         with open(self.path, "rb") as fh:
             if _read_header(fh, self.path) != (self.shape, self._dtype):
                 raise TensorFileError(f"{os.fspath(self.path)}: header changed while reading")
             slab = math.prod(self.shape[:-1])
-            step = _slab_step(self.shape)
-            buf = np.empty(step * slab)
-            raw = buf if self._dtype == buf.dtype else np.empty(step * slab, self._dtype)
+            step = min(_slab_step(self.shape), self.shape[-1])  # buffers no larger than the file
+            buf = np.empty(step * slab) if whole is None else whole
+            raw = None if self._dtype == buf.dtype else np.empty(step * slab, self._dtype)
             norms = []
             for start in range(0, self.shape[-1], step):
                 m = min(step, self.shape[-1] - start)
-                if fh.readinto(raw[: m * slab]) != m * slab * raw.itemsize:
+                dst = buf[: m * slab] if whole is None else whole[start * slab : (start + m) * slab]
+                src = dst if raw is None else raw[: m * slab]
+                if fh.readinto(src) != src.nbytes:
                     raise TensorFileError(f"{os.fspath(self.path)}: file truncated while reading")
-                if raw is not buf:
-                    buf[: m * slab] = raw[: m * slab]
-                chunk = buf[: m * slab].reshape(self.shape[:-1] + (m,), order="F")
+                if raw is not None:
+                    dst[:] = src
+                chunk = dst.reshape(self.shape[:-1] + (m,), order="F")
                 if self.norm is None:
                     norms.append(frobenius_norm(chunk))
                     if not math.isfinite(norms[-1]):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import re
 import tracemalloc
 
@@ -16,6 +17,7 @@ from tensorcur import (
     frobenius_norm,
     fiber_sample_sizes,
     generate_synthetic,
+    hooi,
     hosvd,
     multilinear_rank,
     read_tensor,
@@ -512,6 +514,31 @@ class TestStreamedReconstruction:
         ]:
             write_tensor(ref, array)
             assert (out / f"{name}.tnsr").read_bytes() == ref.read_bytes()
+
+    @pytest.mark.parametrize("method,decompose", [("hosvd", hosvd), ("st-hosvd", st_hosvd),
+                                                  ("hooi", hooi)])
+    def test_tucker_input_of_many_chunks(self, tmp_path, monkeypatch, method, decompose):
+        path, _ = make_tensor_file(tmp_path, (12, 10, 8), (2, 3, 2), 1e-3, 16)
+        runs = []
+        for chunk_bytes in (tensor._STREAM_CHUNK_BYTES, 1):  # one chunk, then one slab a chunk
+            monkeypatch.setattr(tensor, "_STREAM_CHUNK_BYTES", chunk_bytes)
+            out = tmp_path / f"out{chunk_bytes}"
+            result = compress(path, method, (2, 3, 2), out_dir=out, write_reconstruction=True)
+            runs.append((result.snr_db, {f.name: f.read_bytes() for f in out.iterdir()}))
+        assert runs[0][1] == runs[1][1]
+
+        x = read_tensor(path)
+        dec = decompose(x, (2, 3, 2))
+        ref = tmp_path / "ref"
+        ref.mkdir()
+        write_tensor(ref / "core.tnsr", dec.core)
+        for i, w in enumerate(dec.factors):
+            write_tensor(ref / f"factor_{i}.tnsr", w)
+        with SlabWriter(ref / "reconstruction.tnsr", x.shape) as writer:
+            res = residual(x, *dec.tucker_form(), writer)
+        for f in ref.iterdir():
+            assert runs[1][1][f.name] == f.read_bytes(), f.name
+        assert runs[0][0] == runs[1][0] == 20 * math.log10(frobenius_norm(x) / res)
 
     def test_peak_memory_is_the_input_plus_one_chunk(self, tmp_path, monkeypatch):
         path, x = make_tensor_file(tmp_path, (128, 128, 32), (4, 4, 4), 1e-3, 17)

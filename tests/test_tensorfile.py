@@ -160,13 +160,53 @@ def _traced_peak(fn):
         tracemalloc.stop()
 
 
-def test_read_allocates_only_the_output(tmp_path):
+# a float32 payload is widened a chunk at a time: a file of one chunk stages
+# its whole float32 payload (half the output again), 64 kB chunks next to none
+@pytest.mark.parametrize("dtype,chunk_bytes,bound", [("float64", 1 << 22, 1.2),
+                                                     ("float32", 1 << 22, 1.6),
+                                                     ("float32", 1 << 16, 1.2)])
+def test_read_allocates_only_the_output(tmp_path, monkeypatch, dtype, chunk_bytes, bound):
+    monkeypatch.setattr(tensor, "_STREAM_CHUNK_BYTES", chunk_bytes)
     t = np.random.default_rng(2).standard_normal((64, 64, 64))
     path = tmp_path / "big.tnsr"
-    write_tensor(path, t)
+    write_tensor(path, t, dtype=dtype)
     peak = _traced_peak(lambda: read_tensor(path))
-    assert peak < 1.2 * t.nbytes
+    assert peak < bound * t.nbytes
+    assert np.array_equal(read_tensor(path), t.astype(dtype).astype(np.float64))
+
+
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_read_rejects_non_finite_values_by_name(tmp_path, dtype, bad):
+    t = np.ones((4, 3, 5))
+    t[2, 1, 3] = bad
+    path = tmp_path / "t.tnsr"
+    write_tensor(path, t, dtype=dtype)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))} holds non-finite values$"):
+        read_tensor(path)
+
+
+def test_read_takes_a_finite_file_whose_squares_overflow(tmp_path):
+    t = 1e200 * np.random.default_rng(6).standard_normal((5, 4, 3))
+    path = tmp_path / "t.tnsr"
+    write_tensor(path, t)
     assert np.array_equal(read_tensor(path), t)
+
+
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+@pytest.mark.parametrize("chunk_bytes", [1, 200, 1 << 30])  # one slab, some, all
+def test_the_whole_read_is_the_iterated_pass(tmp_path, monkeypatch, dtype, chunk_bytes):
+    monkeypatch.setattr(tensor, "_STREAM_CHUNK_BYTES", chunk_bytes)
+    path = tmp_path / "t.tnsr"
+    write_tensor(path, np.random.default_rng(7).standard_normal((4, 3, 11)), dtype=dtype)
+    iterated = SlabReader(path)
+    chunks = [chunk.copy() for _, chunk in iterated]  # the pass refills one buffer
+    reader = SlabReader(path)
+    whole = reader.read()
+    assert whole.dtype == np.float64 and whole.flags.f_contiguous and whole.shape == (4, 3, 11)
+    assert whole.tobytes(order="F") == np.concatenate(chunks, axis=-1).tobytes(order="F")
+    assert reader.norm == iterated.norm  # the same chunk norms, in the same order
+    assert np.array_equal(reader.read(), whole)  # a later read checks only the header
 
 
 def test_write_of_fortran_ordered_input_is_not_copied(tmp_path):
@@ -299,6 +339,19 @@ def test_slab_reader_rejects_a_file_that_shrinks_during_a_pass(tmp_path, monkeyp
     message = f"^{re.escape(str(path))}: file truncated while reading$"
     with pytest.raises(TensorFileError, match=message):
         list(chunks)
+
+
+def test_read_tensor_rejects_a_file_that_shrinks_while_it_reads(tmp_path, monkeypatch):
+    monkeypatch.setattr(tensor, "_STREAM_CHUNK_BYTES", 1)  # one slab a chunk
+    path = tmp_path / "t.tnsr"
+    write_tensor(path, np.ones((40, 40, 4)))
+    size = path.stat().st_size
+    # the first chunk's check cuts the file short before the second is read
+    monkeypatch.setattr(tensorfile, "frobenius_norm",
+                        lambda t: os.truncate(path, size - 8) or frobenius_norm(t))
+    message = f"^{re.escape(str(path))}: file truncated while reading$"
+    with pytest.raises(TensorFileError, match=message):
+        read_tensor(path)
 
 
 def test_a_rewrite_over_a_longer_file_is_a_fresh_write(tmp_path):
