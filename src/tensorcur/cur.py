@@ -31,6 +31,7 @@ from .sampling import SamplingPlan, mode_length_distributions, sample_without_re
 from .tensor import (
     _is_slab_source,
     _source_slabs,
+    _take_columns,
     as_index_array,
     check_ranks,
     composite_index,
@@ -134,9 +135,14 @@ def _gather(chunks, dims, rows, cols) -> tuple[np.ndarray, tuple[np.ndarray, ...
     those pieces are: the core F (C if that is F-contiguous too), a fiber
     matrix the transpose of C.  The last-mode index is the slowest digit of
     a column of ``unfold(A, i)`` for ``i < n-1``, so each chunk holds a run
-    of the sorted ``J_i``.  The last mode's fibers take one row per slab,
-    read from the chunk's ``(m, prod(d_<n-1))`` view into a C buffer that is
-    transposed once at the end.
+    of the sorted ``J_i``.  No fiber-sized temporary is made: mode 0's run is
+    taken from the rows of the chunk's transposed mode-0 unfolding (its
+    fibers, contiguous in an F chunk) straight into the fiber matrix's rows;
+    mode ``n-2``'s slab by slab along the rows of each slab's ``(d_{n-2},
+    prod(d_<n-2))`` C view; any other mode's through :func:`select_fibers`.
+    The last mode's fibers take one row per slab, read from the chunk's
+    ``(m, prod(d_<n-1))`` view into a C buffer that is transposed once at
+    the end.
     """
     n = len(dims)
     core = None
@@ -156,10 +162,22 @@ def _gather(chunks, dims, rows, cols) -> tuple[np.ndarray, tuple[np.ndarray, ...
             core[..., lo:hi] = chunk[np.ix_(*rows[:-1], rows[-1][lo:hi] - start)]
         for i, out in enumerate(fibers):
             w = math.prod(dims[:-1]) // dims[i]  # columns of unfold(A, i) per last-mode index
-            lo, hi = np.searchsorted(cols[i], (start * w, stop * w))
-            if lo < hi:
+            bounds = np.searchsorted(cols[i], w * np.arange(start, stop + 1))
+            lo, hi = bounds[0], bounds[-1]
+            if lo == hi:
+                continue
+            if i == 0:
+                # the indices are checked, so "clip" only spares take a buffered copy
+                fibers_of = chunk.reshape(dims[0], -1, order="F").T
+                np.take(fibers_of, cols[0][lo:hi] - start * w, axis=0, out=out.T[lo:hi],
+                        mode="clip")
+            elif i == n - 2:
+                for slab, a, b in zip(range(start, stop), bounds[:-1], bounds[1:]):
+                    if a < b:
+                        view = chunk[..., slab - start].T.reshape(dims[i], w)
+                        _take_columns(view, cols[i][a:b] - slab * w, out[:, a:b])
+            else:
                 out[:, lo:hi] = select_fibers(chunk, i, cols[i][lo:hi] - start * w)
-        # the indices are checked, so "clip" only spares take a buffered copy
         slabs = chunk.reshape(-1, stop - start, order="F").T
         np.take(slabs, cols[-1], axis=1, out=last[start:stop], mode="clip")
     return core, (*fibers, last.copy(order="F"))

@@ -177,11 +177,12 @@ def gram(t, k: int) -> np.ndarray:
 _TAKE_BLOCK_BYTES = 1 << 18
 
 
-def _take_columns(m: np.ndarray, cols: np.ndarray) -> np.ndarray:
+def _take_columns(m: np.ndarray, cols: np.ndarray, out=None) -> np.ndarray:
     """``m[:, cols]`` of a C-contiguous matrix, F-ordered like every fiber
-    matrix: each row's entries are taken along the row, a block of rows of
-    at most ``_TAKE_BLOCK_BYTES`` at a time, and copied into the result."""
-    out = np.empty((cols.size, m.shape[0])).T
+    matrix (or into ``out``): each row's entries are taken along the row, a
+    block of rows of at most ``_TAKE_BLOCK_BYTES`` at a time, and copied into
+    the result."""
+    out = np.empty((cols.size, m.shape[0])).T if out is None else out
     step = max(1, _TAKE_BLOCK_BYTES // (8 * cols.size))
     for start in range(0, m.shape[0], step):
         out[start : start + step] = np.take(m[start : start + step], cols, axis=1)
@@ -321,30 +322,39 @@ def residual(x, core, factors, writer=None) -> float:
     """``frobenius_norm(x - multi_mode_product(core, factors))``, streamed.
 
     ``x`` is a tensor or a source of its last-mode slabs, read once.  The
-    head ``core x_0 F_0 ... x_{n-2} F_{n-2}`` is formed once as a matrix
-    ``H``.  Each chunk of last-mode slabs is ``H @ F_{n-1}[l]`` slab by slab
-    (so its bytes do not depend on the chunk size), passed to ``writer.write``
-    if given and differenced from ``x`` by :func:`_difference_norm`, which
-    ``relative_error`` shares.  Without a writer a C-contiguous tensor is read
-    as ``x.T`` against the reversed form, so its chunks are contiguous.  A
-    source whose chunks do not tile the last mode in order raises ``ValueError``.
+    inner core ``g = core x_1 F_1 ... x_{n-2} F_{n-2}``, ``k_0 x d_1 x ... x
+    d_{n-2} x k_{n-1}``, is formed once (a vector is read as a ``1 x d``
+    tensor).  Last-mode slab ``l`` is ``F_0 @ S_l``, where ``S_l = g x_{n-1}
+    F_{n-1}[l]`` is ``k_0 x prod(d_1 ... d_{n-2})``: stacked products take
+    ``S_l`` and then ``S_l.T @ F_0.T``, one small GEMM into the slab's F
+    order, slab by slab, so a chunk's bytes do not depend on the chunk size.
+    Each chunk is passed to ``writer.write`` if given and differenced from
+    ``x`` by :func:`_difference_norm`, which ``relative_error`` shares.
+    Without a writer a C-contiguous tensor is read as ``x.T`` against the
+    reversed form, so its chunks are contiguous.  A source whose chunks do
+    not tile the last mode in order raises ``ValueError``.
     """
     source = _is_slab_source(x)
     x = x if source else _as_tensor(x)
-    if tuple(len(f) for f in factors) != tuple(x.shape):
+    core = _as_tensor(core)
+    if core.ndim != len(factors) or tuple(len(f) for f in factors) != tuple(x.shape):
         raise ValueError(f"the Tucker form does not have the tensor's dims {tuple(x.shape)}")
     if not source and writer is None and x.flags.c_contiguous:
-        x, core, factors = x.T, np.transpose(core), factors[::-1]
+        x, core, factors = x.T, core.T, factors[::-1]
     shape = tuple(x.shape)
-    head = multi_mode_product(core, [*factors[:-1], None])
-    h = head.reshape(math.prod(shape[:-1]), head.shape[-1], order="F")
-    # a reversed-column view would send the batched product down numpy's non-BLAS loop
-    last = np.ascontiguousarray(factors[-1], dtype=np.float64)
+    if core.ndim == 1:
+        core, factors = core[None], [np.ones((1, 1)), *factors]
+    g = multi_mode_product(core, [None, *factors[1:-1], None])
+    k, inner = g.shape[0], math.prod(g.shape[1:-1])
+    g = g.reshape(k * inner, g.shape[-1], order="F")
+    # a reversed-column view would send the batched products down numpy's non-BLAS loop
+    first, last = (np.ascontiguousarray(f, dtype=np.float64) for f in (factors[0], factors[-1]))
 
     def reconstruct(start, m):
-        # (m, prod(d_<n-1), 1): slab by slab, each slab first index fastest
-        slabs = np.matmul(h, last[start : start + m, :, None])
-        chunk = slabs[:, :, 0].T.reshape(shape[:-1] + (m,), order="F")
+        # row l of the (m, inner, k_0) stack is S_l.T; row l of the product is
+        # slab l, first index fastest
+        s = np.matmul(g, last[start : start + m, :, None]).reshape(m, inner, k)
+        chunk = np.matmul(s, first.T).T.reshape(shape[:-1] + (m,), order="F")
         if writer is not None:
             writer.write(chunk)
         return chunk

@@ -40,47 +40,47 @@ from tensorcur.tensorfile import SlabWriter
 FORCED_RESAMPLE_SWEEP = """\
 method,d,r,sigma,trial,seed,rel_err,rank_ok,resamples
 fiber,15,3,0,0,11,3.143660411485e+00,0,10
-chidori,15,3,0,0,11,7.009587362726e-13,1,0
-hosvd,15,3,0,0,11,1.052110370143e-15,1,0
+chidori,15,3,0,0,11,7.009196009928e-13,1,0
+hosvd,15,3,0,0,11,1.079347548190e-15,1,0
 fiber,15,3,0,1,12,8.219305912826e-01,0,10
-chidori,15,3,0,1,12,7.495663581421e-16,1,0
-hosvd,15,3,0,1,12,9.475817970701e-16,1,0
+chidori,15,3,0,1,12,7.448983406860e-16,1,0
+hosvd,15,3,0,1,12,9.574603644636e-16,1,0
 fiber,15,3,0,2,13,1.699546544899e+00,0,10
-chidori,15,3,0,2,13,9.702904145461e-16,1,0
-hosvd,15,3,0,2,13,1.135529187086e-15,1,0
+chidori,15,3,0,2,13,9.719861430878e-16,1,0
+hosvd,15,3,0,2,13,1.147683194466e-15,1,0
 fiber,15,3,0,3,14,1.379093707349e+00,0,10
-chidori,15,3,0,3,14,1.263288183884e-15,1,0
-hosvd,15,3,0,3,14,1.219963073941e-15,1,0
+chidori,15,3,0,3,14,1.254436091516e-15,1,0
+hosvd,15,3,0,3,14,1.247966819890e-15,1,0
 fiber,15,3,0.001,0,11,3.143328712322e+00,0,10
 chidori,15,3,0.001,0,11,1.594024849219e+00,1,0
-hosvd,15,3,0.001,0,11,4.998265969358e-05,1,0
+hosvd,15,3,0.001,0,11,4.998265969356e-05,1,0
 fiber,15,3,0.001,1,12,8.225084152633e-01,0,10
 chidori,15,3,0.001,1,12,1.191320672450e-03,1,0
-hosvd,15,3,0.001,1,12,6.501166940142e-05,1,0
+hosvd,15,3,0.001,1,12,6.501166940143e-05,1,0
 fiber,15,3,0.001,2,13,1.700420365047e+00,0,10
 chidori,15,3,0.001,2,13,5.742940644191e-04,1,0
-hosvd,15,3,0.001,2,13,3.904217526622e-05,1,0
+hosvd,15,3,0.001,2,13,3.904217526621e-05,1,0
 fiber,15,3,0.001,3,14,1.382002786073e+00,0,10
 chidori,15,3,0.001,3,14,3.192613544067e-03,1,0
 hosvd,15,3,0.001,3,14,3.983716012527e-05,1,0
 fiber,25,3,0,0,11,8.732292197007e-01,0,10
-chidori,25,3,0,0,11,9.602039277839e-16,1,0
-hosvd,25,3,0,0,11,9.855599934642e-16,1,0
+chidori,25,3,0,0,11,9.606002545512e-16,1,0
+hosvd,25,3,0,0,11,9.966526547470e-16,1,0
 fiber,25,3,0,1,12,1.488780810953e+00,0,10
-chidori,25,3,0,1,12,8.206297774447e-16,1,0
-hosvd,25,3,0,1,12,1.037272196987e-15,1,0
+chidori,25,3,0,1,12,8.058404813426e-16,1,0
+hosvd,25,3,0,1,12,1.036103744112e-15,1,0
 fiber,25,3,0,2,13,9.421482343889e+00,0,10
-chidori,25,3,0,2,13,1.390151286500e-15,1,0
-hosvd,25,3,0,2,13,1.152072446470e-15,1,0
+chidori,25,3,0,2,13,1.374549869357e-15,1,0
+hosvd,25,3,0,2,13,1.173287126621e-15,1,0
 fiber,25,3,0,3,14,1.653688026056e+00,0,10
-chidori,25,3,0,3,14,1.742608554656e-15,1,0
-hosvd,25,3,0,3,14,9.695142726464e-16,1,0
+chidori,25,3,0,3,14,1.752428217785e-15,1,0
+hosvd,25,3,0,3,14,9.876322452542e-16,1,0
 fiber,25,3,0.001,0,11,8.716085869561e-01,0,10
 chidori,25,3,0.001,0,11,4.025875979197e-03,1,0
 hosvd,25,3,0.001,0,11,3.852099688639e-05,1,0
 fiber,25,3,0.001,1,12,1.489624453665e+00,0,10
 chidori,25,3,0.001,1,12,9.555460743969e-04,1,0
-hosvd,25,3,0.001,1,12,3.368036065261e-05,1,0
+hosvd,25,3,0.001,1,12,3.368036065262e-05,1,0
 fiber,25,3,0.001,2,13,9.437858667521e+00,0,10
 chidori,25,3,0.001,2,13,2.416160134828e-03,1,0
 hosvd,25,3,0.001,2,13,1.640158787790e-05,1,0

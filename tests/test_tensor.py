@@ -15,8 +15,9 @@ from tensorcur import (
     unfold,
 )
 
-from tensorcur import tensor
+from tensorcur import tensor, write_tensor
 from tensorcur.tensor import check_ranks, gram, residual
+from tensorcur.tensorfile import SlabReader
 
 from conftest import random_low_rank, tensor_with_layout
 
@@ -468,6 +469,50 @@ class TestResidual:
             tracemalloc.stop()
         # the 64 x 64 x 4 head (and its F-ordered copy) is 1/16 of the input
         assert peak < 0.25 * x.nbytes
+
+    @pytest.mark.parametrize("source", [False, True])
+    def test_no_head_of_the_first_modes_is_held(self, tmp_path, monkeypatch, source):
+        # a 256 x 256 x 2 head of modes 0 and 1 is 1 MiB, twice a slab; the
+        # inner core is 32 KiB
+        monkeypatch.setattr(tensor, "_STREAM_CHUNK_BYTES", 1)
+        dims = (256, 256, 8)
+        x = tensor_with_layout(dims, "F", seed=71)
+        core, factors = tucker_form(dims, (8, 8, 2), 72)
+        if source:
+            write_tensor(tmp_path / "x.tnsr", x)
+            x = SlabReader(tmp_path / "x.tnsr")
+        slab = 8 * 256 * 256
+        tracemalloc.start()
+        try:
+            residual(x, core, factors)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # measured: 0.55 MiB in memory, 1.05 MiB from a file (a reconstructed
+        # slab, and the reader's); with the head, 2.5 and 3.0 MiB
+        assert peak < (1 + source) * slab + (1 << 18)
+
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    @pytest.mark.parametrize("dims", [(7, 6, 5), (6, 5, 4, 3)])
+    @pytest.mark.parametrize("zero", ["first", "middle", "last"])
+    def test_a_zero_width_factor_reconstructs_zeros(self, layout, dims, zero):
+        # cur_to_hosvd's zero maps: the GEMMs' inner dimension k_0, or the inner
+        # core's extent, is 0
+        k = {"first": 0, "middle": len(dims) // 2, "last": len(dims) - 1}[zero]
+        ks = tuple(0 if i == k else 2 for i in range(len(dims)))
+        x = tensor_with_layout(dims, layout, seed=73)
+        core, factors = tucker_form(dims, ks, 74)
+
+        class Collect(list):
+            def write(self, chunk):
+                self.append(chunk.copy())
+
+        chunks = Collect()
+        for writer in (None, chunks):
+            assert residual(x, core, factors, writer) == pytest.approx(frobenius_norm(x),
+                                                                       rel=1e-15)
+        got = np.concatenate(chunks, axis=-1)
+        assert got.shape == dims and not got.any()
 
 
 def test_low_rank_helper_has_declared_rank():
