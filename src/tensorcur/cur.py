@@ -135,12 +135,13 @@ def _gather(chunks, dims, rows, cols) -> tuple[np.ndarray, tuple[np.ndarray, ...
     those pieces are: the core F (C if that is F-contiguous too), a fiber
     matrix the transpose of C.  The last-mode index is the slowest digit of
     a column of ``unfold(A, i)`` for ``i < n-1``, so each chunk holds a run
-    of the sorted ``J_i``.  No fiber-sized temporary is made: mode 0's run is
-    taken from the rows of the chunk's transposed mode-0 unfolding (its
-    fibers, contiguous in an F chunk) straight into the fiber matrix's rows;
-    mode ``n-2``'s slab by slab along the rows of each slab's ``(d_{n-2},
-    prod(d_<n-2))`` C view; any other mode's through :func:`select_fibers`.
-    The last mode's fibers take one row per slab, read from the chunk's
+    of the sorted ``J_i``.  Modes 0 and ``n-2`` make no fiber-sized
+    temporary per chunk: mode 0's run is taken from the rows of the chunk's
+    transposed mode-0 unfolding (its fibers, contiguous in an F chunk)
+    straight into the fiber matrix's rows, and mode ``n-2``'s slab by slab
+    along the rows of each slab's ``(d_{n-2}, prod(d_<n-2))`` C view; any
+    other mode's come from :func:`select_fibers` and are copied in.  The
+    last mode's fibers take one row per slab, read from the chunk's
     ``(m, prod(d_<n-1))`` view into a C buffer that is transposed once at
     the end.
     """

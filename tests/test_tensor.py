@@ -488,8 +488,8 @@ class TestResidual:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # measured: 0.55 MiB in memory, 1.05 MiB from a file (a reconstructed
-        # slab, and the reader's); with the head, 2.5 and 3.0 MiB
+        # measured: 0.55 MiB in memory and 1.05 MiB from a file, a reconstructed
+        # slab and the reader's
         assert peak < (1 + source) * slab + (1 << 18)
 
     @pytest.mark.parametrize("layout", ["C", "F", "strided"])
