@@ -15,7 +15,8 @@ import numpy as np
 
 from .cur import CurDecomposition, cur_with_indices
 from .linalg import _EPS, _count_above, _leading_left_vectors
-from .tensor import _contiguous, _difference_norm, check_ranks, frobenius_norm, residual, unfold
+from .tensor import (_contiguous, _difference_norm, _real, check_ranks, frobenius_norm, residual,
+                     unfold)
 
 __all__ = [
     "CoherenceReport",
@@ -131,7 +132,7 @@ def evaluate_error_bounds(exact, noise, dec: CurDecomposition) -> BoundReport:
     the subfactor pseudoinverse norms.  A strided ``exact`` is copied once.
     """
     exact = _contiguous(exact)
-    noise = np.asarray(noise, dtype=np.float64)
+    noise = _real(noise)
     if exact.shape != noise.shape:
         raise ValueError("exact tensor and noise must have the same shape")
     if exact.shape != dec.dims:
@@ -204,7 +205,7 @@ def relative_error(a, approx) -> float:
     the kernel of :func:`~tensorcur.tensor.residual`, in chunks along the last
     mode of ``a``'s storage, or its middle mode against an opposite layout."""
     a = _contiguous(a)  # a strided reference is copied once, as its norm would copy it
-    approx = np.asarray(approx, dtype=np.float64)
+    approx = _real(approx)
     if a.shape != approx.shape:
         raise ValueError(f"approximation shape {approx.shape} differs from the reference's {a.shape}")
     norm = frobenius_norm(a)

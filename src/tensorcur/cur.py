@@ -30,6 +30,8 @@ from .linalg import _EPS, _count_above, multilinear_rank, numerical_rank, rank_r
 from .sampling import SamplingPlan, mode_length_distributions, sample_without_replacement
 from .tensor import (
     _is_slab_source,
+    _real,
+    _select_fibers,
     _source_slabs,
     _take_columns,
     as_index_array,
@@ -38,7 +40,6 @@ from .tensor import (
     frobenius_norm,
     multi_mode_product,
     residual,
-    select_fibers,
     unfold,
 )
 from .tucker import HosvdDecomposition, hosvd
@@ -130,20 +131,29 @@ def _gather(chunks, dims, rows, cols) -> tuple[np.ndarray, tuple[np.ndarray, ...
     of a tensor of ``dims`` given as ``(start, chunk)`` pairs of its last-mode
     slabs, in order.
 
-    A chunk of every slab, such as a whole tensor, gives the pieces its
-    indexing gives, without a copy.  Smaller chunks fill outputs laid out as
-    those pieces are: the core F (C if that is F-contiguous too), a fiber
-    matrix the transpose of C.  The last-mode index is the slowest digit of
-    a column of ``unfold(A, i)`` for ``i < n-1``, so each chunk holds a run
-    of the sorted ``J_i``.  Modes 0 and ``n-2`` make no fiber-sized
-    temporary per chunk: mode 0's run is taken from the rows of the chunk's
-    transposed mode-0 unfolding (its fibers, contiguous in an F chunk)
-    straight into the fiber matrix's rows, and mode ``n-2``'s slab by slab
-    along the rows of each slab's ``(d_{n-2}, prod(d_<n-2))`` C view; any
-    other mode's come from :func:`select_fibers` and are copied in.  The
-    last mode's fibers take one row per slab, read from the chunk's
-    ``(m, prod(d_<n-1))`` view into a C buffer that is transposed once at
-    the end.
+    A chunk of every slab, such as a whole tensor, gives the core its
+    indexing gives and fiber matrices that are F-ordered views of one
+    ``np.empty`` block, allocated once the chunk is known to be whole and
+    each filled in place: the outermost and innermost modes of a contiguous
+    chunk are read straight into their views, any other mode is gathered by
+    index and copied in (:func:`~tensorcur.tensor._select_fibers`).  The
+    block exists because separately allocated fiber matrices, freed at the
+    top of the heap, are trimmed back to the OS by glibc, so the next
+    decomposition faulted them in again (about 1,300 minor faults per
+    Chidori call at ``300^3``); one block is reused whole.  A caller that
+    keeps one fiber matrix keeps the whole block alive.
+
+    Smaller chunks fill outputs laid out as those pieces are: the core F (C
+    if that is F-contiguous too), a fiber matrix the transpose of C.  The
+    last-mode index is the slowest digit of a column of ``unfold(A, i)`` for
+    ``i < n-1``, so each chunk holds a run of the sorted ``J_i``.  Each run
+    is read by the same in-place fill, so an F chunk's mode 0 takes its
+    contiguous fibers straight into the fiber matrix's rows; only a middle
+    mode makes a fiber-sized temporary, and mode ``n-2`` (if not mode 0)
+    avoids it slab by slab along the rows of each slab's ``(d_{n-2},
+    prod(d_<n-2))`` C view.  The last mode's fibers take one row per slab,
+    read from the chunk's ``(m, prod(d_<n-1))`` view into a C buffer that is
+    transposed once at the end.
     """
     n = len(dims)
     core = None
@@ -152,7 +162,10 @@ def _gather(chunks, dims, rows, cols) -> tuple[np.ndarray, tuple[np.ndarray, ...
         if stop - start == dims[-1]:
             # F is the package's storage order; an F core gives F reconstructions
             core = np.asfortranarray(chunk[np.ix_(*rows)])
-            return core, tuple(select_fibers(chunk, i, j) for i, j in enumerate(cols))
+            sizes = [d * j.size for d, j in zip(dims, cols)]
+            parts = np.split(np.empty(sum(sizes)), np.cumsum(sizes)[:-1])
+            return core, tuple(_select_fibers(chunk, i, j, p.reshape(j.size, d).T)
+                               for i, (p, d, j) in enumerate(zip(parts, dims, cols)))
         if core is None:  # allocated only here, so a whole chunk leaves the heap as it was
             shape = tuple(r.size for r in rows)
             core = np.empty(shape, order="F" if sum(t > 1 for t in shape) > 1 else "C")
@@ -167,21 +180,22 @@ def _gather(chunks, dims, rows, cols) -> tuple[np.ndarray, tuple[np.ndarray, ...
             lo, hi = bounds[0], bounds[-1]
             if lo == hi:
                 continue
-            if i == 0:
-                # the indices are checked, so "clip" only spares take a buffered copy
-                fibers_of = chunk.reshape(dims[0], -1, order="F").T
-                np.take(fibers_of, cols[0][lo:hi] - start * w, axis=0, out=out.T[lo:hi],
-                        mode="clip")
-            elif i == n - 2:
+            if 0 < i == n - 2:
                 for slab, a, b in zip(range(start, stop), bounds[:-1], bounds[1:]):
                     if a < b:
                         view = chunk[..., slab - start].T.reshape(dims[i], w)
                         _take_columns(view, cols[i][a:b] - slab * w, out[:, a:b])
             else:
-                out[:, lo:hi] = select_fibers(chunk, i, cols[i][lo:hi] - start * w)
+                _select_fibers(chunk, i, cols[i][lo:hi] - start * w, out[:, lo:hi])
         slabs = chunk.reshape(-1, stop - start, order="F").T
         np.take(slabs, cols[-1], axis=1, out=last[start:stop], mode="clip")
     return core, (*fibers, last.copy(order="F"))
+
+
+def _tensor_or_source(a):
+    """A source of slabs as it is, anything else as a real float64 tensor;
+    complex input raises ``ValueError`` (:func:`~tensorcur.tensor._real`)."""
+    return a if _is_slab_source(a) else _real(a)
 
 
 def cur_with_indices(a, row_indices, ranks, fiber_indices=None) -> CurDecomposition:
@@ -198,11 +212,8 @@ def cur_with_indices(a, row_indices, ranks, fiber_indices=None) -> CurDecomposit
     checked for non-finite values.  A Chidori intersection ``U_i`` is the
     mode-i unfolding of the core, a Fiber one the rows ``I_i`` of ``C_i``.
     """
-    if _is_slab_source(a):
-        chunks = _source_slabs(a)
-    else:
-        a = np.asarray(a, dtype=np.float64)
-        chunks = ((0, a),)
+    a = _tensor_or_source(a)
+    chunks = _source_slabs(a) if _is_slab_source(a) else ((0, a),)
     dims = tuple(a.shape)
     n = len(dims)
     if len(row_indices) != n:
@@ -265,6 +276,7 @@ def chidori_cur(a, plan: SamplingPlan, ranks) -> CurDecomposition:
     """Randomized Chidori CUR: draw per-mode index sets, take the core at
     their intersection and the fibers at their composite.  ``a`` is a tensor
     or, with a uniform plan, a source of its slabs (see :func:`draw_indices`)."""
+    a = _tensor_or_source(a)
     rows, _ = draw_indices(a, replace(plan, fiber_counts=None))
     return cur_with_indices(a, rows, ranks)
 
@@ -275,6 +287,7 @@ def fiber_cur(a, plan: SamplingPlan, ranks) -> CurDecomposition:
     a source of its slabs (see :func:`draw_indices`)."""
     if plan.fiber_counts is None:
         raise ValueError("fiber_cur requires a plan with fiber_counts")
+    a = _tensor_or_source(a)
     rows, cols = draw_indices(a, plan)
     return cur_with_indices(a, rows, ranks, fiber_indices=cols)
 
@@ -284,7 +297,7 @@ def projection_reconstruct(a, dec: CurDecomposition) -> np.ndarray:
     ``C_i^+`` is numpy's pseudoinverse, :func:`numpy.linalg.pinv`, with the
     cutoff of :func:`~tensorcur.linalg.numerical_rank`: singular values at or
     below ``max(rows, cols) * eps * sigma_1`` are not inverted."""
-    a = np.asarray(a, dtype=np.float64)
+    a = _real(a)
     return multi_mode_product(
         a, [c @ np.linalg.pinv(c, rcond=max(c.shape) * _EPS) for c in dec.fibers]
     )
@@ -333,7 +346,7 @@ class CharacterizationReport:
 def check_characterization(a, dec: CurDecomposition, tol: float = 1e-8) -> CharacterizationReport:
     """Evaluate every rank condition of the exactness characterization on one
     instance, at relative tolerance ``tol`` for both ranks and reconstruction."""
-    a = np.asarray(a, dtype=np.float64)
+    a = _real(a)
     if a.shape != dec.dims:
         raise ValueError("decomposition dims do not match the tensor")
     ranks = dec.ranks

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .tensor import frobenius_norm, gram, unfold
+from .tensor import _real, frobenius_norm, gram, unfold
 
 __all__ = [
     "numerical_rank",
@@ -144,5 +144,5 @@ def rank_r_pinv_factors(m, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def multilinear_rank(t, tol: float | None = None) -> tuple[int, ...]:
     """Numerical rank of every mode unfolding."""
-    t = np.asarray(t, dtype=np.float64)
+    t = _real(t)
     return tuple(numerical_rank(unfold(t, k), tol) for k in range(t.ndim))

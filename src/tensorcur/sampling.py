@@ -24,6 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .tensor import _real
+
 __all__ = [
     "SamplingPlan",
     "sample_without_replacement",
@@ -85,7 +87,7 @@ def mode_length_distributions(t, fibers: bool = False):
     smallest normal float, the pass is redone in units of ``max|t|``; a
     tensor with a non-finite entry is rejected.
     """
-    t = np.asarray(t, dtype=np.float64)
+    t = _real(t)
     with np.errstate(over="ignore"):
         rows, cols = _length_norms(t, fibers)
     if not all(np.finfo(np.float64).tiny <= sq.sum() < math.inf for sq in rows + cols):

@@ -34,8 +34,17 @@ __all__ = [
 ]
 
 
+def _real(t) -> np.ndarray:
+    """``t`` as a float64 array.  A complex input raises ``ValueError`` naming
+    its dtype, where a cast would keep only its real part."""
+    t = np.asarray(t)
+    if np.iscomplexobj(t):
+        raise ValueError(f"expected a real tensor, got dtype {t.dtype}")
+    return t.astype(np.float64, copy=False)
+
+
 def _as_tensor(t) -> np.ndarray:
-    t = np.asarray(t, dtype=np.float64)
+    t = _real(t)
     if t.ndim < 1:
         raise ValueError("tensor must have at least one mode")
     return t
@@ -49,7 +58,7 @@ def _check_mode(t: np.ndarray, k: int) -> None:
 def _contiguous(t) -> np.ndarray:
     """``t`` as a float64 array that is C- or F-contiguous: any other layout
     is copied to C order, once, by a caller that takes many views of it."""
-    t = np.asarray(t, dtype=np.float64)
+    t = _real(t)
     return t if t.flags.c_contiguous or t.flags.f_contiguous else np.ascontiguousarray(t)
 
 
@@ -193,29 +202,47 @@ def select_fibers(t, k: int, cols) -> np.ndarray:
     """Columns ``cols`` of ``unfold(t, k)``; each column is a mode-k fiber.
 
     Only the selected fibers are read, and no unfolding is built.  Memory
-    order decides how: the mode with the largest stride (mode 0 of a
-    C-contiguous ``t``, the last mode of an F-contiguous one) is read row by
-    row from the ``(d_k, rest)`` view whose rows are contiguous, each column
-    id converted to that view's column order.  Every other mode, and any
-    other layout, converts each column id to its multi-index over the
-    remaining modes (first remaining index fastest) and gathers it from a
-    ``moveaxis`` view of ``t``.  The result equals ``unfold(t, k)[:, cols]``
-    bit for bit, with the same memory layout, for any memory layout of ``t``.
+    order decides how.  In a C- or F-contiguous ``t`` the mode with the
+    largest stride (mode 0 of a C-contiguous ``t``, the last mode of an
+    F-contiguous one) is read row by row from the ``(d_k, rest)`` view whose
+    rows are contiguous, and the mode with the smallest stride takes its
+    fibers whole as rows of the ``(rest, d_k)`` view; each column id is
+    converted to that view's order.  Every other mode, and any other layout,
+    converts each column id to its multi-index over the remaining modes
+    (first remaining index fastest) and gathers it from a ``moveaxis`` view
+    of ``t``.  The result equals ``unfold(t, k)[:, cols]`` bit for bit, with
+    the same memory layout, for any memory layout of ``t``.
     """
     t = _as_tensor(t)
     _check_mode(t, k)
-    total = t.size // t.shape[k]
-    cols = as_index_array(cols, total)
-    if t.ndim > 1 and k == 0 and t.flags.c_contiguous:
-        other = t.shape[1:]
-        ids = np.ravel_multi_index(np.unravel_index(cols, other, order="F"), other)
-        return _take_columns(t.reshape(t.shape[0], total), ids)
-    if t.ndim > 1 and k == t.ndim - 1 and t.flags.f_contiguous:
-        # t.T's rows list the other modes last index fastest, t's column order
-        return _take_columns(t.T.reshape(t.shape[k], total), cols)
+    return _select_fibers(t, k, as_index_array(cols, t.size // t.shape[k]))
+
+
+def _select_fibers(t: np.ndarray, k: int, cols: np.ndarray, out=None) -> np.ndarray:
+    """:func:`select_fibers` of a float64 ``t`` at checked ``cols``, written
+    into ``out`` if given, an F-ordered ``(d_k, cols.size)`` matrix.  The two
+    contiguous reads write into it; a gather by index is copied in."""
+    n = t.ndim
+    if n > 1 and (t.flags.c_contiguous or t.flags.f_contiguous):
+        c, j = (t, k) if t.flags.c_contiguous else (t.T, n - 1 - k)
+        if j in (0, n - 1):
+            ids = cols
+            if c is t:  # its other modes run last index fastest, unfold's columns first
+                other = c.shape[:j] + c.shape[j + 1 :]
+                ids = np.ravel_multi_index(np.unravel_index(cols, other, order="F"), other)
+            if j == 0:
+                return _take_columns(c.reshape(c.shape[0], -1), ids, out)
+            out = np.empty((cols.size, c.shape[-1])).T if out is None else out
+            # the indices are checked, so "clip" only spares take a buffered copy
+            np.take(c.reshape(-1, c.shape[-1]), ids, axis=0, out=out.T, mode="clip")
+            return out
     # a 1-mode tensor is its own single fiber
-    view = np.moveaxis(t, k, 0) if t.ndim > 1 else t[:, None]
-    return view[(slice(None),) + np.unravel_index(cols, view.shape[1:], order="F")]
+    view = np.moveaxis(t, k, 0) if n > 1 else t[:, None]
+    got = view[(slice(None),) + np.unravel_index(cols, view.shape[1:], order="F")]
+    if out is None:
+        return got
+    out[...] = got
+    return out
 
 
 def composite_index(index_sets, k: int, dims) -> np.ndarray:
@@ -251,7 +278,7 @@ def frobenius_norm(t) -> float:
     ``max|t|``; other inputs are summed once, unscaled.
     """
     # order="K" reads C- and F-contiguous inputs in place instead of copying them
-    flat = np.asarray(t, dtype=np.float64).ravel(order="K")
+    flat = _real(t).ravel(order="K")
     with np.errstate(over="ignore"):
         norm = float(np.linalg.norm(flat))
     if (math.isinf(norm) or norm**2 < np.finfo(np.float64).tiny) and np.isfinite(flat).all():

@@ -36,7 +36,7 @@ import struct
 
 import numpy as np
 
-from .tensor import _slab_step, frobenius_norm
+from .tensor import _real, _slab_step, frobenius_norm
 
 __all__ = ["TensorFileError", "read_tensor", "write_tensor"]
 
@@ -66,7 +66,7 @@ def write_tensor(path, array, dtype: str = "float64") -> None:
     """Write ``array`` to ``path``, replacing a regular file there (a hard
     link to it keeps the old bytes; see the module docstring); ``dtype``
     selects the payload precision."""
-    array = np.asarray(array, dtype=np.float64)
+    array = _real(array)
     with SlabWriter(path, array.shape, dtype) as out:
         out.write(array)
 
@@ -103,7 +103,7 @@ class SlabWriter:
         self._fh.write(np.asarray(shape, dtype="<u8").tobytes())
 
     def write(self, chunk) -> None:
-        chunk = np.asarray(chunk, dtype=np.float64)
+        chunk = _real(chunk)
         if chunk.ndim != len(self.shape) or chunk.shape[:-1] != self.shape[:-1]:
             raise ValueError(f"chunk of shape {chunk.shape} does not hold slabs of {self.shape}")
         if self._slabs + chunk.shape[-1] > self.shape[-1]:
