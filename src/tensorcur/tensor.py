@@ -182,7 +182,8 @@ def gram(t, k: int) -> np.ndarray:
     return g
 
 
-# bytes of fibers taken at a time from the rows of the outermost mode's view
+# bytes of fibers taken at a time from the rows of the outermost mode's view,
+# or by index into a given output
 _TAKE_BLOCK_BYTES = 1 << 18
 
 
@@ -221,7 +222,8 @@ def select_fibers(t, k: int, cols) -> np.ndarray:
 def _select_fibers(t: np.ndarray, k: int, cols: np.ndarray, out=None) -> np.ndarray:
     """:func:`select_fibers` of a float64 ``t`` at checked ``cols``, written
     into ``out`` if given, an F-ordered ``(d_k, cols.size)`` matrix.  The two
-    contiguous reads write into it; a gather by index is copied in."""
+    contiguous reads write into it; a gather by index is copied in, a block
+    of columns of at most ``_TAKE_BLOCK_BYTES`` at a time."""
     n = t.ndim
     if n > 1 and (t.flags.c_contiguous or t.flags.f_contiguous):
         c, j = (t, k) if t.flags.c_contiguous else (t.T, n - 1 - k)
@@ -238,10 +240,13 @@ def _select_fibers(t: np.ndarray, k: int, cols: np.ndarray, out=None) -> np.ndar
             return out
     # a 1-mode tensor is its own single fiber
     view = np.moveaxis(t, k, 0) if n > 1 else t[:, None]
-    got = view[(slice(None),) + np.unravel_index(cols, view.shape[1:], order="F")]
+    idx = np.unravel_index(cols, view.shape[1:], order="F")
     if out is None:
-        return got
-    out[...] = got
+        return view[(slice(None),) + idx]
+    step = max(1, _TAKE_BLOCK_BYTES // (8 * t.shape[k]))
+    for start in range(0, cols.size, step):
+        part = tuple(i[start : start + step] for i in idx)
+        out[:, start : start + step] = view[(slice(None),) + part]
     return out
 
 

@@ -31,7 +31,7 @@ from tensorcur.tensorfile import SlabReader
 from tensorcur.cur import draw_indices
 from tensorcur.tensor import residual
 
-from conftest import random_low_rank
+from conftest import random_low_rank, tensor_with_layout
 
 
 def exact_chidori(dims, ranks, tensor_seed, plan_seed_start=0, t_sizes=None):
@@ -255,6 +255,75 @@ class TestEveryLayoutGathersTheSameBits:
                                  strict=True):
                 assert got.shape == want.shape and got.strides == want.strides
                 assert got.tobytes(order="A") == want.tobytes(order="A")
+
+
+@st.composite
+def gather_cases(draw):
+    """A 2- to 4-mode tensor stored C-ordered, F-ordered or strided, one
+    nonempty ascending row set per mode and, for the Fiber variant, one fiber
+    column set per mode (``None`` for Chidori)."""
+    dims = tuple(draw(st.lists(st.integers(1, 5), min_size=2, max_size=4)))
+    layout = draw(st.sampled_from(["C", "F", "strided"]))
+    a = tensor_with_layout(dims, layout, draw(st.integers(0, 2**32 - 1)))
+    rows = [sorted(draw(st.sets(st.integers(0, d - 1), min_size=1))) for d in dims]
+    cols = None
+    if draw(st.sampled_from(["chidori", "fiber"])) == "fiber":
+        cols = [sorted(draw(st.sets(st.integers(0, a.size // d - 1), min_size=1, max_size=6)))
+                for d in dims]
+    return a, rows, cols
+
+
+class TestWholeAndPerSlabGathersAgree:
+    """The in-memory gather and a source giving the same tensor one last-mode
+    slab a chunk keep the same bits in the same layout."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(gather_cases())
+    def test_core_fibers_and_intersections_agree(self, case):
+        a, rows, cols = case
+
+        class OneSlabAChunk:
+            shape = a.shape
+
+            def __iter__(self):
+                return ((s, a[..., s : s + 1]) for s in range(a.shape[-1]))
+
+        ranks = (1,) * a.ndim
+        whole = cur_with_indices(a, rows, ranks, cols)
+        slabs = cur_with_indices(OneSlabAChunk(), rows, ranks, cols)
+        for got, want in zip([slabs.core, *slabs.fibers, *slabs.intersections],
+                             [whole.core, *whole.fibers, *whole.intersections], strict=True):
+            assert got.shape == want.shape and got.strides == want.strides
+            assert got.tobytes(order="A") == want.tobytes(order="A")
+
+
+class TestFibersShareOneBlock:
+    """An in-memory gather allocates the fiber matrices as F-ordered views of
+    one buffer, back to back in mode order, so freeing a decomposition frees
+    one block the next one reuses.  Two views of disjoint parts of a buffer
+    share no memory by ``np.shares_memory``, so each is checked against the
+    buffer itself."""
+
+    @pytest.mark.parametrize("variant", ["chidori", "fiber"])
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    @pytest.mark.parametrize("dims", [(9, 8), (6, 5, 4), (1, 7, 1), (5, 4, 3, 6)])
+    def test_fibers_are_views_of_one_buffer(self, variant, layout, dims):
+        a = tensor_with_layout(dims, layout, seed=19)
+        t = tuple(min(d, 3) for d in dims)
+        s = tuple(min(a.size // d, 4) for d in dims) if variant == "fiber" else None
+        rows, cols = draw_indices(a, SamplingPlan(t, s, seed=20))
+        dec = cur_with_indices(a, rows, tuple(min(d, 2) for d in dims), cols)
+        block = dec.fibers[0].base
+        assert block is not None and block.base is None and block.ndim == 1
+        assert block.size == sum(c.size for c in dec.fibers)
+        at = block.__array_interface__["data"][0]
+        for i, (c, j) in enumerate(zip(dec.fibers, dec.fiber_indices, strict=True)):
+            assert c.base is block and np.shares_memory(c, block)
+            assert c.flags.f_contiguous and c.__array_interface__["data"][0] == at
+            at += c.nbytes
+            ref = unfold(a, i)[:, j]
+            assert c.shape == ref.shape and c.strides == ref.strides
+            assert c.tobytes(order="A") == ref.tobytes(order="A")
 
 
 class TestConversion:

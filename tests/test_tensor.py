@@ -226,6 +226,35 @@ class TestSelectFibersGather:
         assert got.shape == ref.shape and got.strides == ref.strides
 
 
+class TestFillInPlace:
+    """The gather's private fill writes into the F-ordered view it is given
+    and matches :func:`select_fibers` bit for bit, for every mode and layout."""
+
+    @staticmethod
+    def check(t, k, cols):
+        block = np.full(cols.size * t.shape[k] + 2, np.nan)  # a view inside a larger buffer
+        out = block[1:-1].reshape(cols.size, t.shape[k]).T
+        got = tensor._select_fibers(t, k, cols, out)
+        assert got is out and np.isnan(block[[0, -1]]).all()
+        want = select_fibers(t, k, cols)
+        assert out.strides == want.strides and out.tobytes() == want.tobytes()
+        assert out.tobytes() == unfold(t, k)[:, cols].tobytes()
+
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    @pytest.mark.parametrize("dims", [(7,), (6, 5), (5, 4, 3), (1, 4, 1), (4, 3, 2, 3)])
+    def test_every_mode(self, layout, dims):
+        t = tensor_with_layout(dims, layout, seed=62)
+        rng = np.random.default_rng(63)
+        for k, d in enumerate(dims):
+            total = t.size // d
+            self.check(t, k, np.sort(rng.choice(total, size=min(total, 5), replace=False)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(fiber_selections())
+    def test_any_selection(self, case):
+        self.check(*case)
+
+
 class TestOutermostModeGather:
     """The mode with the largest stride is taken along its rows in blocks,
     so the gather holds its output and one block, never a second copy."""
@@ -521,3 +550,59 @@ def test_low_rank_helper_has_declared_rank():
     from tensorcur import multilinear_rank
 
     assert multilinear_rank(t) == (2, 3, 2)
+
+
+class TestComplexInput:
+    """A complex tensor raises ``ValueError`` naming its dtype before any
+    work, where a cast to float64 would keep only its real part."""
+
+    @pytest.mark.parametrize("call", [
+        "chidori_cur", "chidori_cur_length", "fiber_cur", "cur_with_indices",
+        "cur_with_indices_fiber", "hosvd", "st_hosvd", "hooi", "frobenius_norm",
+        "relative_error", "relative_error_approx", "write_tensor",
+    ])
+    @pytest.mark.parametrize("dtype", ["complex128", "complex64"])
+    def test_is_rejected_naming_the_dtype(self, tmp_path, monkeypatch, call, dtype):
+        import warnings
+
+        import tensorcur as tc
+        from tensorcur import cur, tucker
+
+        def never(*args, **kwargs):
+            raise AssertionError("work began on a complex input")
+
+        for module, name in [(cur, "draw_indices"), (cur, "_gather"),
+                             (tucker, "_leading_left_vectors")]:
+            monkeypatch.setattr(module, name, never)
+        rng = np.random.default_rng(64)
+        real = rng.standard_normal((20, 20, 20))
+        a = (real + 1j * rng.standard_normal(real.shape)).astype(dtype)
+        rows = ([0, 3, 7], [1, 2, 9], [4, 5, 6])
+        path = tmp_path / "x.tnsr"
+        run = {
+            "chidori_cur": lambda: tc.chidori_cur(a, tc.SamplingPlan((5, 5, 5)), (2, 2, 2)),
+            "chidori_cur_length": lambda: tc.chidori_cur(
+                a, tc.SamplingPlan((5, 5, 5), distribution="length"), (2, 2, 2)),
+            "fiber_cur": lambda: tc.fiber_cur(a, tc.SamplingPlan((5, 5, 5), (9, 9, 9)),
+                                              (2, 2, 2)),
+            "cur_with_indices": lambda: tc.cur_with_indices(a, rows, (2, 2, 2)),
+            "cur_with_indices_fiber": lambda: tc.cur_with_indices(a, rows, (2, 2, 2), rows),
+            "hosvd": lambda: tc.hosvd(a, (2, 2, 2)),
+            "st_hosvd": lambda: tc.st_hosvd(a, (2, 2, 2)),
+            "hooi": lambda: tc.hooi(a, (2, 2, 2)),
+            "frobenius_norm": lambda: frobenius_norm(a),
+            "relative_error": lambda: tc.relative_error(a, real),
+            "relative_error_approx": lambda: tc.relative_error(real, a),
+            "write_tensor": lambda: write_tensor(path, a),
+        }[call]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a cast would warn before it cut the input
+            with pytest.raises(ValueError, match=f"^expected a real tensor, got dtype {dtype}$"):
+                run()
+        assert not path.exists()
+
+    def test_real_inputs_of_other_dtypes_are_widened(self):
+        a = np.arange(24).reshape(2, 3, 4)
+        assert frobenius_norm(a) == frobenius_norm(a.astype(np.float64))
+        assert frobenius_norm(a.tolist()) == frobenius_norm(a.astype(np.float64))
+        assert frobenius_norm(a > 3) == frobenius_norm((a > 3).astype(np.float64))
