@@ -33,7 +33,6 @@ from .tensor import (
     _real,
     _select_fibers,
     _source_slabs,
-    _take_columns,
     as_index_array,
     check_ranks,
     composite_index,
@@ -134,9 +133,10 @@ def _gather(chunks, dims, rows, cols) -> tuple[np.ndarray, tuple[np.ndarray, ...
     A chunk of every slab, such as a whole tensor, gives the core its
     indexing gives and fiber matrices that are F-ordered views of one
     ``np.empty`` block, allocated once the chunk is known to be whole and
-    each filled in place: the outermost and innermost modes of a contiguous
-    chunk are read straight into their views, any other mode is gathered by
-    index and copied in (:func:`~tensorcur.tensor._select_fibers`).  The
+    each filled in place by :func:`~tensorcur.tensor._select_fibers`, which
+    writes into the ``out`` it is given and allocates no fiber matrix: the
+    outermost and innermost modes of a contiguous chunk are read straight
+    into their views, any other mode is gathered by index and copied in.  The
     block exists because separately allocated fiber matrices, freed at the
     top of the heap, are trimmed back to the OS by glibc, so the next
     decomposition faulted them in again (about 1,300 minor faults per
@@ -148,10 +148,11 @@ def _gather(chunks, dims, rows, cols) -> tuple[np.ndarray, tuple[np.ndarray, ...
     last-mode index is the slowest digit of a column of ``unfold(A, i)`` for
     ``i < n-1``, so each chunk holds a run of the sorted ``J_i``.  Each run
     is read by the same in-place fill, so an F chunk's mode 0 takes its
-    contiguous fibers straight into the fiber matrix's rows; only a middle
-    mode makes a fiber-sized temporary, and mode ``n-2`` (if not mode 0)
-    avoids it slab by slab along the rows of each slab's ``(d_{n-2},
-    prod(d_<n-2))`` C view.  The last mode's fibers take one row per slab,
+    contiguous fibers straight into the fiber matrix's rows and a middle
+    mode is gathered by index a block at a time; mode ``n-2`` (if not mode
+    0) is filled slab by slab, since an F-ordered slab's mode ``n-2`` is its
+    largest-stride mode, read along the rows of its ``(d_{n-2},
+    prod(d_<n-2))`` view.  The last mode's fibers take one row per slab,
     read from the chunk's ``(m, prod(d_<n-1))`` view into a C buffer that is
     transposed once at the end.
     """
@@ -183,8 +184,8 @@ def _gather(chunks, dims, rows, cols) -> tuple[np.ndarray, tuple[np.ndarray, ...
             if 0 < i == n - 2:
                 for slab, a, b in zip(range(start, stop), bounds[:-1], bounds[1:]):
                     if a < b:
-                        view = chunk[..., slab - start].T.reshape(dims[i], w)
-                        _take_columns(view, cols[i][a:b] - slab * w, out[:, a:b])
+                        _select_fibers(chunk[..., slab - start], i, cols[i][a:b] - slab * w,
+                                       out[:, a:b])
             else:
                 _select_fibers(chunk, i, cols[i][lo:hi] - start * w, out[:, lo:hi])
         slabs = chunk.reshape(-1, stop - start, order="F").T

@@ -20,6 +20,7 @@ about 1 MB and reduced by matrix-vector products with a ones vector.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,7 +42,8 @@ class SamplingPlan:
     """Per-mode sample sizes plus the distribution and seed for index draws.
 
     ``row_counts`` are the per-mode subtensor sizes t_i; ``fiber_counts`` are
-    the per-mode fiber counts s_i and are required only for Fiber plans.
+    the per-mode fiber counts s_i and are required only for Fiber plans; a
+    non-integer count raises ``TypeError``.
     ``distribution`` is ``"uniform"`` or ``"length"``; length-based plans
     weight mode-index draws by squared row norms of the mode unfolding and
     fiber draws by squared column norms (see
@@ -54,10 +56,10 @@ class SamplingPlan:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "row_counts", tuple(int(t) for t in self.row_counts))
+        object.__setattr__(self, "row_counts", tuple(map(operator.index, self.row_counts)))
         if self.fiber_counts is not None:
             object.__setattr__(
-                self, "fiber_counts", tuple(int(s) for s in self.fiber_counts)
+                self, "fiber_counts", tuple(map(operator.index, self.fiber_counts))
             )
         if self.distribution not in DISTRIBUTIONS:
             raise ValueError(f"unknown distribution {self.distribution!r}")
@@ -221,14 +223,14 @@ def _weighted_without_replacement(
 def sample_without_replacement(
     n: int, k: int, rng: np.random.Generator, probabilities=None
 ) -> np.ndarray:
-    """Draw ``k`` distinct indices from ``[0, n)``, returned sorted ascending.
+    """Draw ``k`` distinct indices from ``[0, n)``, returned sorted ascending;
+    a non-integer ``n`` or ``k`` raises ``TypeError``.
 
     With ``probabilities=None`` the draw is uniform (partial Fisher-Yates);
     otherwise indices are drawn sequentially with renormalization, so each
     draw follows the exact conditional distribution given earlier removals.
     """
-    n = int(n)
-    k = int(k)
+    n, k = operator.index(n), operator.index(k)
     if k < 1:
         raise ValueError("sample size must be positive")
     if k > n:
@@ -245,7 +247,8 @@ def sample_without_replacement(
 
 
 def _size_from_log(r: int, population: int, scale: float, what: str) -> int:
-    size = max(int(r), math.ceil(scale * r * math.log(population)))
+    r = operator.index(r)
+    size = max(r, math.ceil(scale * r * math.log(population)))
     if size > population:
         raise ValueError(
             f"default {what} sample size {size} exceeds population {population}; "
@@ -259,13 +262,13 @@ def chidori_sample_sizes(dims, ranks) -> tuple[int, ...]:
 
     Raises if the prescription exceeds a mode's extent rather than clamping.
     """
-    return tuple(_size_from_log(int(r), int(d), 1.0, "row") for d, r in zip(dims, ranks))
+    return tuple(_size_from_log(r, int(d), 1.0, "row") for d, r in zip(dims, ranks))
 
 
 def _fiber_sizes(dims, ranks) -> tuple[int, ...]:
     """Default per-mode fiber counts ``s_i = ceil(2 r_i log(prod_{j != i} d_j))``."""
     total = math.prod(int(d) for d in dims)
-    return tuple(_size_from_log(int(r), total // int(d), 2.0, "fiber") for d, r in zip(dims, ranks))
+    return tuple(_size_from_log(r, total // int(d), 2.0, "fiber") for d, r in zip(dims, ranks))
 
 
 def fiber_sample_sizes(dims, ranks) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -18,9 +18,11 @@ Conventions used throughout the package:
   C-contiguous tensor as ``(prod(d_<k), d_k, prod(d_>k))`` (an F-contiguous
   one through its transpose, whose modes are reversed) and multiply on
   that view; only other layouts are copied, once per call.
+  ``_select_fibers`` reads only the selected fibers, into a given ``out``.
 """
 
 import math
+import operator
 
 import numpy as np
 
@@ -28,7 +30,6 @@ __all__ = [
     "unfold",
     "mode_product",
     "multi_mode_product",
-    "select_fibers",
     "composite_index",
     "frobenius_norm",
 ]
@@ -76,10 +77,15 @@ def _slab_view(c: np.ndarray, j: int) -> np.ndarray:
 
 
 def as_index_array(indices, extent: int) -> np.ndarray:
-    """Validate a 0-based index set: in range, strictly increasing, no duplicates."""
-    idx = np.asarray(indices, dtype=np.intp)
+    """Validate a 0-based index set: in range, strictly increasing, no
+    duplicates.  One that is not of an integer dtype raises ``TypeError``, as
+    a fractional rank does (:func:`check_ranks`), instead of being cut."""
+    idx = np.asarray(indices)
     if idx.ndim != 1 or idx.size == 0:
         raise ValueError("index set must be a nonempty 1-d sequence")
+    if idx.dtype.kind not in "iu":
+        raise TypeError(f"index set must hold integers, got dtype {idx.dtype}")
+    idx = idx.astype(np.intp, copy=False)
     if idx[0] < 0 or idx[-1] >= extent:
         raise ValueError(f"index out of range for extent {extent}")
     if np.any(np.diff(idx) <= 0):
@@ -88,8 +94,9 @@ def as_index_array(indices, extent: int) -> np.ndarray:
 
 
 def check_ranks(ranks, dims) -> tuple[int, ...]:
-    """Validate one target rank per mode, each between 1 and the mode's extent."""
-    ranks = tuple(int(r) for r in ranks)
+    """Validate one target rank per mode, each an integer between 1 and the
+    mode's extent; a non-integer rank raises ``TypeError``."""
+    ranks = tuple(map(operator.index, ranks))
     if len(ranks) != len(dims):
         raise ValueError(f"expected {len(dims)} ranks, got {len(ranks)}")
     for k, (r, d) in enumerate(zip(ranks, dims)):
@@ -183,47 +190,28 @@ def gram(t, k: int) -> np.ndarray:
 
 
 # bytes of fibers taken at a time from the rows of the outermost mode's view,
-# or by index into a given output
+# or by index into the output
 _TAKE_BLOCK_BYTES = 1 << 18
 
 
-def _take_columns(m: np.ndarray, cols: np.ndarray, out=None) -> np.ndarray:
-    """``m[:, cols]`` of a C-contiguous matrix, F-ordered like every fiber
-    matrix (or into ``out``): each row's entries are taken along the row, a
-    block of rows of at most ``_TAKE_BLOCK_BYTES`` at a time, and copied into
-    the result."""
-    out = np.empty((cols.size, m.shape[0])).T if out is None else out
-    step = max(1, _TAKE_BLOCK_BYTES // (8 * cols.size))
-    for start in range(0, m.shape[0], step):
-        out[start : start + step] = np.take(m[start : start + step], cols, axis=1)
-    return out
-
-
-def select_fibers(t, k: int, cols) -> np.ndarray:
-    """Columns ``cols`` of ``unfold(t, k)``; each column is a mode-k fiber.
+def _select_fibers(t: np.ndarray, k: int, cols: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write columns ``cols`` (checked) of ``unfold(t, k)`` of a float64 ``t``,
+    each a mode-k fiber, into and return ``out``, an F-ordered ``(d_k,
+    cols.size)`` matrix.
 
     Only the selected fibers are read, and no unfolding is built.  Memory
     order decides how.  In a C- or F-contiguous ``t`` the mode with the
     largest stride (mode 0 of a C-contiguous ``t``, the last mode of an
-    F-contiguous one) is read row by row from the ``(d_k, rest)`` view whose
-    rows are contiguous, and the mode with the smallest stride takes its
-    fibers whole as rows of the ``(rest, d_k)`` view; each column id is
-    converted to that view's order.  Every other mode, and any other layout,
-    converts each column id to its multi-index over the remaining modes
-    (first remaining index fastest) and gathers it from a ``moveaxis`` view
-    of ``t``.  The result equals ``unfold(t, k)[:, cols]`` bit for bit, with
-    the same memory layout, for any memory layout of ``t``.
+    F-contiguous one) is read from the ``(d_k, rest)`` view whose rows are
+    contiguous, a block of rows of at most ``_TAKE_BLOCK_BYTES`` at a time,
+    and the mode with the smallest stride takes its fibers whole as rows of
+    the ``(rest, d_k)`` view; each column id is converted to that view's
+    order.  Every other mode, and any other layout, converts each column id
+    to its multi-index over the remaining modes (first remaining index
+    fastest) and gathers it from a ``moveaxis`` view of ``t``, a block of
+    columns of at most ``_TAKE_BLOCK_BYTES`` at a time.  ``out`` then equals
+    ``unfold(t, k)[:, cols]`` bit for bit, for any memory layout of ``t``.
     """
-    t = _as_tensor(t)
-    _check_mode(t, k)
-    return _select_fibers(t, k, as_index_array(cols, t.size // t.shape[k]))
-
-
-def _select_fibers(t: np.ndarray, k: int, cols: np.ndarray, out=None) -> np.ndarray:
-    """:func:`select_fibers` of a float64 ``t`` at checked ``cols``, written
-    into ``out`` if given, an F-ordered ``(d_k, cols.size)`` matrix.  The two
-    contiguous reads write into it; a gather by index is copied in, a block
-    of columns of at most ``_TAKE_BLOCK_BYTES`` at a time."""
     n = t.ndim
     if n > 1 and (t.flags.c_contiguous or t.flags.f_contiguous):
         c, j = (t, k) if t.flags.c_contiguous else (t.T, n - 1 - k)
@@ -233,16 +221,17 @@ def _select_fibers(t: np.ndarray, k: int, cols: np.ndarray, out=None) -> np.ndar
                 other = c.shape[:j] + c.shape[j + 1 :]
                 ids = np.ravel_multi_index(np.unravel_index(cols, other, order="F"), other)
             if j == 0:
-                return _take_columns(c.reshape(c.shape[0], -1), ids, out)
-            out = np.empty((cols.size, c.shape[-1])).T if out is None else out
+                m = c.reshape(c.shape[0], -1)
+                step = max(1, _TAKE_BLOCK_BYTES // (8 * ids.size))
+                for start in range(0, m.shape[0], step):
+                    out[start : start + step] = np.take(m[start : start + step], ids, axis=1)
+                return out
             # the indices are checked, so "clip" only spares take a buffered copy
             np.take(c.reshape(-1, c.shape[-1]), ids, axis=0, out=out.T, mode="clip")
             return out
     # a 1-mode tensor is its own single fiber
     view = np.moveaxis(t, k, 0) if n > 1 else t[:, None]
     idx = np.unravel_index(cols, view.shape[1:], order="F")
-    if out is None:
-        return view[(slice(None),) + idx]
     step = max(1, _TAKE_BLOCK_BYTES // (8 * t.shape[k]))
     for start in range(0, cols.size, step):
         part = tuple(i[start : start + step] for i in idx)
@@ -255,13 +244,13 @@ def composite_index(index_sets, k: int, dims) -> np.ndarray:
     the mode-k unfolding.
 
     ``index_sets`` has one entry per mode; the entry at position ``k`` is
-    ignored (``None`` is accepted).  The output is sorted ascending and
-    satisfies ``select_fibers(t, k, composite_index(I, k, t.shape)) ==
-    unfold(t[np.ix_(*I with mode k full)], k)``.  Only the index sets are
-    used, never the tensor, so the linearization costs ``O(prod |I_j|)``
-    and :func:`select_fibers` then reads just those fibers.  It is the
-    inverse of that function's ``unravel_index``: ``ravel_multi_index`` over
-    the index grid, read first index fastest.
+    ignored (``None`` is accepted).  The output is sorted ascending, and
+    ``_select_fibers(t, k, composite_index(I, k, t.shape), out)`` fills
+    ``out`` with ``unfold(t[np.ix_(*I with mode k full)], k)``.  Only the
+    index sets are used, never the tensor, so the linearization costs
+    ``O(prod |I_j|)`` and ``_select_fibers`` then reads just those fibers.
+    It is the inverse of that function's ``unravel_index``:
+    ``ravel_multi_index`` over the index grid, read first index fastest.
     """
     dims = tuple(int(d) for d in dims)
     if not 0 <= k < len(dims):

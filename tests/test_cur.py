@@ -391,6 +391,19 @@ class TestValidation:
         with pytest.raises(ValueError):
             cur_with_indices(np.ones((3, 3, 3)), [[0, 0], [0, 1], [0, 1]], (1, 1, 1))
 
+    @pytest.mark.parametrize("rows, ranks, cols, message", [
+        (([0.9, 2.5], [1, 3], [0, 4.99]), (2, 2, 2), None,
+         "^index set must hold integers, got dtype float64$"),
+        (([0, 2], [1, 3], [0, 4]), (2, 2, 2), ([0, 1], [2.0, 3.0], [4, 5]),
+         "^index set must hold integers, got dtype float64$"),
+        (([0, 2], [1, 3], [0, 4]), (2, 2.5, 2), None, "cannot be interpreted as an integer"),
+    ], ids=["row index sets", "fiber index sets", "ranks"])
+    def test_rejects_a_fractional_index_set_or_rank(self, rows, ranks, cols, message):
+        # rather than cutting it to an integer and building another decomposition
+        a = np.arange(125.0).reshape(5, 5, 5)
+        with pytest.raises(TypeError, match=message):
+            cur_with_indices(a, rows, ranks, cols)
+
     def test_wrong_number_of_row_index_sets(self):
         with pytest.raises(ValueError, match="expected 3 row index sets, got 2"):
             cur_with_indices(np.ones((3, 3, 3)), [[0, 1]] * 2, (1, 1, 1))

@@ -220,6 +220,28 @@ class TestSampleWithoutReplacement:
             got = sample_without_replacement(4, 2, rng, p)
             assert got.tolist() == [0, 2]
 
+    def test_a_draw_that_lands_on_a_zeroed_weight_steps_back(self):
+        class LastVariate:
+            """A generator whose every uniform variate is the largest below 1."""
+
+            def random(self, k):
+                return np.full(k, 1.0 - 2.0**-53)
+
+        # blocks of width 2: [0.3, 0], [0.7, 0], [0, 0].  The variate, scaled by
+        # the total and less the first block's sum, rounds up to 0.7, past index
+        # 2 to zero-weight index 3, and the guard steps back to index 2
+        p = np.array([0.3, 0.0, 0.7, 0.0, 0.0])
+        assert sampling._weighted_without_replacement(p, 1, LastVariate()).tolist() == [2]
+        for k in (1, 2):
+            got = sample_without_replacement(5, k, LastVariate(), p)
+            assert p[got].all() and got.tolist() == [0, 2][2 - k :]
+
+    @pytest.mark.parametrize("n, k", [(5, 2.7), (5.5, 2), (5, np.float64(2))])
+    @pytest.mark.parametrize("probabilities", [None, np.full(5, 0.2)], ids=["uniform", "weighted"])
+    def test_rejects_a_size_that_is_not_an_integer(self, n, k, probabilities):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            sample_without_replacement(n, k, np.random.default_rng(0), probabilities)
+
     def test_uniform_determinism_and_spread(self):
         a = sample_without_replacement(1000, 100, np.random.default_rng(7))
         b = sample_without_replacement(1000, 100, np.random.default_rng(7))
@@ -421,6 +443,19 @@ class TestSamplingPlan:
         with pytest.raises(ValueError, match="^fiber sample sizes must be positive$"):
             SamplingPlan((2, 2, 2), fiber_counts=(1, 0, 1))
 
+    @pytest.mark.parametrize("rows, fibers", [
+        ((3.9, 3, 3), None), ((3.0, 3, 3), None), ((3, 3, 3), (4, 4, 4.5)),
+        ((np.float64(3), 3, 3), None), (("3", 3, 3), None),
+    ])
+    def test_rejects_a_sample_size_that_is_not_an_integer(self, rows, fibers):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            SamplingPlan(rows, fibers)
+
+    def test_numpy_integer_sizes_are_python_ints(self):
+        plan = SamplingPlan(np.array([3, 4, 5]), (np.int32(6), np.uint8(7), 8))
+        assert plan.row_counts == (3, 4, 5) and plan.fiber_counts == (6, 7, 8)
+        assert all(type(t) is int for t in plan.row_counts + plan.fiber_counts)
+
     def test_rejects_a_negative_seed(self):
         with pytest.raises(ValueError, match="^seed -1 must be nonnegative$"):
             SamplingPlan((2, 2, 2), seed=-1)
@@ -431,6 +466,11 @@ class TestSamplingPlan:
 
 
 class TestSizePrescriptions:
+    @pytest.mark.parametrize("sizes", [chidori_sample_sizes, fiber_sample_sizes])
+    def test_rejects_a_rank_that_is_not_an_integer(self, sizes):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            sizes((50, 50, 50), (5, 2.9, 5))
+
     def test_chidori_sizes_follow_log_rule(self):
         t = chidori_sample_sizes((50, 50, 50), (5, 5, 5))
         assert t == (int(np.ceil(5 * np.log(50))),) * 3

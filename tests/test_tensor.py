@@ -11,15 +11,19 @@ from tensorcur import (
     mode_product,
     multi_mode_product,
     numerical_rank,
-    select_fibers,
     unfold,
 )
 
 from tensorcur import tensor, write_tensor
-from tensorcur.tensor import check_ranks, gram, residual
+from tensorcur.tensor import as_index_array, check_ranks, gram, residual
 from tensorcur.tensorfile import SlabReader
 
 from conftest import random_low_rank, tensor_with_layout
+
+
+def gather(t, k, cols):
+    """Columns ``cols`` of ``unfold(t, k)``, filled into a fresh F-ordered matrix."""
+    return tensor._select_fibers(t, k, cols, np.empty((cols.size, t.shape[k])).T)
 
 
 def storage_order_cube():
@@ -147,6 +151,12 @@ class TestCheckRanks:
         with pytest.raises(ValueError, match=message):
             check_ranks(ranks, (2, 5))
 
+    @pytest.mark.parametrize("ranks", [(2.9, 2, 2), (2.0, 2, 2), (2, np.float64(2), 2),
+                                       ("2", 2, 2)])
+    def test_rejects_a_rank_that_is_not_an_integer(self, ranks):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            check_ranks(ranks, (5, 5, 5))
+
 
 class TestSubtensorAndFibers:
     def test_composite_matches_brute_force_enumeration(self):
@@ -172,18 +182,36 @@ class TestSubtensorAndFibers:
                     combo = dict(zip(reversed(rem), combo))
                     expected_cols.append(sum(combo[m] * strides[m] for m in rem))
                 assert sorted(expected_cols) == cols.tolist()
-                gathered = select_fibers(t, k, cols)
+                gathered = gather(t, k, cols)
+                ref = unfold(t, k)[:, cols]
+                assert gathered.tobytes() == ref.tobytes() and gathered.strides == ref.strides
                 slab_sets = [np.arange(dims[m]) if m == k else sets[m] for m in range(3)]
                 assert np.array_equal(gathered, unfold(t[np.ix_(*slab_sets)], k))
 
     def test_out_of_range_indices(self):
-        with pytest.raises(ValueError):
-            select_fibers(storage_order_cube(), 0, [4])
+        # mode 0 of a 2x2x2 tensor has 4 columns
+        with pytest.raises(ValueError, match="^index out of range for extent 4$"):
+            as_index_array([4], 4)
 
     @pytest.mark.parametrize("cols", [[], [[0, 1]]], ids=["empty", "2-d"])
     def test_an_index_set_that_is_not_a_nonempty_sequence_is_rejected(self, cols):
         with pytest.raises(ValueError, match="^index set must be a nonempty 1-d sequence$"):
-            select_fibers(storage_order_cube(), 0, cols)
+            as_index_array(cols, 4)
+
+    @pytest.mark.parametrize("cols", [
+        [0.9, 2.5], [0.0, 1.0], np.array([1e20]), np.array([1.5], np.float32),
+        [True, False], np.array([1 + 0j]),
+    ], ids=["fractional", "integral floats", "beyond intp", "float32", "bool", "complex"])
+    def test_an_index_set_that_does_not_hold_integers_is_rejected(self, cols):
+        # checked before any cast, so nothing is truncated or warned about
+        with pytest.raises(TypeError, match="^index set must hold integers, got dtype "):
+            as_index_array(cols, 4)
+
+    @pytest.mark.parametrize("cols", [[1, 3], np.array([1, 3], np.int8),
+                                      np.array([1, 3], np.uint64)])
+    def test_an_integer_index_set_of_any_integer_dtype_is_taken(self, cols):
+        idx = as_index_array(cols, 4)
+        assert idx.dtype == np.intp and idx.tolist() == [1, 3]
 
     @pytest.mark.parametrize("sets, k, message", [
         ([[0], [0], [0]], 3, r"^mode 3 out of range for dims \(2, 2, 2\)$"),
@@ -219,7 +247,7 @@ class TestSelectFibersGather:
     @given(fiber_selections())
     def test_matches_unfolding_columns_bit_for_bit(self, case):
         t, k, cols = case
-        got = select_fibers(t, k, cols)
+        got = gather(t, k, cols)
         ref = unfold(t, k)[:, cols]
         assert got.tobytes() == ref.tobytes()
         # same layout too, so matrix products of the fibers round identically
@@ -227,8 +255,9 @@ class TestSelectFibersGather:
 
 
 class TestFillInPlace:
-    """The gather's private fill writes into the F-ordered view it is given
-    and matches :func:`select_fibers` bit for bit, for every mode and layout."""
+    """The gather writes into the F-ordered view it is given, inside a larger
+    buffer, and matches the unfolding's columns bit for bit, for every mode
+    and layout."""
 
     @staticmethod
     def check(t, k, cols):
@@ -236,9 +265,8 @@ class TestFillInPlace:
         out = block[1:-1].reshape(cols.size, t.shape[k]).T
         got = tensor._select_fibers(t, k, cols, out)
         assert got is out and np.isnan(block[[0, -1]]).all()
-        want = select_fibers(t, k, cols)
+        want = unfold(t, k)[:, cols]
         assert out.strides == want.strides and out.tobytes() == want.tobytes()
-        assert out.tobytes() == unfold(t, k)[:, cols].tobytes()
 
     @pytest.mark.parametrize("layout", ["C", "F", "strided"])
     @pytest.mark.parametrize("dims", [(7,), (6, 5), (5, 4, 3), (1, 4, 1), (4, 3, 2, 3)])
@@ -257,7 +285,8 @@ class TestFillInPlace:
 
 class TestOutermostModeGather:
     """The mode with the largest stride is taken along its rows in blocks,
-    so the gather holds its output and one block, never a second copy."""
+    so the gather allocates one block and its converted indices, never a
+    copy of its output."""
 
     @pytest.mark.parametrize("layout", ["C", "F"])
     @pytest.mark.parametrize("kind", ["chidori", "every other"])
@@ -270,13 +299,15 @@ class TestOutermostModeGather:
             cols = composite_index(sets, k, t.shape)
         else:  # an output wider than the slack, so a whole temporary would not fit
             cols = np.arange(0, 3600, 2)
+        out = np.empty((cols.size, t.shape[k])).T
         tracemalloc.start()
         try:
-            got = select_fibers(t, k, cols)
+            got = tensor._select_fibers(t, k, cols, out)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= got.nbytes + (512 << 10)
+        # one block of rows, and the column ids with their conversion to the view's order
+        assert got is out and peak <= tensor._TAKE_BLOCK_BYTES + 4 * cols.nbytes, peak
         ref = unfold(t, k)[:, cols]
         assert got.strides == ref.strides and got.tobytes() == ref.tobytes()
 
@@ -299,9 +330,11 @@ class TestCompositeIndexProperty:
         t, k, sets = case
         cols = composite_index(sets, k, t.shape)
         slab_sets = [np.arange(d) if m == k else sets[m] for m, d in enumerate(t.shape)]
-        got = select_fibers(t, k, cols)
+        got = gather(t, k, cols)
         ref = unfold(t[np.ix_(*slab_sets)], k)
         assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+        columns = unfold(t, k)[:, cols]
+        assert got.strides == columns.strides and got.tobytes() == columns.tobytes()
 
 
 @st.composite

@@ -98,6 +98,16 @@ def test_zero_extent_rejected(tmp_path):
         read_tensor(path)
 
 
+@pytest.mark.parametrize("reader", [read_tensor, SlabReader])
+def test_a_header_with_zero_modes_is_rejected_by_name(tmp_path, reader):
+    # a valid header but for its mode count, then one float64 of payload
+    path = tmp_path / "scalar.tnsr"
+    path.write_bytes(struct.pack("<4sIBB2s", b"TNSR", 1, 1, 0, b"\x00\x00") + bytes(8))
+    with pytest.raises(TensorFileError,
+                       match=f"^{re.escape(str(path))}: tensor must have at least one mode$"):
+        reader(path)
+
+
 def test_truncated_header_rejected(tmp_path):
     path = tmp_path / "short.tnsr"
     path.write_bytes(b"TNSR\x01")
