@@ -9,6 +9,7 @@ identical error columns; only the timing columns vary between runs.
 
 import json
 import math
+import operator
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -54,12 +55,10 @@ def generate_synthetic(dims, ranks, sigma, rng: np.random.Generator):
     order is fixed (core, factors in mode order, then noise), so one seed
     pins all three outputs.
 
-    Returns ``(exact, noisy, noise)``.
+    Returns ``(exact, noisy, noise)``; an extent that is not an integer
+    raises ``TypeError``.
     """
-    if np.isscalar(dims):
-        dims = (int(dims),) * 3
-    else:
-        dims = tuple(int(d) for d in dims)
+    dims = (operator.index(dims),) * 3 if np.isscalar(dims) else tuple(map(operator.index, dims))
     ranks = check_ranks((ranks,) * len(dims) if np.isscalar(ranks) else ranks, dims)
     if not 0 <= sigma < math.inf:
         raise ValueError(f"noise level {sigma} must be finite and nonnegative")
@@ -74,7 +73,7 @@ def _check_sample_sizes(row_samples, fiber_samples, dims) -> None:
     """Reject, before any method runs, an override the plan or the draw would."""
     populations = (min(dims), min(math.prod(dims) // d for d in dims))
     for kind, size, n in zip(("row", "fiber"), (row_samples, fiber_samples), populations):
-        if size is not None and not 1 <= size <= n:
+        if size is not None and not 1 <= operator.index(size) <= n:
             raise ValueError(f"{kind} sample size {size} exceeds the population of {n}" if size > n
                              else f"{kind} sample sizes must be positive")
 
@@ -100,8 +99,9 @@ class ExperimentConfig:
     One row is produced per ``(d, sigma, method, trial)``.  ``row_samples``
     and ``fiber_samples`` override the default log-scaled sampling sizes for
     the CUR methods (applied to every mode); every size, default or override,
-    is checked before any method runs.  A CUR method whose rank gate fails
-    is redrawn, at most ``_MAX_RESAMPLES`` times.
+    is checked before any method runs; a dim, trial count, seed or sample
+    size that is not an integer raises ``TypeError``.  A CUR method whose
+    rank gate fails is redrawn, at most ``_MAX_RESAMPLES`` times.
     """
 
     dims: list[int]
@@ -114,7 +114,8 @@ class ExperimentConfig:
     fiber_samples: int | None = None
 
     def __post_init__(self):
-        self.dims = [int(d) for d in self.dims]
+        self.dims = list(map(operator.index, self.dims))
+        self.seed, self.trials = operator.index(self.seed), operator.index(self.trials)
         self.sigmas = [float(s) for s in self.sigmas]
         if not self.dims or any(d < 1 for d in self.dims):
             raise ValueError("dims must be a nonempty list of positive sizes")
@@ -304,6 +305,7 @@ def compress(
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
+    seed = operator.index(seed)
     if seed < 0:  # a Tucker method draws nothing, so no plan would check it
         raise ValueError(f"seed {seed} must be nonnegative")
     reader = x = SlabReader(input_path)
@@ -321,12 +323,12 @@ def compress(
     if method not in CUR_METHODS:  # Tucker needs every entry: one array from the checked pass
         x = reader.read()
     dec, runtime, extract, rank_ok, _ = _decompose(
-        method, x, ranks, [int(seed)], row_samples, fiber_samples
+        method, x, ranks, [seed], row_samples, fiber_samples
     )
     out_dir.mkdir(parents=True, exist_ok=True)
     if method in CUR_METHODS:
         matrices = {"fiber": dec.fibers, "intersection": dec.intersections}
-        extra = {"seed": int(seed), "row_indices": [i.tolist() for i in dec.row_indices],
+        extra = {"seed": seed, "row_indices": [i.tolist() for i in dec.row_indices],
                  "fiber_indices": [j.tolist() for j in dec.fiber_indices]}
     else:
         matrices, extra = {"factor": dec.factors}, {}

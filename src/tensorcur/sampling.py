@@ -29,7 +29,6 @@ from .tensor import _real
 
 __all__ = [
     "SamplingPlan",
-    "sample_without_replacement",
     "chidori_sample_sizes",
     "fiber_sample_sizes",
 ]
@@ -43,7 +42,7 @@ class SamplingPlan:
 
     ``row_counts`` are the per-mode subtensor sizes t_i; ``fiber_counts`` are
     the per-mode fiber counts s_i and are required only for Fiber plans; a
-    non-integer count raises ``TypeError``.
+    non-integer count or seed raises ``TypeError``.
     ``distribution`` is ``"uniform"`` or ``"length"``; length-based plans
     weight mode-index draws by squared row norms of the mode unfolding and
     fiber draws by squared column norms (see
@@ -61,6 +60,7 @@ class SamplingPlan:
             object.__setattr__(
                 self, "fiber_counts", tuple(map(operator.index, self.fiber_counts))
             )
+        object.__setattr__(self, "seed", operator.index(self.seed))
         if self.distribution not in DISTRIBUTIONS:
             raise ValueError(f"unknown distribution {self.distribution!r}")
         if self.seed < 0:
@@ -262,13 +262,14 @@ def chidori_sample_sizes(dims, ranks) -> tuple[int, ...]:
 
     Raises if the prescription exceeds a mode's extent rather than clamping.
     """
-    return tuple(_size_from_log(r, int(d), 1.0, "row") for d, r in zip(dims, ranks))
+    return tuple(_size_from_log(r, operator.index(d), 1.0, "row") for d, r in zip(dims, ranks))
 
 
 def _fiber_sizes(dims, ranks) -> tuple[int, ...]:
     """Default per-mode fiber counts ``s_i = ceil(2 r_i log(prod_{j != i} d_j))``."""
-    total = math.prod(int(d) for d in dims)
-    return tuple(_size_from_log(r, total // int(d), 2.0, "fiber") for d, r in zip(dims, ranks))
+    dims = tuple(map(operator.index, dims))
+    total = math.prod(dims)
+    return tuple(_size_from_log(r, total // d, 2.0, "fiber") for d, r in zip(dims, ranks))
 
 
 def fiber_sample_sizes(dims, ranks) -> tuple[tuple[int, ...], tuple[int, ...]]:

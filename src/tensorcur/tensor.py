@@ -30,7 +30,6 @@ __all__ = [
     "unfold",
     "mode_product",
     "multi_mode_product",
-    "composite_index",
     "frobenius_norm",
 ]
 
@@ -252,7 +251,7 @@ def composite_index(index_sets, k: int, dims) -> np.ndarray:
     It is the inverse of that function's ``unravel_index``:
     ``ravel_multi_index`` over the index grid, read first index fastest.
     """
-    dims = tuple(int(d) for d in dims)
+    dims = tuple(map(operator.index, dims))
     if not 0 <= k < len(dims):
         raise ValueError(f"mode {k} out of range for dims {dims}")
     if len(index_sets) != len(dims):

@@ -30,6 +30,7 @@ symlink, FIFO or device at the path is written through.
 """
 
 import math
+import operator
 import os
 import stat
 import struct
@@ -86,7 +87,7 @@ class SlabWriter:
     """
 
     def __init__(self, path, shape, dtype: str = "float64"):
-        shape = tuple(int(d) for d in shape)
+        shape = tuple(map(operator.index, shape))
         if len(shape) < 1 or len(shape) > 255:
             raise ValueError("tensor must have between 1 and 255 modes")
         if any(d < 1 for d in shape):

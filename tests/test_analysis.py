@@ -12,7 +12,6 @@ from tensorcur import (
     check_characterization,
     chidori_cur,
     coherence,
-    composite_index,
     cur_with_indices,
     evaluate_error_bounds,
     fiber_cur,
@@ -26,6 +25,7 @@ from tensorcur import (
 )
 from tensorcur import tensor
 from tensorcur.linalg import _leading_left_vectors
+from tensorcur.tensor import composite_index
 
 from conftest import random_low_rank, tensor_with_layout
 

@@ -10,7 +10,6 @@ from tensorcur import (
     SamplingPlan,
     check_characterization,
     chidori_cur,
-    composite_index,
     cur_to_hosvd,
     cur_with_indices,
     evaluate_error_bounds,
@@ -29,7 +28,7 @@ from tensorcur import (
 from tensorcur import cur, tensor
 from tensorcur.tensorfile import SlabReader
 from tensorcur.cur import draw_indices
-from tensorcur.tensor import residual
+from tensorcur.tensor import composite_index, residual
 
 from conftest import random_low_rank, tensor_with_layout
 
@@ -295,6 +294,38 @@ class TestWholeAndPerSlabGathersAgree:
                              [whole.core, *whole.fibers, *whole.intersections], strict=True):
             assert got.shape == want.shape and got.strides == want.strides
             assert got.tobytes(order="A") == want.tobytes(order="A")
+
+
+class TestCoreIsAlwaysFOrdered:
+    """The core has the strides of ``np.empty(shape, order="F")`` whether the
+    tensor is in memory or given one slab a chunk, including a core with at
+    most one extent above 1, which is both C- and F-contiguous."""
+
+    @pytest.mark.parametrize("variant", ["chidori", "fiber"])
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    @pytest.mark.parametrize("dims, rows", [
+        ((4, 5, 3), ([1], [0, 2, 4], [2])),
+        ((4, 5, 3), ([0, 3], [1], [0, 2])),
+        ((4, 5, 3), ([2], [3], [0, 1, 2])),
+        ((6, 2), ([0, 1, 5], [1])),
+        ((3, 4, 2, 5), ([1], [0, 3], [1], [0, 4])),
+        ((5,), ([0, 2, 3],)),
+    ])
+    def test_whole_and_per_slab_cores_have_f_strides(self, variant, layout, dims, rows):
+        a = tensor_with_layout(dims, layout, seed=21)
+        cols = [sorted({0, a.size // d - 1}) for d in dims] if variant == "fiber" else None
+
+        class OneSlabAChunk:
+            shape = a.shape
+
+            def __iter__(self):
+                return ((s, a[..., s : s + 1]) for s in range(a.shape[-1]))
+
+        want = np.asfortranarray(a)[np.ix_(*rows)]
+        for x in (a, OneSlabAChunk()):
+            core = cur_with_indices(x, rows, (1,) * a.ndim, cols).core
+            assert core.strides == np.empty(core.shape, order="F").strides
+            assert core.shape == want.shape and np.array_equal(core, want)
 
 
 class TestFibersShareOneBlock:

@@ -126,6 +126,13 @@ class TestGenerateSynthetic:
         with pytest.raises(ValueError, match=f"^noise level {sigma} must be finite and nonnegative$"):
             generate_synthetic(6, 2, sigma, np.random.default_rng(4))
 
+    @pytest.mark.parametrize("dims", [6.7, 6.0, np.float64(6), (6, 6.7, 6), (6, 6, np.float64(6))])
+    def test_rejects_an_extent_that_is_not_an_integer(self, dims):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            generate_synthetic(dims, 2, 0.0, np.random.default_rng(4))
+        whole = generate_synthetic(np.int64(6), 2, 0.0, np.random.default_rng(4))[0]
+        assert whole.shape == (6, 6, 6)
+
 
 class TestConfigValidation:
     def test_rejects_unknown_method(self):
@@ -152,6 +159,21 @@ class TestConfigValidation:
     def test_rejects_a_negative_seed(self):
         with pytest.raises(ValueError, match="^seed -3 must be nonnegative$"):
             ExperimentConfig([10], 2, [0.0], 1, -3)
+
+    @pytest.mark.parametrize("field, value", [
+        ("dims", [12.9]), ("dims", [12, np.float64(12)]), ("seed", 2.5), ("seed", 2.0),
+        ("trials", 1.5), ("trials", np.float64(1)), ("row_samples", 5.5),
+        ("fiber_samples", 9.0),
+    ])
+    def test_rejects_a_value_that_is_not_an_integer(self, field, value):
+        # at construction, not inside run_sweep
+        base = {"dims": [12], "rank": 2, "sigmas": [0.0], "trials": 1, "seed": 0}
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            ExperimentConfig(**{**base, field: value})
+        cfg = ExperimentConfig(**{**base, "dims": [np.int64(12)], "trials": np.int32(1),
+                                  "seed": np.uint8(2)})
+        assert (cfg.dims, cfg.trials, cfg.seed) == ([12], 1, 2)
+        assert all(type(v) is int for v in (*cfg.dims, cfg.trials, cfg.seed))
 
     @pytest.mark.parametrize("kind", ["row", "fiber"])
     @pytest.mark.parametrize("size", [0, -2])
@@ -299,6 +321,17 @@ def make_tensor_file(tmp_path, dims, ranks, sigma, seed, name="input.tnsr"):
 
 
 class TestCompress:
+    @pytest.mark.parametrize("method", ["chidori", "hosvd"])
+    @pytest.mark.parametrize("seed", [2.5, 2.0, np.float64(2)])
+    def test_rejects_a_seed_that_is_not_an_integer(self, tmp_path, method, seed):
+        path, _ = make_tensor_file(tmp_path, (6, 5, 4), (2, 2, 2), 0.0, 0)
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            compress(path, method, (2, 2, 2), seed=seed, out_dir=tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+        compress(path, method, (2, 2, 2), seed=np.int64(2), out_dir=tmp_path / "np")
+        compress(path, method, (2, 2, 2), seed=2, out_dir=tmp_path / "int")
+        assert dir_bytes(tmp_path / "np") == dir_bytes(tmp_path / "int")
+
     def test_full_rank_compression_reports_exact(self, tmp_path):
         path, x = make_tensor_file(tmp_path, (6, 5, 4), (2, 2, 2), 0.0, 0)
         result = compress(path, "hosvd", (6, 5, 4), out_dir=tmp_path / "out")

@@ -9,17 +9,17 @@ EXPORTS = [
     "BoundReport", "CharacterizationReport", "CoherenceReport", "CompressionResult",
     "CurDecomposition", "ExperimentConfig", "HosvdDecomposition", "SamplingPlan",
     "TensorFileError", "check_characterization", "chidori_cur", "chidori_sample_sizes",
-    "coherence", "composite_index", "compress", "convert_factors", "cur_to_hosvd",
+    "coherence", "compress", "convert_factors", "cur_to_hosvd",
     "cur_with_indices", "evaluate_error_bounds", "fiber_cur", "fiber_sample_sizes",
     "frobenius_norm", "generate_synthetic", "hooi", "hosvd", "mode_product",
     "multi_mode_product", "multilinear_rank", "numerical_rank", "projection_reconstruct",
-    "read_tensor", "relative_error", "run_sweep", "sample_without_replacement",
+    "read_tensor", "relative_error", "run_sweep",
     "st_hosvd", "tensor_coherence", "unfold", "write_csv", "write_tensor",
 ]
 
 
 def test_public_surface_is_pinned_and_every_export_resolves():
-    assert len(EXPORTS) == 39
+    assert len(EXPORTS) == 37
     assert sorted(tensorcur.__all__) == EXPORTS
     for info in pkgutil.iter_modules(tensorcur.__path__):
         module = importlib.import_module(f"tensorcur.{info.name}")

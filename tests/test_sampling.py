@@ -10,12 +10,11 @@ from tensorcur import (
     fiber_cur,
     fiber_sample_sizes,
     generate_synthetic,
-    sample_without_replacement,
     unfold,
 )
 from tensorcur import sampling
 from tensorcur.cur import draw_indices
-from tensorcur.sampling import mode_length_distributions
+from tensorcur.sampling import mode_length_distributions, sample_without_replacement
 
 from conftest import tensor_with_layout
 
@@ -460,6 +459,14 @@ class TestSamplingPlan:
         with pytest.raises(ValueError, match="^seed -1 must be nonnegative$"):
             SamplingPlan((2, 2, 2), seed=-1)
 
+    @pytest.mark.parametrize("seed", [2.5, 2.0, np.float64(2), "2"])
+    def test_rejects_a_seed_that_is_not_an_integer(self, seed):
+        # at construction, not when the plan first draws
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            SamplingPlan((2, 2, 2), seed=seed)
+        plan = SamplingPlan((2, 2, 2), seed=np.int64(2))
+        assert type(plan.seed) is int and plan == SamplingPlan((2, 2, 2), seed=2)
+
     def test_rng_is_seed_stable(self):
         plan = SamplingPlan((3, 3, 3), seed=123)
         assert plan.rng().integers(1 << 30) == plan.rng().integers(1 << 30)
@@ -470,6 +477,13 @@ class TestSizePrescriptions:
     def test_rejects_a_rank_that_is_not_an_integer(self, sizes):
         with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
             sizes((50, 50, 50), (5, 2.9, 5))
+
+    @pytest.mark.parametrize("sizes", [chidori_sample_sizes, fiber_sample_sizes])
+    @pytest.mark.parametrize("dims", [(50.7, 50, 50), (50, 50, 50.0), (50, np.float64(50), 50)])
+    def test_rejects_an_extent_that_is_not_an_integer(self, sizes, dims):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            sizes(dims, (5, 5, 5))
+        assert sizes(np.array([50, 50, 50]), (5, 5, 5)) == sizes((50, 50, 50), (5, 5, 5))
 
     def test_chidori_sizes_follow_log_rule(self):
         t = chidori_sample_sizes((50, 50, 50), (5, 5, 5))

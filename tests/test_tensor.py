@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tensorcur import (
-    composite_index,
     frobenius_norm,
     mode_product,
     multi_mode_product,
@@ -15,7 +14,7 @@ from tensorcur import (
 )
 
 from tensorcur import tensor, write_tensor
-from tensorcur.tensor import as_index_array, check_ranks, gram, residual
+from tensorcur.tensor import as_index_array, check_ranks, composite_index, gram, residual
 from tensorcur.tensorfile import SlabReader
 
 from conftest import random_low_rank, tensor_with_layout
@@ -221,6 +220,13 @@ class TestSubtensorAndFibers:
     def test_composite_index_rejects_a_bad_mode_or_entry_count(self, sets, k, message):
         with pytest.raises(ValueError, match=message):
             composite_index(sets, k, (2, 2, 2))
+
+    @pytest.mark.parametrize("dims", [(2, 2.5, 2), (2, 2, 2.0), (np.float64(2), 2, 2)])
+    def test_composite_index_rejects_an_extent_that_is_not_an_integer(self, dims):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            composite_index([[0], [1], [1]], 0, dims)
+        got = composite_index([[0], [1], [1]], 0, np.array([2, 2, 2]))
+        assert got.tolist() == composite_index([[0], [1], [1]], 0, (2, 2, 2)).tolist() == [3]
 
 
 @st.composite

@@ -265,6 +265,16 @@ def test_slab_writer_rejects_a_wrong_slab_count_or_shape(tmp_path, chunks, messa
                 out.write(chunk)
 
 
+@pytest.mark.parametrize("shape", [(3.5, 2), (3, 2.0), (np.float64(3), 2)])
+def test_slab_writer_rejects_an_extent_that_is_not_an_integer(tmp_path, shape):
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        SlabWriter(tmp_path / "t.tnsr", shape)
+    assert not (tmp_path / "t.tnsr").exists()
+    with SlabWriter(tmp_path / "t.tnsr", np.array([3, 2])) as out:
+        out.write(np.ones((3, 2)))
+    assert read_tensor(tmp_path / "t.tnsr").shape == (3, 2)
+
+
 @pytest.mark.parametrize("shape", [(), (2, 0, 3)])
 def test_slab_writer_rejects_shapes_write_tensor_rejects(tmp_path, shape):
     for write in (lambda p: write_tensor(p, np.ones(shape)), lambda p: SlabWriter(p, shape)):
